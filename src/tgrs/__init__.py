@@ -11,7 +11,8 @@ from .classify import (CodeReport, PhiWorkspace, classify, ftr_coefficient,
 from .codes import (GeneralTwistSpec, TgrsSpec, encode, encode_general,
                     generator_matrix, parity_check_matrix, tgrs_spec_from_json,
                     tgrs_spec_to_json)
-from .errors import ResourceLimitError, SingularMatrixError, TgrsError, ValidationError
+from .errors import (ResourceLimitError, SingularMatrixError, TgrsError, ValidationError,
+                     VerificationError)
 from .gf import Field, FieldElement, field_from_json, field_to_json
 from .golden import GOLDEN_CODES, GoldenCode
 from .lcdgen import (BuildResult, Class1Params, Class2Params, HypothesisCheck,
@@ -30,6 +31,7 @@ __all__ = [
     "Class1Params", "Class2Params", "SearchTemplate", "SearchHit",
     "BuildResult", "HypothesisCheck", "GoldenCode", "GOLDEN_CODES",
     "TgrsError", "ValidationError", "ResourceLimitError", "SingularMatrixError",
+    "VerificationError",
     "generator_matrix", "parity_check_matrix", "encode", "encode_general",
     "classify", "is_mds_phi", "is_mds_minors", "is_amds", "min_distance",
     "hull_dimension", "ftr_coefficient", "rank", "det", "null_space", "rref",

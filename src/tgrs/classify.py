@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .codes import TgrsSpec, generator_matrix, parity_check_matrix
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, element_to_json
 from .linalg import MatGF, det, rank
 from .poly import Poly
@@ -178,7 +178,7 @@ def min_distance(H: MatGF, cap_n: int = DEFAULT_DISTANCE_CAP) -> int:
         for cols in itertools.combinations(range(n), w):
             if rank(H.submatrix(row_idx, cols)) < w:
                 return w
-    raise AssertionError("unreachable: rows+1 columns are always dependent")
+    raise VerificationError("unreachable: rows+1 columns are always dependent")
 
 
 def hull_dimension(G: MatGF, H: MatGF) -> int:
@@ -289,8 +289,8 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
         report.min_distance = d
         singleton = spec.n - spec.k + 1
         if d > singleton:
-            raise AssertionError(f"distance {d} violates the Singleton bound {singleton}")
+            raise VerificationError(f"distance {d} violates the Singleton bound {singleton}")
         if mds != (d == singleton) or amds != (d == singleton - 1):
-            raise AssertionError(
+            raise VerificationError(
                 f"classification inconsistency: d={d}, mds={mds}, amds={amds}")
     return report

@@ -4,7 +4,8 @@ Subcommands: build (matrices only), check (matrices plus classification),
 construct1 / construct2 (the two LCD recipes), search (twist enumeration),
 and paper-examples (rebuild the embedded reference codes and verify them).
 
-Exit codes: 0 success, 1 verification or comparison failure, 2 input error.
+Exit codes: 0 success, 1 verification or comparison failure (including a
+VerificationError from an internal cross-check), 2 input or resource error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .classify import classify, report_to_json
 from .codes import generator_matrix, parity_check_matrix, tgrs_spec_from_json, tgrs_spec_to_json
-from .errors import TgrsError, ValidationError
+from .errors import TgrsError, ValidationError, VerificationError
 from .golden import GOLDEN_CODES
 from .lcdgen import (build_class1, build_class2, class1_params_from_json,
                      class2_params_from_json, search_eta, template_from_json)
@@ -283,12 +284,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TgrsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VerificationError) else 2
 
 
 if __name__ == "__main__":

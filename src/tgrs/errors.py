@@ -15,3 +15,7 @@ class ResourceLimitError(TgrsError):
 
 class SingularMatrixError(TgrsError, ArithmeticError):
     """A matrix required to be invertible is singular."""
+
+
+class VerificationError(TgrsError):
+    """An internal consistency check failed: two independent routes disagree."""

@@ -110,6 +110,10 @@ def _validate_modulus(p: int, m: int, modulus: Sequence[int]) -> tuple[int, ...]
     return tuple(mod)
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # bool is an int subclass and never a field value
+
+
 class Field:
     """The finite field GF(p^m), acting as element factory and spec.
 
@@ -164,22 +168,28 @@ class Field:
     # -- element construction ------------------------------------------------
 
     def element(self, value) -> FieldElement:
-        """Canonicalize an int (m = 1) or coefficient sequence (m > 1)."""
+        """Canonicalize an int (any field) or coefficient list or tuple (m > 1).
+
+        Only true ints are accepted, as the value and as coefficients: bools,
+        floats and strings are rejected rather than truncated or parsed.
+        """
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise ValidationError("element belongs to a different field")
             return value
-        if self.m == 1:
-            if not isinstance(value, int):
-                raise ValidationError(f"GF({self.p}) element must be an int, got {value!r}")
-            return FieldElement(self, value % self.p)
-        if isinstance(value, int):
+        if type(value) is int:  # _is_int, inlined on the hot path
+            if self.m == 1:
+                return FieldElement(self, value % self.p)
             # ints embed via the prime subfield
             return FieldElement(self, (value % self.p,) + (0,) * (self.m - 1))
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.m:
+        if self.m == 1 or not isinstance(value, (list, tuple)):
+            kind = "an int" if self.m == 1 else "an int or a coefficient list"
+            raise ValidationError(f"GF({self.q}) element must be {kind}, got {value!r}")
+        if not all(_is_int(c) for c in value):
+            raise ValidationError(f"GF({self.q}) coefficients must be ints, got {value!r}")
+        if len(value) > self.m:
             raise ValidationError(f"coefficient vector longer than degree {self.m}")
-        coeffs += [0] * (self.m - len(coeffs))
+        coeffs = [c % self.p for c in value] + [0] * (self.m - len(value))
         return FieldElement(self, tuple(coeffs))
 
     def zero(self) -> FieldElement:
@@ -243,6 +253,23 @@ class Field:
                 for j in range(m):
                     out[j] = (out[j] + c * row[j]) % p
         return tuple(out)
+
+    def _eliminate(self, dst, src, c, pinv):
+        """Clear dst[c] in place: dst[c:] -= f * src[c:] with f = dst[c] * pinv.
+
+        ``pinv`` is the inverse of the pivot src[c]; the row operation of
+        Gaussian elimination, on rep lists whose entries before c are zero.
+        """
+        if self.m == 1:
+            p = self.p
+            f = dst[c] * pinv % p
+            for j in range(c, len(dst)):
+                dst[j] = (dst[j] - f * src[j]) % p
+            return
+        mul, sub = self._mul, self._sub
+        f = mul(dst[c], pinv)
+        for j in range(c, len(dst)):
+            dst[j] = sub(dst[j], mul(f, src[j]))
 
     def _inv(self, a):
         if self.m == 1:
@@ -366,7 +393,7 @@ class FieldElement:
             if other.field != self.field:
                 raise ValidationError("elements belong to different fields")
             return other
-        if isinstance(other, int):
+        if _is_int(other):
             return self.field.element(other)
         return NotImplemented
 
@@ -432,7 +459,7 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.rep == other.rep
-        if isinstance(other, int):
+        if _is_int(other):
             return self == self.field.element(other)
         return NotImplemented
 

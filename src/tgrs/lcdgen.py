@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .classify import CodeReport, PhiWorkspace, classify
 from .codes import TgrsSpec
-from .errors import ValidationError
+from .errors import ValidationError, VerificationError
 from .gf import Field, FieldElement, element_to_json, field_from_json, field_to_json
 from .poly import Poly
 from .symm import SymContext
@@ -284,7 +284,7 @@ def build_class2(params: Class2Params) -> BuildResult:
     for t in range(m, l + 1):
         psum = psum + params.eta[t] * psi[l + m - t]
     if psum != qsum:
-        raise AssertionError("tail-sum form disagrees with the quadratic twist sum")
+        raise VerificationError("tail-sum form disagrees with the quadratic twist sum")
     q_gate = qsum.is_zero()
     record.append(HypothesisCheck("quadratic twist sum vanishes", q_gate, qsum))
     spec = _assemble_spec(params)

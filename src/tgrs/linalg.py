@@ -1,8 +1,17 @@
 """Exact dense linear algebra over GF(q).
 
-Plain Gaussian elimination with first-nonzero pivoting; in a field the
-pivot magnitude is irrelevant so the scan order alone fixes the result.
-All matrices are immutable; operations return new values.
+A matrix stores the canonical reps of its entries: ints for a prime field,
+coefficient tuples for an extension field, as in ``FieldElement.rep``.  The
+public constructor validates every entry through ``Field.element``; matrices
+derived from other matrices (submatrices, products, kernel results) are built
+from reps directly and are not re-validated.  Entry reads return
+``FieldElement`` values.  All matrices are immutable; operations return new
+values.
+
+Rank, determinant, reduced row echelon form, kernel and square solves all go
+through one Gaussian elimination, ``_echelon``, with first-nonzero pivoting;
+in a field the pivot magnitude is irrelevant, so the scan order alone fixes
+the result.
 """
 
 from __future__ import annotations
@@ -19,17 +28,23 @@ class MatGF:
     __slots__ = ("field", "rows", "cols", "_data")
 
     def __init__(self, field: Field, rows: Iterable[Iterable]):
-        data = tuple(tuple(field.element(x) for x in row) for row in rows)
-        if data:
-            ncols = len(data[0])
-            if any(len(r) != ncols for r in data):
-                raise ValidationError("ragged rows in matrix")
-        else:
-            ncols = 0
+        data = tuple(tuple(field.element(x).rep for x in row) for row in rows)
+        if data and any(len(r) != len(data[0]) for r in data):
+            raise ValidationError("ragged rows in matrix")
+        self._fill(field, data)
+
+    def _fill(self, field: Field, data: tuple) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "cols", len(data[0]) if data else 0)
         object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _from_reps(cls, field: Field, data: tuple) -> "MatGF":
+        """Wrap a tuple of equal-length rep tuples without re-validating them."""
+        out = object.__new__(cls)
+        out._fill(field, data)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("MatGF is immutable")
@@ -39,70 +54,73 @@ class MatGF:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "MatGF":
-        return cls(field, ((1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "MatGF":
-        return cls(field, ((0 for _ in range(cols)) for _ in range(rows)))
+        zero, one = field.zero().rep, field.one().rep
+        return cls._from_reps(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                           for i in range(n)))
 
     @classmethod
     def vandermonde(cls, points: Sequence[FieldElement], nrows: int) -> "MatGF":
         """Row j holds the j-th powers of the points, j = 0..nrows-1."""
         field = points[0].field
+        pts = [field.element(p).rep for p in points]
         rows = []
-        cur = [field.one()] * len(points)
+        cur = [field.one().rep] * len(pts)
         for _ in range(nrows):
             rows.append(tuple(cur))
-            cur = [c * p for c, p in zip(cur, points)]
-        return cls(field, rows)
+            cur = [field._mul(c, p) for c, p in zip(cur, pts)]
+        return cls._from_reps(field, tuple(rows))
 
     def __getitem__(self, ij) -> FieldElement:
         i, j = ij
-        return self._data[i][j]
+        return FieldElement(self.field, self._data[i][j])
 
     def row(self, i: int) -> tuple[FieldElement, ...]:
-        return self._data[i]
+        return tuple(FieldElement(self.field, x) for x in self._data[i])
 
     def col(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(r[j] for r in self._data)
+        return tuple(FieldElement(self.field, r[j]) for r in self._data)
 
     def row_list(self) -> list[list[FieldElement]]:
-        return [list(r) for r in self._data]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "MatGF":
-        return MatGF(self.field, zip(*self._data)) if self.rows else MatGF(self.field, [])
+        return MatGF._from_reps(self.field, tuple(zip(*self._data)))
 
     def __matmul__(self, other: "MatGF") -> "MatGF":
         if self.field != other.field:
             raise ValidationError("matrices over different fields")
         if self.cols != other.rows:
             raise ValidationError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bt = list(zip(*other._data)) if other.rows else []
-        zero = self.field.zero()
+        field = self.field
+        add, mul, zero = field._add, field._mul, field.zero().rep
+        bt = tuple(zip(*other._data))
         out = []
         for arow in self._data:
             orow = []
             for bcol in bt:
                 acc = zero
                 for a, b in zip(arow, bcol):
-                    acc = acc + a * b
+                    acc = add(acc, mul(a, b))
                 orow.append(acc)
-            out.append(orow)
-        return MatGF(self.field, out)
+            out.append(tuple(orow))
+        return MatGF._from_reps(field, tuple(out))
 
     def stack(self, other: "MatGF") -> "MatGF":
         if self.field != other.field or self.cols != other.cols:
             raise ValidationError("stack requires equal field and column count")
-        return MatGF(self.field, self._data + other._data)
+        return MatGF._from_reps(self.field, self._data + other._data)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatGF":
-        return MatGF(self.field, ((self._data[i][j] for j in col_idx) for i in row_idx))
+        data = self._data
+        return MatGF._from_reps(self.field, tuple(tuple(data[i][j] for j in col_idx)
+                                                  for i in row_idx))
 
     def column_submatrix(self, col_idx: Sequence[int]) -> "MatGF":
         return self.submatrix(range(self.rows), col_idx)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self._data for x in r)
+        zero = self.field.zero().rep
+        return all(x == zero for r in self._data for x in r)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatGF) and self.field == other.field
@@ -116,84 +134,68 @@ class MatGF:
 
     def to_lists(self) -> list[list]:
         if self.field.m == 1:
-            return [[x.rep for x in r] for r in self._data]
-        return [[list(x.rep) for x in r] for r in self._data]
+            return [list(r) for r in self._data]
+        return [[list(x) for x in r] for r in self._data]
 
     def pretty(self) -> str:
         """Space-aligned unsigned residues, one row per line."""
-        cells = [[str(x.rep) if self.field.m == 1 else str(list(x.rep)) for x in r]
-                 for r in self._data]
+        cells = [[str(x) for x in r] for r in self.to_lists()]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
 
-def matrix_from_lists(field: Field, rows) -> MatGF:
-    return MatGF(field, rows)
-
-
-# -- elimination kernels -------------------------------------------------------
+# -- the elimination kernel ----------------------------------------------------
 #
-# For prime fields the kernels run on raw int rows (mod p), which keeps the
-# exhaustive searches (minors, column subsets) fast; extension fields take
-# the generic FieldElement path.
+# One Gaussian elimination on mutable lists of reps serves every field.  The
+# field supplies the arithmetic; its row operation ``Field._eliminate`` is
+# the only step of the elimination that tells prime fields from extension
+# fields, and it runs in place from the pivot column with one inverse per
+# pivot.  The exhaustive searches (column subsets, minors) call the kernel
+# once per rank or determinant, and it never builds a FieldElement.
 
-def _int_rows(M: MatGF) -> list[list[int]]:
-    return [[x.rep for x in r] for r in M._data]
+def _echelon(rows: list[list], field: Field, reduced: bool) -> tuple[list[int], int]:
+    """Row-reduce ``rows`` in place; return the pivot columns and the row swap count.
 
-
-def _rank_int(rows: list[list[int]], p: int) -> int:
+    The pivot of each column is the first nonzero entry at or below the
+    current row.  Without ``reduced`` pivots are left as found and only the
+    rows below are cleared, so for a square matrix the determinant is
+    (-1)^swaps times the diagonal product.  With ``reduced`` each pivot is
+    scaled to one and its column cleared above as well: the reduced row
+    echelon form.
+    """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    r = 0
+    zero = field.zero().rep
+    inv, mul, eliminate = field._inv, field._mul, field._eliminate
+    pivots: list[int] = []
+    swaps = 0
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        prow = rows[r]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            if f:
-                f = f * inv % p
-                ri = rows[i]
-                for j in range(c, nc):
-                    ri[j] = (ri[j] - f * prow[j]) % p
-        r += 1
+        r = len(pivots)
         if r == nr:
             break
-    return r
-
-
-def _rank_generic(M: MatGF) -> int:
-    rows = M.row_list()
-    nr, nc = M.rows, M.cols
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
+        piv = next((i for i in range(r, nr) if rows[i][c] != zero), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
         prow = rows[r]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            if not f.is_zero():
-                f = f * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        r += 1
-        if r == nr:
-            break
-    return r
+        pinv = inv(prow[c])
+        targets: Iterable[int] = range(r + 1, nr)
+        if reduced:
+            prow[c:] = [mul(x, pinv) for x in prow[c:]]
+            pinv = prow[c]  # one, after the scaling
+            targets = [i for i in range(nr) if i != r]
+        for i in targets:
+            if rows[i][c] != zero:
+                eliminate(rows[i], prow, c, pinv)
+        pivots.append(c)
+    return pivots, swaps
 
 
 def rank(M: MatGF) -> int:
     """Rank by Gaussian elimination with first-nonzero pivoting."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if M.field.m == 1:
-        return _rank_int(_int_rows(M), M.field.p)
-    return _rank_generic(M)
+    return len(_echelon([list(r) for r in M._data], M.field, False)[0])
 
 
 def det(M: MatGF) -> FieldElement:
@@ -201,90 +203,36 @@ def det(M: MatGF) -> FieldElement:
     if M.rows != M.cols:
         raise ValidationError(f"determinant of non-square {M.rows}x{M.cols} matrix")
     field = M.field
-    if M.rows == 0:
-        return field.one()
-    if field.m == 1:
-        p = field.p
-        rows = _int_rows(M)
-        n = M.rows
-        sign = 1
-        acc = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if rows[i][c]), None)
-            if piv is None:
-                return field.zero()
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                sign = -sign
-            acc = acc * rows[c][c] % p
-            inv = pow(rows[c][c], p - 2, p)
-            prow = rows[c]
-            for i in range(c + 1, n):
-                f = rows[i][c]
-                if f:
-                    f = f * inv % p
-                    ri = rows[i]
-                    for j in range(c, n):
-                        ri[j] = (ri[j] - f * prow[j]) % p
-        return field.element(sign * acc)
-    rows = M.row_list()
-    n = M.rows
-    acc = field.one()
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            return field.zero()
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            acc = -acc
-        acc = acc * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if not f.is_zero():
-                f = f * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return acc
+    rows = [list(r) for r in M._data]
+    pivots, swaps = _echelon(rows, field, False)
+    if len(pivots) < M.rows:
+        return field.zero()
+    acc = field.one().rep
+    for i, row in enumerate(rows):
+        acc = field._mul(acc, row[i])
+    return FieldElement(field, field._neg(acc) if swaps % 2 else acc)
 
 
 def rref(M: MatGF) -> tuple[MatGF, list[int]]:
     """Reduced row echelon form and the pivot column list."""
-    field = M.field
-    rows = M.row_list()
-    nr, nc = M.rows, M.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return MatGF(field, rows), pivots
+    rows = [list(r) for r in M._data]
+    pivots, _ = _echelon(rows, M.field, True)
+    return MatGF._from_reps(M.field, tuple(tuple(r) for r in rows)), pivots
 
 
 def null_space(M: MatGF) -> MatGF:
     """Rows form a basis of {x : M x^T = 0}; row count = cols - rank."""
     field = M.field
     R, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
+    zero, one = field.zero().rep, field.one().rep
     basis = []
-    for f in free:
-        vec = [field.zero()] * M.cols
-        vec[f] = field.one()
+    for f in (c for c in range(M.cols) if c not in pivots):
+        vec = [zero] * M.cols
+        vec[f] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = -R[i, f]
-        basis.append(vec)
-    return MatGF(field, basis)
+            vec[pc] = field._neg(R._data[i][f])
+        basis.append(tuple(vec))
+    return MatGF._from_reps(field, tuple(basis))
 
 
 def solve(M: MatGF, b: Sequence[FieldElement]) -> list[FieldElement]:
@@ -292,20 +240,12 @@ def solve(M: MatGF, b: Sequence[FieldElement]) -> list[FieldElement]:
     if M.rows != M.cols or M.rows != len(b):
         raise ValidationError("solve requires a square system matching b")
     field = M.field
-    rows = [list(r) + [field.element(x)] for r, x in zip(M._data, b)]
+    rows = [list(r) + [field.element(x).rep] for r, x in zip(M._data, b)]
     n = M.rows
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            raise SingularMatrixError("singular system")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = rows[c][c].inverse()
-        rows[c] = [x * inv for x in rows[c]]
-        for i in range(n):
-            if i != c and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b2 for a, b2 in zip(rows[i], rows[c])]
-    return [rows[i][n] for i in range(n)]
+    pivots, _ = _echelon(rows, field, True)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("singular system")
+    return [FieldElement(field, r[n]) for r in rows]
 
 
 def row_space_equal(A: MatGF, B: MatGF) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, VerificationError
 from .gf import FieldElement
 from .poly import Poly
 
@@ -82,7 +82,8 @@ class SymContext:
                 self._full_product = Poly.from_roots(self.field, self.points)
             linear = Poly(self.field, (-self.points[i], self.field.one()))
             q, r = divmod(self._full_product, linear)
-            assert r.is_zero()
+            if not r.is_zero():
+                raise VerificationError(f"point {i} is not a root of the full product")
             self._sigma_polys[i] = q
         return self._sigma_polys[i]
 

@@ -32,13 +32,25 @@ def gf37():
     return get_field(37)
 
 
-def random_spec(rng: random.Random, qs=(7, 31, 37), n_min=3, n_max=14,
+# (p, m, modulus low degree first) of GF(8), GF(9), GF(16) and GF(25):
+# x^3+x+1, x^2+1, x^4+x+1 and x^2+2.
+GF8 = (2, 3, (1, 1, 0, 1))
+GF9 = (3, 2, (1, 0, 1))
+GF16 = (2, 4, (1, 1, 0, 0, 1))
+GF25 = (5, 2, (2, 0, 1))
+EXTENSION_FIELDS = (GF8, GF9, GF16, GF25)
+
+
+def random_spec(rng: random.Random, qs=(7, 31, 37) + EXTENSION_FIELDS, n_min=3, n_max=14,
                 comb_cap=None) -> TgrsSpec:
-    """A uniformly messy but valid single-hook spec for property tests."""
+    """A uniformly messy but valid single-hook spec for property tests.
+
+    ``qs`` holds primes and (p, m, modulus) triples for extension fields.
+    """
     while True:
         q = rng.choice(qs)
-        f = get_field(q)
-        hi = min(n_max, q)
+        f = get_field(q) if isinstance(q, int) else get_field(*q)
+        hi = min(n_max, f.q)
         if hi < n_min:
             continue
         n = rng.randint(n_min, hi)
@@ -49,8 +61,8 @@ def random_spec(rng: random.Random, qs=(7, 31, 37), n_min=3, n_max=14,
             continue
         l = rng.randint(0, n - k - 1)
         h = rng.randint(1, k - 1)
-        alpha = [f.element(a) for a in rng.sample(range(q), n)]
-        v = [f.element(rng.randint(1, q - 1)) for _ in range(n)]
-        eta = [f.element(rng.randint(0, q - 1)) for _ in range(l + 1)]
+        alpha = [f.from_index(a) for a in rng.sample(range(f.q), n)]
+        v = [f.from_index(rng.randint(1, f.q - 1)) for _ in range(n)]
+        eta = [f.from_index(rng.randint(0, f.q - 1)) for _ in range(l + 1)]
         return TgrsSpec(field=f, n=n, k=k, l=l, h=h,
                         alpha=tuple(alpha), v=tuple(v), eta=tuple(eta))

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, embedded examples."""
 
 import json
+import sys
 
 import pytest
 
@@ -212,6 +213,37 @@ class TestExtensionFieldInput:
         blob = json.loads(capsys.readouterr().out)
         assert blob["report"]["n"] == 4
         assert isinstance(blob["generator"][0][0], list)
+
+
+    def test_float_twist_exits_2(self, tmp_path, capsys):
+        obj = {
+            "field": {"p": 3, "m": 2, "modulus": [1, 0, 1]},
+            "n": 4, "k": 2, "l": 0, "h": 1,
+            "alpha": [[1, 0], [2, 0], [0, 1], [0, 2]],
+            "v": [[1, 0], [1, 1], [1, 0], [2, 0]],
+            "eta": [1.5],
+        }
+        path = write_json(tmp_path / "float.json", obj)
+        assert main(["check", "--input", path]) == 2
+        assert "1.5" in capsys.readouterr().err
+
+
+class TestVerificationFailure:
+    @pytest.mark.parametrize("wrong_d,message", [(1, "classification inconsistency"),
+                                                 (8, "Singleton")])
+    def test_wrong_distance_exits_1(self, golden_spec_file, capsys, monkeypatch,
+                                    wrong_d, message):
+        # the [9,3,7] code is MDS, so any other distance contradicts the verdicts
+        monkeypatch.setattr(sys.modules["tgrs.classify"], "min_distance",
+                            lambda H, cap_n=None: wrong_d)
+        assert main(["check", "--input", golden_spec_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_exported_as_package_error(self):
+        from tgrs import TgrsError, VerificationError
+        assert issubclass(VerificationError, TgrsError)
 
 
 class TestJsonStability:

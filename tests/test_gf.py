@@ -82,6 +82,14 @@ class TestElementOps:
         with pytest.raises(ValidationError):
             gf7.one() + gf31.one()
 
+    @pytest.mark.parametrize("p,m,mod", [(7, 1, None), (3, 2, [1, 0, 1])])
+    @pytest.mark.parametrize("value", [2.7, "1", True, False, None, {1, 2},
+                                       [2.7, 1], ["1"], [True, 0], [1, False], "12"])
+    def test_element_rejects_non_int_input(self, p, m, mod, value):
+        # no truncation, parsing or bool-as-int, for scalars and coefficients alike
+        with pytest.raises(ValidationError):
+            get_field(p, m, mod).element(value)
+
     def test_int_coercion(self, gf31):
         assert gf31.element(5) + 30 == gf31.element(4)
         assert 2 * gf31.element(20) == gf31.element(9)

@@ -7,15 +7,18 @@ import pytest
 
 from tgrs import (MatGF, SingularMatrixError, ValidationError, det,
                   det_rank_one_update, generator_matrix, null_space,
-                  parity_check_matrix, rank, row_space_equal, solve,
+                  parity_check_matrix, rank, row_space_equal, rref, solve,
                   solve_vandermonde)
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import get_field
+from conftest import EXTENSION_FIELDS, GF16, GF25, get_field
+
+# GF(8), GF(9), GF(16) and GF(25), characteristics 2, 3 and 5
+EXTENSIONS = [get_field(*spec) for spec in EXTENSION_FIELDS]
 
 
 def random_matrix(rng, f, rows, cols):
-    return MatGF(f, [[f.element(rng.randrange(f.q)) for _ in range(cols)]
+    return MatGF(f, [[f.from_index(rng.randrange(f.q)) for _ in range(cols)]
                      for _ in range(rows)])
 
 
@@ -35,7 +38,7 @@ class TestRank:
 
     def test_rank_equals_transpose_rank(self):
         rng = random.Random(6)
-        for f in (get_field(7), get_field(3, 2, [1, 0, 1])):
+        for f in [get_field(7)] + EXTENSIONS:
             for _ in range(25):
                 M = random_matrix(rng, f, rng.randint(1, 5), rng.randint(1, 5))
                 assert rank(M) == rank(M.transpose())
@@ -66,7 +69,7 @@ class TestDet:
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(7)
-        for f in (get_field(7), get_field(3, 2, [1, 0, 1])):
+        for f in [get_field(7)] + EXTENSIONS:
             for _ in range(20):
                 n = rng.randint(1, 3)
                 M = random_matrix(rng, f, n, n)
@@ -106,13 +109,50 @@ class TestNullSpace:
 
     def test_dimension_and_membership_randomized(self):
         rng = random.Random(8)
-        for f in (get_field(7), get_field(31)):
+        for f in [get_field(7), get_field(31)] + EXTENSIONS:
             for _ in range(25):
                 M = random_matrix(rng, f, rng.randint(1, 4), rng.randint(1, 6))
                 N = null_space(M)
                 assert N.rows == M.cols - rank(M)
                 if N.rows:
                     assert (M @ N.transpose()).is_zero()
+
+
+class TestRref:
+    def test_idempotent_with_unit_pivot_columns(self):
+        rng = random.Random(11)
+        for f in (get_field(7), get_field(*GF16)):
+            for _ in range(25):
+                M = random_matrix(rng, f, rng.randint(1, 4), rng.randint(1, 6))
+                R, pivots = rref(M)
+                assert len(pivots) == rank(M) == rank(R)
+                assert row_space_equal(R, M)
+                assert rref(R) == (R, pivots)
+                for i, c in enumerate(pivots):
+                    # each pivot is the row's leading entry and its column a unit vector
+                    assert all(R[i, j].is_zero() for j in range(c))
+                    assert R.col(c) == tuple(f.one() if r == i else f.zero()
+                                             for r in range(R.rows))
+                assert all(R[i, j].is_zero() for i in range(len(pivots), R.rows)
+                           for j in range(R.cols))
+
+
+class TestSolve:
+    def test_round_trip_over_extension_field(self):
+        rng = random.Random(12)
+        f = get_field(*GF25)
+        checked = 0
+        while checked < 20:
+            n = rng.randint(1, 5)
+            M = random_matrix(rng, f, n, n)
+            x = [f.from_index(rng.randrange(f.q)) for _ in range(n)]
+            b = (M @ MatGF(f, [[xi] for xi in x])).col(0)
+            if det(M).is_zero():
+                with pytest.raises(SingularMatrixError):
+                    solve(M, b)
+                continue
+            assert solve(M, b) == x
+            checked += 1
 
 
 class TestSolveVandermonde:

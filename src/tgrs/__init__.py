@@ -5,9 +5,9 @@ MDS / AMDS / LCD classification with independent brute-force oracles, and two
 constructive recipes for LCD (and LCD MDS) codes on cyclic point sets.
 """
 
-from .classify import (CodeReport, PhiWorkspace, classify, ftr_coefficient,
-                       hull_dimension, is_amds, is_mds_minors, is_mds_phi,
-                       min_distance, report_from_json, report_to_json)
+from .classify import (CodeReport, PhiWorkspace, classify, hull_dimension, is_amds,
+                       is_mds_minors, is_mds_phi, min_distance, report_from_json,
+                       report_to_json)
 from .codes import (GeneralTwistSpec, TgrsSpec, encode, encode_general,
                     generator_matrix, parity_check_matrix, tgrs_spec_from_json,
                     tgrs_spec_to_json)
@@ -18,8 +18,8 @@ from .golden import GOLDEN_CODES, GoldenCode
 from .lcdgen import (BuildResult, Class1Params, Class2Params, HypothesisCheck,
                      SearchHit, SearchTemplate, build_class1, build_class2,
                      quadratic_twist_sum, r_coefficient, search_eta)
-from .linalg import (MatGF, det, det_rank_one_update, null_space, rank, row_space_equal,
-                     rref, solve, solve_vandermonde)
+from .linalg import (MatGF, det, null_space, rank, row_space_equal, rref, solve,
+                     solve_vandermonde)
 from .poly import NEG_INF, Poly
 from .symm import SymContext
 
@@ -34,8 +34,8 @@ __all__ = [
     "VerificationError",
     "generator_matrix", "parity_check_matrix", "encode", "encode_general",
     "classify", "is_mds_phi", "is_mds_minors", "is_amds", "min_distance",
-    "hull_dimension", "ftr_coefficient", "rank", "det", "null_space", "rref",
-    "solve", "solve_vandermonde", "det_rank_one_update", "row_space_equal",
+    "hull_dimension", "rank", "det", "null_space", "rref",
+    "solve", "solve_vandermonde", "row_space_equal",
     "r_coefficient", "build_class1", "build_class2", "search_eta",
     "quadratic_twist_sum", "field_to_json", "field_from_json",
     "tgrs_spec_to_json", "tgrs_spec_from_json", "report_to_json",

@@ -1,10 +1,12 @@
 """MDS / AMDS / LCD classification of twisted GRS codes.
 
-Two independent routes decide MDS-ness: the per-subset twist criterion
-(PhiWorkspace) and exhaustive k x k minors of the generator matrix; the test
-suite keeps them in agreement.  Minimum distance is found as the smallest
-number of linearly dependent parity-check columns, and LCD status comes from
-the rank of the generator stacked on the parity check.
+Two independent routes decide MDS-ness: the per-subset twist criterion and
+exhaustive k x k minors of the generator matrix; the test suite keeps them in
+agreement.  The criterion reads rows from PhiWorkspace, one lazily filled
+table per point set and (k, h, l), which the MDS and AMDS verdicts and the
+twist search share.  Minimum distance is found as the smallest number of
+linearly dependent parity-check columns, and LCD status comes from the rank
+of the generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -27,95 +29,113 @@ DEFAULT_DISTANCE_CAP = 24
 
 
 class PhiWorkspace:
-    """Per-subset data for the twist MDS criterion.
+    """The twist-criterion table of one point set, for fixed k, h and l.
 
     For a k-subset I of the evaluation points let g(x) = prod (x - alpha_i)
-    over I and write g(x) = sum_j c_j x^(k-j), so c_0 = 1.  The criterion
-    quantity is 1 - sum_t eta_t e^T A_t^{-1} c_t^(h), where A_t is the unit
-    lower-triangular Toeplitz matrix of (c_0..c_t) and c_t^(r) the window
-    (c_{k-r}, .., c_{k-r+t}) with out-of-range entries read as zero.
+    over I, write g(x) = sum_j c_j x^(k-j) (so c_0 = 1), and let e_0, e_1, ..
+    be the power-series inverse of sum_j c_j z^j.  The row of I is
+
+        d_t(I) = sum_{i <= min(t, h)} e_{t-i} c_{k-h+i},   t = 0..l,
+
+    i.e. e^T A_t^{-1} c_t^(h) with A_t the unit lower-triangular Toeplitz
+    matrix of (c_0..c_t) and c_t^(h) the window (c_{k-h}, .., c_{k-h+t}),
+    entries beyond c_k read as zero.  The k columns of I are dependent in
+    the code with twist vector eta exactly when 1 - sum_t eta_t d_t(I) = 0.
+
+    Rows depend on the points, k, h and l only, never on eta or v, so one
+    table serves every twist vector and column scaling on the point set.
+    A row is computed the first time its subset is asked for and kept;
+    verdicts stop at their first witness, so tables stay partial.
     """
 
-    def __init__(self, alpha: Sequence[FieldElement], indices: Sequence[int]):
-        pts = [alpha[i] for i in indices]
+    def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
+        pts = tuple(alpha)
         if not pts:
-            raise ValidationError("subset must be nonempty")
+            raise ValidationError("need at least one evaluation point")
+        n = len(pts)
+        if not 1 <= h <= k - 1:
+            raise ValidationError(f"hook must satisfy 1 <= h <= k-1, got h={h}, k={k}")
+        if not 0 <= l <= n - k - 1:
+            raise ValidationError(
+                f"twist degree must satisfy 0 <= l <= n-k-1 = {n - k - 1}, got l={l}")
         self.field = pts[0].field
-        self.n = len(alpha)
-        self.k = len(pts)
-        self.indices = tuple(indices)
-        g = Poly.from_roots(self.field, pts)
-        # c_j = coefficient of x^(k-j); descending window over the monic g
-        self.c = tuple(g.coeff(self.k - j) for j in range(self.k + 1))
-        self._zero = self.field.zero()
-        self._e_cache: list[FieldElement] = [self.field.one()]
+        self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
+        self._zero, self._one = self.field.zero(), self.field.one()
+        self._rows: dict[tuple[int, ...], tuple[FieldElement, ...]] = {}
 
-    def _c_at(self, idx: int) -> FieldElement:
-        return self.c[idx] if 0 <= idx <= self.k else self._zero
+    def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
+        """d_0(I)..d_l(I) for an ascending tuple I of k positions."""
+        row = self._rows.get(subset)
+        if row is None:
+            if (len(subset) != self.k or list(subset) != sorted(set(subset))
+                    or subset[0] < 0 or subset[-1] >= self.n):
+                raise ValidationError(
+                    f"need an ascending subset of {self.k} positions in 0..{self.n - 1}")
+            row = self._rows[subset] = self._compute_row(subset)
+        return row
 
-    def _solve_toeplitz(self, t: int, rhs: list[FieldElement]) -> list[FieldElement]:
-        # forward substitution; the diagonal is c_0 = 1 and band entries
-        # beyond c_k read as zero
-        y: list[FieldElement] = []
-        for i in range(t + 1):
-            acc = rhs[i]
-            for j in range(max(0, i - self.k), i):
-                acc = acc - self.c[i - j] * y[j]
-            y.append(acc)
-        return y
-
-    def ftr(self, t: int, r: int) -> FieldElement:
-        """Expansion coefficient f_{t,r} of the power k+t over the I-Vandermonde rows."""
-        if not 0 <= t <= self.n - self.k - 1:
-            raise ValidationError(f"twist exponent {t} out of range 0..{self.n - self.k - 1}")
-        if not 0 <= r <= self.k - 1:
-            raise ValidationError(f"row index {r} out of range 0..{self.k - 1}")
-        rhs = [self._c_at(self.k - r + i) for i in range(t + 1)]
-        y = self._solve_toeplitz(t, rhs)
-        return -y[t]
-
-    def _e_seq(self, upto: int) -> list[FieldElement]:
-        # power-series inverse of sum_j c_j z^j (the last row of A_t^{-1})
-        e = self._e_cache
-        while len(e) <= upto:
-            j = len(e)
+    def _compute_row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
+        k, h = self.k, self.h
+        g = Poly.from_roots(self.field, [self.alpha[i] for i in subset])
+        c = [g.coeff(k - j) for j in range(k + 1)]
+        e = [self._one]
+        for j in range(1, self.l + 1):
             acc = self._zero
-            for i in range(1, min(j, self.k) + 1):
-                acc = acc + self.c[i] * e[j - i]
+            for i in range(1, min(j, k) + 1):
+                acc = acc + c[i] * e[j - i]
             e.append(-acc)
-        return e
-
-    def criterion_coeffs(self, h: int, upto_t: int) -> tuple[FieldElement, ...]:
-        """The values e^T A_t^{-1} c_t^(h) for t = 0..upto_t (linear in eta later)."""
-        e = self._e_seq(upto_t)
-        out = []
-        for t in range(upto_t + 1):
+        row = []
+        for t in range(self.l + 1):
             acc = self._zero
-            for i in range(t + 1):
-                acc = acc + e[t - i] * self._c_at(self.k - h + i)
-            out.append(acc)
-        return tuple(out)
+            for i in range(min(t, h) + 1):
+                acc = acc + e[t - i] * c[k - h + i]
+            row.append(acc)
+        return tuple(row)
 
-    def phi_quantity(self, eta: Sequence[FieldElement], h: int) -> FieldElement:
-        """1 - sum_t eta_t e^T A_t^{-1} c_t^(h); zero exactly on singular minors."""
-        d = self.criterion_coeffs(h, len(eta) - 1)
-        total = self._zero
-        for e, c in zip(eta, d):
-            total = total + e * c
-        return self.field.one() - total
+    def _singular(self, eta: Sequence[FieldElement], subset: tuple[int, ...]) -> bool:
+        acc = self._zero
+        for e, d in zip(eta, self.row(subset)):
+            acc = acc + e * d
+        return acc == self._one
+
+    def first_singular(self, eta: Sequence[FieldElement]) -> Optional[tuple[int, ...]]:
+        """The lexicographically first k-subset whose columns are dependent."""
+        if len(eta) != self.l + 1:
+            raise ValidationError(f"eta must have length l+1 = {self.l + 1}")
+        for subset in itertools.combinations(range(self.n), self.k):
+            if self._singular(eta, subset):
+                return subset
+        return None
+
+    def amds_verdict(self, eta: Sequence[FieldElement]) -> tuple[bool, dict]:
+        """Distance exactly n-k: some k-subset is singular, no (k+1)-set is deficient."""
+        dependent = self.first_singular(eta)
+        if dependent is None:
+            return False, {"reason": "code is MDS", "dependent_subset": None}
+        for sup in itertools.combinations(range(self.n), self.k + 1):
+            if all(self._singular(eta, I) for I in itertools.combinations(sup, self.k)):
+                return False, {
+                    "reason": "a k+1 column set has rank below k",
+                    "dependent_subset": dependent,
+                    "deficient_superset": sup,
+                }
+        return True, {"dependent_subset": dependent, "deficient_superset": None}
 
 
-def ftr_coefficient(ws: PhiWorkspace, t: int, r: int) -> FieldElement:
-    return ws.ftr(t, r)
+def _table_for(spec: TgrsSpec, workspace: Optional[PhiWorkspace]) -> PhiWorkspace:
+    if workspace is None:
+        return PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
+    if (workspace.alpha, workspace.k, workspace.h, workspace.l) != (
+            spec.alpha, spec.k, spec.h, spec.l):
+        raise ValidationError("criterion table was built for other points or (k, h, l)")
+    return workspace
 
 
-def is_mds_phi(spec: TgrsSpec) -> tuple[bool, Optional[tuple[int, ...]]]:
+def is_mds_phi(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None
+               ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Twist-criterion MDS test; on failure returns the first bad k-subset."""
-    for I in itertools.combinations(range(spec.n), spec.k):
-        ws = PhiWorkspace(spec.alpha, I)
-        if ws.phi_quantity(spec.eta, spec.h).is_zero():
-            return False, I
-    return True, None
+    bad = _table_for(spec, workspace).first_singular(spec.eta)
+    return bad is None, bad
 
 
 def is_mds_minors(G: MatGF) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -130,35 +150,13 @@ def is_mds_minors(G: MatGF) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, None
 
 
-def is_amds(spec: TgrsSpec) -> tuple[bool, dict]:
+def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[bool, dict]:
     """Distance-exactly-n-k test via the two subset conditions.
 
     Needs (a) some singular k-subset and (b) every (k+1)-subset containing a
     nonsingular k-subset; certificates carry the discovered witnesses.
     """
-    phi_zero: dict[tuple[int, ...], bool] = {}
-
-    def quantity_is_zero(I: tuple[int, ...]) -> bool:
-        if I not in phi_zero:
-            ws = PhiWorkspace(spec.alpha, I)
-            phi_zero[I] = ws.phi_quantity(spec.eta, spec.h).is_zero()
-        return phi_zero[I]
-
-    dependent: Optional[tuple[int, ...]] = None
-    for I in itertools.combinations(range(spec.n), spec.k):
-        if quantity_is_zero(I):
-            dependent = I
-            break
-    if dependent is None:
-        return False, {"reason": "code is MDS", "dependent_subset": None}
-    for J in itertools.combinations(range(spec.n), spec.k + 1):
-        if all(quantity_is_zero(I) for I in itertools.combinations(J, spec.k)):
-            return False, {
-                "reason": "a k+1 column set has rank below k",
-                "dependent_subset": dependent,
-                "deficient_superset": J,
-            }
-    return True, {"dependent_subset": dependent, "deficient_superset": None}
+    return _table_for(spec, workspace).amds_verdict(spec.eta)
 
 
 def min_distance(H: MatGF, cap_n: int = DEFAULT_DISTANCE_CAP) -> int:
@@ -257,22 +255,26 @@ def report_from_json(obj: dict) -> CodeReport:
 
 
 def classify(spec: TgrsSpec, want_distance: bool = False,
-             distance_cap: int = DEFAULT_DISTANCE_CAP) -> CodeReport:
+             distance_cap: int = DEFAULT_DISTANCE_CAP,
+             workspace: Optional[PhiWorkspace] = None) -> CodeReport:
     """Full classification of one code spec.
 
     Distance search runs only when requested and n fits under the cap; when
-    it runs, the MDS/AMDS verdicts are cross-checked against it.
+    it runs, the MDS/AMDS verdicts are cross-checked against it.  Both
+    verdicts read one criterion table: ``workspace`` when given (it must be
+    built for the spec's points, k, h and l), a fresh one otherwise.
     """
+    table = _table_for(spec, workspace)
     G = generator_matrix(spec)
     H = parity_check_matrix(spec)
-    mds, mds_cert = is_mds_phi(spec)
+    mds, mds_cert = is_mds_phi(spec, workspace=table)
     certificates: dict = {}
     if mds_cert is not None:
         certificates["mds_violating_subset"] = mds_cert
     if mds:
         amds, amds_cert = False, {"reason": "code is MDS"}
     else:
-        amds, amds_cert = is_amds(spec)
+        amds, amds_cert = is_amds(spec, workspace=table)
     if amds_cert.get("dependent_subset") is not None:
         certificates["amds_dependent_subset"] = amds_cert["dependent_subset"]
     if amds_cert.get("deficient_superset") is not None:

@@ -71,9 +71,6 @@ class TgrsSpec:
         """True when the hook sits at its upper bound h = k-1."""
         return self.h == self.k - 1
 
-    def sym_context(self) -> SymContext:
-        return SymContext(self.alpha, t_max=self.n + self.l)
-
 
 def generator_matrix(spec: TgrsSpec) -> MatGF:
     """k x n generator: monomial rows by ascending degree, twisted at row h."""
@@ -92,7 +89,7 @@ def generator_matrix(spec: TgrsSpec) -> MatGF:
     return MatGF(f, rows)
 
 
-def parity_check_matrix(spec: TgrsSpec, ctx: SymContext | None = None) -> MatGF:
+def parity_check_matrix(spec: TgrsSpec) -> MatGF:
     """Closed-form (n-k) x n parity-check matrix.
 
     Row j carries (u_i / v_i) alpha_i^j; the last l+1 rows are corrected by
@@ -100,8 +97,7 @@ def parity_check_matrix(spec: TgrsSpec, ctx: SymContext | None = None) -> MatGF:
     """
     f = spec.field
     n, k, l = spec.n, spec.k, spec.l
-    if ctx is None:
-        ctx = spec.sym_context()
+    ctx = SymContext(spec.alpha, t_max=n + l)
     u = ctx.dual_coeffs()
     _, wt = ctx.hook_weights(spec.h)
     psi = ctx.psi_values(spec.eta)

@@ -14,7 +14,6 @@ status independently.
 
 from __future__ import annotations
 
-import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +25,22 @@ from .errors import ValidationError, VerificationError
 from .gf import Field, FieldElement, element_to_json, field_from_json, field_to_json
 from .poly import Poly
 from .symm import SymContext
+
+
+def _r_terms(k: int, h: int, width: int,
+             alpha_head: Sequence[FieldElement]) -> tuple[FieldElement, tuple[FieldElement, ...]]:
+    """r as an affine function of eta: r = base + sum_t eta_t lin[t], t < width.
+
+    base and lin[t] are the x^(h-1) coefficients of x^(h-1) mod g and of
+    x^(k+t-1) mod g, with g the monic polynomial vanishing on the head points.
+    """
+    field = alpha_head[0].field
+    g = Poly.from_roots(field, alpha_head)
+
+    def at(degree: int) -> FieldElement:
+        return (Poly.monomial(field, degree) % g).coeff(h - 1)
+
+    return at(h - 1), tuple(at(k + t - 1) for t in range(width))
 
 
 def r_coefficient(k: int, h: int, eta: Sequence[FieldElement],
@@ -43,12 +58,8 @@ def r_coefficient(k: int, h: int, eta: Sequence[FieldElement],
     if not 1 <= h <= k - 1:
         raise ValidationError(f"hook must satisfy 1 <= h <= k-1, got h={h}")
     field = head[0].field
-    g = Poly.from_roots(field, head)
-    coeffs = [field.zero()] * (k + len(eta))
-    coeffs[h - 1] = coeffs[h - 1] + field.one()
-    for t, e in enumerate(eta):
-        coeffs[k + t - 1] = coeffs[k + t - 1] + field.element(e)
-    return (Poly(field, coeffs) % g).coeff(h - 1)
+    base, lin = _r_terms(k, h, len(eta), head)
+    return sum((field.element(e) * c for e, c in zip(eta, lin)), base)
 
 
 @dataclass
@@ -119,6 +130,34 @@ def _arrange_roots(field: Field, n: int, lam: FieldElement,
     return given
 
 
+def _check_cyclic_clauses(p) -> None:
+    """The clauses placing n points on the roots of x^n - lambda."""
+    q, n = p.field.q, p.n
+    if (q - 1) % n != 0:
+        raise ValidationError(f"clause 'n | q-1' fails: {n} does not divide {q - 1}")
+    d = p.lam.order()
+    if ((q - 1) // n) % d != 0:
+        raise ValidationError(
+            f"clause 'ord(lambda) | (q-1)/n' fails: ord={d}, (q-1)/n={(q - 1) // n}")
+
+
+def _check_shared_clauses(p) -> None:
+    """Hook, twist, multiplier and point clauses; normalizes v and alpha on p."""
+    f, n, k, h, l = p.field, p.n, p.k, p.h, p.l
+    if not 1 <= h <= k - 1:
+        raise ValidationError(f"clause '1 <= h <= k-1' fails: h={h}, k={k}")
+    if not 0 <= l <= n - k - 1:
+        raise ValidationError(f"clause '0 <= l <= n-k-1' fails: l={l}")
+    if len(p.eta) != l + 1:
+        raise ValidationError(f"eta must have length l+1 = {l + 1}")
+    object.__setattr__(p, "v_head", _check_head(f, p.v_head, k))
+    signs = _check_signs(f, p.v_tail_signs)
+    if len(signs) != n - k + 1:
+        raise ValidationError(f"need n-k+1 = {n - k + 1} tail multipliers, got {len(signs)}")
+    object.__setattr__(p, "v_tail_signs", signs)
+    object.__setattr__(p, "alpha", _arrange_roots(f, n, p.lam, p.alpha))
+
+
 @dataclass(frozen=True)
 class Class1Params:
     """Inputs for the first recipe: 2 <= k <= (n-2l-1)/2 on n-th roots of lambda."""
@@ -138,28 +177,12 @@ class Class1Params:
         f = self.field
         object.__setattr__(self, "lam", f.element(self.lam))
         object.__setattr__(self, "eta", tuple(f.element(e) for e in self.eta))
-        n, k, h, l = self.n, self.k, self.h, self.l
-        if (f.q - 1) % n != 0:
-            raise ValidationError(f"clause 'n | q-1' fails: {n} does not divide {f.q - 1}")
-        d = self.lam.order()
-        if ((f.q - 1) // n) % d != 0:
-            raise ValidationError(
-                f"clause 'ord(lambda) | (q-1)/n' fails: ord={d}, (q-1)/n={(f.q - 1) // n}")
+        n, k, l = self.n, self.k, self.l
+        _check_cyclic_clauses(self)
         if not (2 <= k and 2 * k <= n - 2 * l - 1):
             raise ValidationError(
                 f"clause '2 <= k <= (n-2l-1)/2' fails: k={k}, bound={(n - 2 * l - 1) // 2}")
-        if not 1 <= h <= k - 1:
-            raise ValidationError(f"clause '1 <= h <= k-1' fails: h={h}, k={k}")
-        if not 0 <= l <= n - k - 1:
-            raise ValidationError(f"clause '0 <= l <= n-k-1' fails: l={l}")
-        if len(self.eta) != l + 1:
-            raise ValidationError(f"eta must have length l+1 = {l + 1}")
-        object.__setattr__(self, "v_head", _check_head(f, self.v_head, k))
-        signs = _check_signs(f, self.v_tail_signs)
-        if len(signs) != n - k + 1:
-            raise ValidationError(f"need n-k+1 = {n - k + 1} tail multipliers, got {len(signs)}")
-        object.__setattr__(self, "v_tail_signs", signs)
-        object.__setattr__(self, "alpha", _arrange_roots(f, n, self.lam, self.alpha))
+        _check_shared_clauses(self)
 
 
 @dataclass(frozen=True)
@@ -182,7 +205,7 @@ class Class2Params:
         f = self.field
         object.__setattr__(self, "lam", f.element(self.lam))
         object.__setattr__(self, "eta", tuple(f.element(e) for e in self.eta))
-        n, h, l, m = self.n, self.h, self.l, self.m_gap
+        n, l, m = self.n, self.l, self.m_gap
         if not 0 <= m <= l:
             raise ValidationError(f"clause '0 <= m <= l' fails: m={m}, l={l}")
         if (n - l - m) % 2 != 0:
@@ -193,24 +216,8 @@ class Class2Params:
         object.__setattr__(self, "k", k)
         if k < 2:
             raise ValidationError(f"clause 'k = (n-l-m)/2 >= 2' fails: k={k}")
-        if (f.q - 1) % n != 0:
-            raise ValidationError(f"clause 'n | q-1' fails: {n} does not divide {f.q - 1}")
-        d = self.lam.order()
-        if ((f.q - 1) // n) % d != 0:
-            raise ValidationError(
-                f"clause 'ord(lambda) | (q-1)/n' fails: ord={d}, (q-1)/n={(f.q - 1) // n}")
-        if not 1 <= h <= k - 1:
-            raise ValidationError(f"clause '1 <= h <= k-1' fails: h={h}, k={k}")
-        if not 0 <= l <= n - k - 1:
-            raise ValidationError(f"clause '0 <= l <= n-k-1' fails: l={l}")
-        if len(self.eta) != l + 1:
-            raise ValidationError(f"eta must have length l+1 = {l + 1}")
-        object.__setattr__(self, "v_head", _check_head(f, self.v_head, k))
-        signs = _check_signs(f, self.v_tail_signs)
-        if len(signs) != n - k + 1:
-            raise ValidationError(f"need n-k+1 = {n - k + 1} tail multipliers, got {len(signs)}")
-        object.__setattr__(self, "v_tail_signs", signs)
-        object.__setattr__(self, "alpha", _arrange_roots(f, n, self.lam, self.alpha))
+        _check_cyclic_clauses(self)
+        _check_shared_clauses(self)
 
 
 def _base_record(p, klass: int) -> list[HypothesisCheck]:
@@ -354,22 +361,10 @@ class _SearchEnv:
         params = template.params_for((template.field.zero(),) * (template.l + 1))
         self.template = template
         self.field = template.field
-        self.params0 = params
-        self.k = params.k
-        self.n = params.n
         self.l = params.l
-        self.h = params.h
-        self.alpha = params.alpha
-        field = self.field
-        g = Poly.from_roots(field, self.alpha[: self.k - 1])
-        base = Poly.monomial(field, self.h - 1) % g
-        self.r_base = base.coeff(self.h - 1)
-        self.r_lin = tuple((Poly.monomial(field, self.k + t - 1) % g).coeff(self.h - 1)
-                           for t in range(self.l + 1))
-        self.criteria = []
-        for I in itertools.combinations(range(self.n), self.k):
-            ws = PhiWorkspace(self.alpha, I)
-            self.criteria.append(ws.criterion_coeffs(self.h, self.l))
+        self.r_base, self.r_lin = _r_terms(params.k, params.h, params.l + 1,
+                                           params.alpha[: params.k - 1])
+        self.table = PhiWorkspace(params.alpha, params.k, params.h, params.l)
 
     def eta_from_index(self, idx: int) -> tuple[FieldElement, ...]:
         digits = []
@@ -381,24 +376,17 @@ class _SearchEnv:
     def evaluate(self, eta: tuple[FieldElement, ...]) -> Optional[SearchHit]:
         if all(e.is_zero() for e in eta):
             return None  # the MDS-certifying set excludes the zero twist
-        r = self.r_base
-        for e, coef in zip(eta, self.r_lin):
-            r = r + e * coef
+        r = sum((e * c for e, c in zip(eta, self.r_lin)), self.r_base)
         if r.is_zero():
             return None
         if self.template.klass == 2:
             if not quadratic_twist_sum(eta, self.template.m_gap).is_zero():
                 return None
-        one = self.field.one()
-        for d in self.criteria:
-            acc = self.field.zero()
-            for e, c in zip(eta, d):
-                acc = acc + e * c
-            if (one - acc).is_zero():
-                return None
+        if self.table.first_singular(eta) is not None:
+            return None
         params = self.template.params_for(eta)
         build = build_class1(params) if self.template.klass == 1 else build_class2(params)
-        report = classify(build.spec)
+        report = classify(build.spec, workspace=self.table)
         return SearchHit(eta=eta, r_value=r, report=report)
 
 

@@ -273,19 +273,3 @@ def solve_vandermonde(points: Sequence[FieldElement], target_unit_index: int) ->
     e[target_unit_index] = field.one()
     return solve(V, e)
 
-
-def det_rank_one_update(A: MatGF, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
-    """det(A + u v^T) computed as det(A) (1 + v^T A^{-1} u); A must be invertible."""
-    if A.rows != A.cols:
-        raise ValidationError("rank-one update needs a square matrix")
-    if len(u) != A.rows or len(v) != A.rows:
-        raise ValidationError("update vectors must match the matrix size")
-    dA = det(A)
-    if dA.is_zero():
-        raise SingularMatrixError("matrix must be invertible for the rank-one update")
-    x = solve(A, list(u))
-    field = A.field
-    acc = field.one()
-    for vi, xi in zip(v, x):
-        acc = acc + field.element(vi) * xi
-    return dA * acc

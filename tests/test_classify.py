@@ -6,14 +6,14 @@ import random
 
 import pytest
 
-from tgrs import (CodeReport, MatGF, PhiWorkspace, ResourceLimitError,
+from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError,
                   TgrsSpec, ValidationError, classify, det, encode,
-                  ftr_coefficient, generator_matrix, hull_dimension, is_amds,
-                  is_mds_minors, is_mds_phi, min_distance,
-                  parity_check_matrix, report_from_json, report_to_json, solve)
+                  generator_matrix, hull_dimension, is_amds, is_mds_minors,
+                  is_mds_phi, min_distance, parity_check_matrix,
+                  report_from_json, report_to_json, solve)
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import get_field, random_spec
+from conftest import EXTENSION_FIELDS, get_field, random_spec
 
 
 def brute_min_weight(spec: TgrsSpec) -> int:
@@ -46,21 +46,49 @@ def brute_hull_dim(spec: TgrsSpec) -> int:
     return dim
 
 
+def toeplitz_ftr(points, t: int, r: int):
+    """Oracle: expansion coefficient f_{t,r} of x^(k+t) over x^0..x^(k-1) on the points.
+
+    Forward substitution in A_t y = c_t^(r), where g = prod (x - p) =
+    sum_j c_j x^(k-j), A_t is the unit lower-triangular Toeplitz matrix of
+    (c_0..c_t) and c_t^(r) the window (c_{k-r}, .., c_{k-r+t}), entries
+    beyond c_k read as zero.  The criterion row of the table is
+    d_t = -f_{t,h}.
+    """
+    f = points[0].field
+    k = len(points)
+    g = Poly.from_roots(f, points)
+    c = [g.coeff(k - j) for j in range(k + 1)]
+    rhs = [c[k - r + i] if k - r + i <= k else f.zero() for i in range(t + 1)]
+    y = []
+    for i in range(t + 1):
+        acc = rhs[i]
+        for j in range(max(0, i - k), i):
+            acc = acc - c[i - j] * y[j]
+        y.append(acc)
+    return -y[t]
+
+
 class TestFtrCoefficient:
     def test_t_zero_closed_form(self, gf7):
-        ws = PhiWorkspace([gf7.element(a) for a in (1, 2, 3, 5)], (0, 1, 2))
+        alpha = [gf7.element(a) for a in (1, 2, 3, 5)]
+        pts = alpha[:3]
+        g = Poly.from_roots(gf7, pts)
         for r in range(3):
-            assert ws.ftr(0, r) == -ws.c[3 - r]
+            assert toeplitz_ftr(pts, 0, r) == -g.coeff(r)
+        for h in (1, 2):
+            assert PhiWorkspace(alpha, 3, h, 0).row((0, 1, 2)) == (g.coeff(h),)
 
     def test_hand_value_gf7(self, gf7):
         alpha = [gf7.element(a) for a in (1, 2, 3)]
-        ws = PhiWorkspace(alpha + [gf7.element(4)], (0, 1, 2))
         # oracle: solve the 3x3 power system directly
         V = MatGF.vandermonde(alpha, 3)
         rhs = [a**3 for a in alpha]
         f_vec = solve(V.transpose(), rhs)
         assert f_vec[2] == gf7.element(6)
-        assert ftr_coefficient(ws, 0, 2) == f_vec[2]
+        assert toeplitz_ftr(alpha, 0, 2) == f_vec[2]
+        ws = PhiWorkspace(alpha + [gf7.element(4)], 3, 2, 0)
+        assert ws.row((0, 1, 2)) == (-f_vec[2],)
 
     def test_expansion_identity_randomized(self):
         rng = random.Random(20)
@@ -70,41 +98,55 @@ class TestFtrCoefficient:
             k = rng.randint(2, n - 1)
             alpha = [f.element(a) for a in rng.sample(range(31), n)]
             idx = tuple(sorted(rng.sample(range(n), k)))
-            ws = PhiWorkspace(alpha, idx)
+            pts = [alpha[i] for i in idx]
             for t in range(n - k):
-                coeffs = [ws.ftr(t, r) for r in range(k)]
-                for i in idx:
-                    a = alpha[i]
+                coeffs = [toeplitz_ftr(pts, t, r) for r in range(k)]
+                for a in pts:
                     acc = f.zero()
                     for r, c in enumerate(coeffs):
                         acc = acc + c * a**r
                     assert acc == a ** (k + t)
+            for h in range(1, k):
+                row = PhiWorkspace(alpha, k, h, n - k - 1).row(idx)
+                assert row == tuple(-toeplitz_ftr(pts, t, h) for t in range(n - k))
 
     def test_range_errors(self, gf7):
-        ws = PhiWorkspace([gf7.element(a) for a in (1, 2, 3, 4)], (0, 1))
+        pts = [gf7.element(a) for a in (1, 2, 3, 4)]
+        for k, h, l in ((2, 0, 0), (2, 2, 0), (2, 1, -1), (2, 1, 2), (4, 1, 0)):
+            with pytest.raises(ValidationError):
+                PhiWorkspace(pts, k, h, l)
         with pytest.raises(ValidationError):
-            ws.ftr(2, 0)
+            PhiWorkspace([], 2, 1, 0)
+        ws = PhiWorkspace(pts, 2, 1, 1)
+        for bad in ((0,), (1, 0), (2, 2), (0, 4), (-1, 0), (0, 1, 2)):
+            with pytest.raises(ValidationError):
+                ws.row(bad)
         with pytest.raises(ValidationError):
-            ws.ftr(0, 2)
+            ws.first_singular([gf7.one()])
 
     def test_two_internal_routes_agree(self):
-        # forward substitution (ftr) and the power-series route
-        # (criterion_coeffs) must give the same criterion quantity
+        # forward substitution (the oracle) and the power-series rows of the
+        # table must give the same criterion quantity
         rng = random.Random(41)
-        f = get_field(31)
         for _ in range(15):
+            q = rng.choice((31,) + EXTENSION_FIELDS[2:])  # GF(31), GF(16), GF(25)
+            f = get_field(q) if isinstance(q, int) else get_field(*q)
             n = rng.randint(4, 9)
             k = rng.randint(2, n - 1)
-            alpha = [f.element(a) for a in rng.sample(range(31), n)]
+            alpha = [f.from_index(a) for a in rng.sample(range(f.q), n)]
             idx = tuple(sorted(rng.sample(range(n), k)))
-            ws = PhiWorkspace(alpha, idx)
             h = rng.randint(1, k - 1)
             l = rng.randint(0, n - k - 1)
-            eta = [f.element(rng.randrange(31)) for _ in range(l + 1)]
+            eta = [f.from_index(rng.randrange(f.q)) for _ in range(l + 1)]
+            pts = [alpha[i] for i in idx]
             via_ftr = f.one()
             for t in range(l + 1):
-                via_ftr = via_ftr + eta[t] * ws.ftr(t, h)
-            assert via_ftr == ws.phi_quantity(eta, h)
+                via_ftr = via_ftr + eta[t] * toeplitz_ftr(pts, t, h)
+            row = PhiWorkspace(alpha, k, h, l).row(idx)
+            via_table = f.one()
+            for e, d in zip(eta, row):
+                via_table = via_table - e * d
+            assert via_ftr == via_table
 
 
 class TestMdsChecks:
@@ -266,6 +308,28 @@ class TestHull:
 
 
 class TestClassify:
+    def test_shared_table_gives_the_same_report(self):
+        rng = random.Random(27)
+        for _ in range(10):
+            spec = random_spec(rng, n_max=8)
+            table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
+            shared = classify(spec, workspace=table)
+            assert report_to_json(shared) == report_to_json(classify(spec))
+            assert is_mds_phi(spec, workspace=table) == is_mds_phi(spec)
+            assert is_amds(spec, workspace=table) == is_amds(spec)
+
+    def test_mismatched_table_rejected(self):
+        spec = GOLDEN_CODES[1].spec()  # [9,3] with h = 1, l = 1
+        n, k, h, l = spec.n, spec.k, spec.h, spec.l
+        tables = [PhiWorkspace(spec.alpha[::-1], k, h, l),
+                  PhiWorkspace(spec.alpha, k + 1, h, l),
+                  PhiWorkspace(spec.alpha, k, h + 1, l),
+                  PhiWorkspace(spec.alpha, k, h, l + 1)]
+        for table in tables:
+            for check in (classify, is_mds_phi, is_amds):
+                with pytest.raises(ValidationError, match="criterion table"):
+                    check(spec, workspace=table)
+
     def test_published_mds_code_report(self):
         report = classify(GOLDEN_CODES[1].spec(), want_distance=True)
         assert report.is_mds and report.is_lcd and not report.is_amds

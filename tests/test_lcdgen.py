@@ -7,7 +7,7 @@ import pytest
 from tgrs import (Class1Params, Class2Params, SearchTemplate, ValidationError,
                   build_class1, build_class2, classify, generator_matrix,
                   hull_dimension, is_mds_minors, parity_check_matrix,
-                  quadratic_twist_sum, r_coefficient, search_eta)
+                  quadratic_twist_sum, r_coefficient, report_to_json, search_eta)
 from tgrs.golden import GOLDEN_CODES
 
 from conftest import get_field
@@ -27,6 +27,14 @@ def toy_template(f7):
         v_head=(f7.element(3),),
         v_tail_signs=tuple(f7.element(s) for s in (1, -1, 1, 1, -1)),
     )
+
+
+def gf9_template(f9):
+    """GF(9), n = 8, k = 2, two twist coefficients: the extension-field search."""
+    return SearchTemplate(
+        klass=1, field=f9, n=8, h=1, l=1, lam=f9.one(), k=2,
+        v_head=(f9.element([0, 1]),),
+        v_tail_signs=tuple(f9.element(s) for s in (1, -1, 1, 1, -1, 1, -1)))
 
 
 def fifth_roots_template(f31):
@@ -345,11 +353,7 @@ class TestSearch:
 
     def test_extension_field_template(self):
         # the whole recipe + search pipeline over GF(9)
-        f9 = get_field(3, 2, [1, 0, 1])
-        template = SearchTemplate(
-            klass=1, field=f9, n=8, h=1, l=1, lam=f9.one(), k=2,
-            v_head=(f9.element([0, 1]),),
-            v_tail_signs=tuple(f9.element(s) for s in (1, -1, 1, 1, -1, 1, -1)))
+        template = gf9_template(get_field(3, 2, [1, 0, 1]))
         hits = search_eta(template, budget=81)
         assert len(hits) == 4
         assert all(h.report.is_lcd and h.report.is_mds for h in hits)
@@ -358,6 +362,21 @@ class TestSearch:
             G = generator_matrix(spec)
             H = parity_check_matrix(spec)
             assert hull_dimension(G, H) == 0
+
+    def test_shared_table_reports_match_fresh_classification(self, gf37):
+        # hits are classified through the search's criterion table; a fresh
+        # classification without it must give the same report
+        demo = SearchTemplate(
+            klass=1, field=gf37, n=9, k=3, h=1, l=1, lam=gf37.one(),
+            v_head=tuple(gf37.element(x) for x in (21, 30)),
+            v_tail_signs=tuple(gf37.element(s) for s in (1, 1, -1, 1, 1, 1, -1)))
+        for template, space, expected in ((demo, 37**2, 117),
+                                          (gf9_template(get_field(3, 2, [1, 0, 1])), 81, 4)):
+            hits = search_eta(template, budget=space)
+            assert len(hits) == expected
+            for h in hits:
+                spec = build_class1(template.params_for(h.eta)).spec
+                assert report_to_json(h.report) == report_to_json(classify(spec))
 
     def test_template_validates_structure_up_front(self, gf7):
         with pytest.raises(ValidationError):

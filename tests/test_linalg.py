@@ -6,9 +6,8 @@ import random
 import pytest
 
 from tgrs import (MatGF, SingularMatrixError, ValidationError, det,
-                  det_rank_one_update, generator_matrix, null_space,
-                  parity_check_matrix, rank, row_space_equal, rref, solve,
-                  solve_vandermonde)
+                  generator_matrix, null_space, parity_check_matrix, rank,
+                  row_space_equal, rref, solve, solve_vandermonde)
 from tgrs.golden import GOLDEN_CODES
 
 from conftest import EXTENSION_FIELDS, GF16, GF25, get_field
@@ -202,41 +201,6 @@ class TestSolveVandermonde:
     def test_bad_unit_index_rejected(self, gf7):
         with pytest.raises(ValidationError):
             solve_vandermonde([gf7.element(1), gf7.element(2)], 5)
-
-
-class TestDetRankOneUpdate:
-    def test_zero_update_vector(self, gf7):
-        M = MatGF(gf7, [[2, 1], [1, 3]])
-        z = [gf7.zero(), gf7.zero()]
-        assert det_rank_one_update(M, z, z) == det(M)
-
-    def test_identity_plus_unit_dyad(self, gf7):
-        I2 = MatGF.identity(gf7, 2)
-        u = [gf7.one(), gf7.zero()]
-        assert det_rank_one_update(I2, u, u) == gf7.element(2)
-
-    def test_matches_direct_determinant_randomized(self):
-        rng = random.Random(10)
-        f = get_field(31)
-        checked = 0
-        while checked < 30:
-            n = rng.randint(1, 4)
-            A = random_matrix(rng, f, n, n)
-            if det(A).is_zero():
-                continue
-            u = [f.element(rng.randrange(31)) for _ in range(n)]
-            v = [f.element(rng.randrange(31)) for _ in range(n)]
-            updated = MatGF(f, [[A[i, j] + u[i] * v[j] for j in range(n)]
-                                for i in range(n)])
-            assert det_rank_one_update(A, u, v) == det(updated)
-            checked += 1
-
-    def test_singular_matrix_rejected(self, gf7):
-        M = MatGF(gf7, [[1, 1], [1, 1]])
-        u = [gf7.one(), gf7.one()]
-        with pytest.raises(SingularMatrixError):
-            det_rank_one_update(M, u, u)
-
 
 class TestMatrixBasics:
     def test_ragged_rows_rejected(self, gf7):

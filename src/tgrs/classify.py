@@ -5,8 +5,11 @@ exhaustive k x k minors of the generator matrix; the test suite keeps them in
 agreement.  The criterion reads rows from PhiWorkspace, one lazily filled
 table per point set and (k, h, l), which the MDS and AMDS verdicts and the
 twist search share.  Minimum distance is found as the smallest number of
-linearly dependent parity-check columns, and LCD status comes from the rank
-of the generator stacked on the parity check.
+linearly dependent parity-check columns, by a depth-first walk over column
+subsets that extends the reduced basis of each prefix by one column per
+node; its witness is re-checked by the rank of its own columns, and a square
+parity check (no dependent set) raises VerificationError.  LCD status comes
+from the rank of the generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -162,21 +165,54 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
 def min_distance(H: MatGF, cap_n: int = DEFAULT_DISTANCE_CAP) -> int:
     """Smallest number of linearly dependent parity-check columns.
 
-    Ascending-size lexicographic search; the parity-check matrix must have
-    full row rank so the search is guaranteed to stop by size rows+1.
+    A depth-first walk over column subsets in lexicographic order.  A node
+    is an independent prefix; it carries every later column already reduced
+    against the prefix, so an extension is dependent exactly when its
+    carried column is zero, and a nonzero one becomes the next pivot and is
+    cleared from the later carried columns: one column reduction per node.
+    The walk records a dependent set only when it is smaller than the best
+    so far and descends only while smaller sets are reachable, so the last
+    set recorded is the lexicographically first of minimum size.  With full
+    row rank any rows+1 columns are dependent, which bounds the answer; the
+    witness (the first rows+1 columns if nothing smaller turned up) is
+    re-checked by a rank of its own submatrix before d is returned.  A
+    square H has no dependent column set and raises VerificationError.
     """
-    n = H.cols
+    n, nrows = H.cols, H.rows
     if n > cap_n:
         raise ResourceLimitError(
             f"minimum-distance search over {n} columns exceeds the cap {cap_n}")
-    if rank(H) != H.rows:
+    if rank(H) != nrows:
         raise ValidationError("parity-check matrix must have full row rank")
-    row_idx = tuple(range(H.rows))
-    for w in range(1, H.rows + 2):
-        for cols in itertools.combinations(range(n), w):
-            if rank(H.submatrix(row_idx, cols)) < w:
-                return w
-    raise VerificationError("unreachable: rows+1 columns are always dependent")
+    if n <= nrows:
+        raise VerificationError(f"a square {nrows}x{n} parity check has no dependent columns")
+    field = H.field
+    zero = field.zero().rep
+    zero_col = [zero] * nrows
+    best, witness = nrows + 1, tuple(range(nrows + 1))
+
+    def walk(prefix: tuple[int, ...], carried: list) -> None:
+        nonlocal best, witness
+        size = len(prefix) + 1  # of each extension checked here, always < best
+        for at, (j, u) in enumerate(carried):
+            if u == zero_col:
+                best, witness = size, prefix + (j,)
+                return
+            if size + 1 < best:
+                piv = next(i for i, x in enumerate(u) if x != zero)
+                pinv = field._inv(u[piv])
+                rest = []
+                for jj, v in carried[at + 1:]:
+                    if v[piv] != zero:
+                        v = list(v)
+                        field._eliminate(v, u, piv, pinv)
+                    rest.append((jj, v))
+                walk(prefix + (j,), rest)
+
+    walk((), [(j, [row[j] for row in H._data]) for j in range(n)])
+    if rank(H.submatrix(tuple(range(nrows)), witness)) >= best:
+        raise VerificationError(f"distance witness {witness} is not a dependent column set")
+    return best
 
 
 def hull_dimension(G: MatGF, H: MatGF) -> int:

@@ -16,14 +16,12 @@ import os
 import sys
 from typing import Optional
 
-from .classify import classify, report_to_json
+from .classify import DEFAULT_DISTANCE_CAP, classify, report_to_json
 from .codes import generator_matrix, parity_check_matrix, tgrs_spec_from_json, tgrs_spec_to_json
 from .errors import TgrsError, ValidationError, VerificationError
 from .golden import GOLDEN_CODES
 from .lcdgen import (build_class1, build_class2, class1_params_from_json,
                      class2_params_from_json, search_eta, template_from_json)
-
-MAX_SAFE_DISTANCE_CAP = 24
 
 
 def _emit_json(obj) -> None:
@@ -44,9 +42,9 @@ def _load_json(path: str):
 
 def _distance_cap(args) -> int:
     cap = args.distance_cap
-    if cap > MAX_SAFE_DISTANCE_CAP and not args.unsafe_cap:
+    if cap > DEFAULT_DISTANCE_CAP and not args.unsafe_cap:
         raise ValidationError(
-            f"--distance-cap {cap} exceeds {MAX_SAFE_DISTANCE_CAP}; pass --unsafe-cap to override")
+            f"--distance-cap {cap} exceeds {DEFAULT_DISTANCE_CAP}; pass --unsafe-cap to override")
     return cap
 
 
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance-cap", type=int, default=12,
                    help="compute minimum distance when n is at most this")
     p.add_argument("--unsafe-cap", action="store_true",
-                   help=f"allow --distance-cap beyond {MAX_SAFE_DISTANCE_CAP}")
+                   help=f"allow --distance-cap beyond {DEFAULT_DISTANCE_CAP}")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct1", help="run the first LCD recipe from params JSON")

@@ -3,17 +3,18 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
 from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError,
-                  TgrsSpec, ValidationError, classify, det, encode,
-                  generator_matrix, hull_dimension, is_amds, is_mds_minors,
-                  is_mds_phi, min_distance, parity_check_matrix,
-                  report_from_json, report_to_json, solve)
+                  TgrsSpec, ValidationError, VerificationError, classify, det,
+                  encode, generator_matrix, hull_dimension, is_amds,
+                  is_mds_minors, is_mds_phi, min_distance, parity_check_matrix,
+                  rank, report_from_json, report_to_json, solve)
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import EXTENSION_FIELDS, get_field, random_spec
+from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, get_field, random_spec
 
 
 def brute_min_weight(spec: TgrsSpec) -> int:
@@ -27,6 +28,36 @@ def brute_min_weight(spec: TgrsSpec) -> int:
         weight = sum(1 for x in word if not x.is_zero())
         best = min(best, weight)
     return best
+
+
+def brute_min_distance(H: MatGF) -> int:
+    """Oracle: eliminate every column subset from scratch, in ascending size order."""
+    row_idx = tuple(range(H.rows))
+    for w in range(1, H.rows + 2):
+        for cols in itertools.combinations(range(H.cols), w):
+            if rank(H.submatrix(row_idx, cols)) < w:
+                return w
+    raise AssertionError("rows+1 columns of a full-rank H are always dependent")
+
+
+def random_parity_check(rng: random.Random, f, rows: int, n: int) -> MatGF:
+    """A full-row-rank rows x n matrix, some with a planted small dependency.
+
+    About a quarter of the draws get a zero column (d = 1) and a quarter a
+    nonzero multiple of an earlier column (d <= 2); the other columns are
+    uniform.
+    """
+    while True:
+        cols = [[f.from_index(rng.randrange(f.q)) for _ in range(rows)] for _ in range(n)]
+        plant, j = rng.randrange(4), rng.randrange(1, n)
+        if plant == 0:
+            cols[j] = [f.zero()] * rows
+        elif plant == 1:
+            c = f.from_index(rng.randrange(1, f.q))
+            cols[j] = [c * x for x in cols[rng.randrange(j)]]
+        H = MatGF(f, [list(r) for r in zip(*cols)])
+        if rank(H) == rows:
+            return H
 
 
 def brute_hull_dim(spec: TgrsSpec) -> int:
@@ -211,6 +242,67 @@ class TestMinDistance:
                 continue
             H = parity_check_matrix(spec)
             assert min_distance(H) == brute_min_weight(spec)
+        rng = random.Random(24)
+        for ext in (GF8, GF9, GF16):
+            checked = 0
+            for _ in range(6):
+                spec = random_spec(rng, qs=(ext,), n_max=8)
+                if spec.field.q**spec.k > 3000:
+                    continue
+                H = parity_check_matrix(spec)
+                assert min_distance(H) == brute_min_weight(spec)
+                checked += 1
+            assert checked > 0
+
+    def test_matches_subset_elimination_oracle(self):
+        rng = random.Random(25)
+        seen_d = set()
+        for q in (2, 3, 7, 31) + EXTENSION_FIELDS:
+            f = get_field(q) if isinstance(q, int) else get_field(*q)
+            for _ in range(40):
+                n = rng.randint(2, 9)
+                H = random_parity_check(rng, f, rng.randint(1, n - 1), n)
+                d = min_distance(H)
+                assert d == brute_min_distance(H), (f, H.to_lists())
+                seen_d.add(d)
+        assert {1, 2, 3} <= seen_d
+
+    def test_square_parity_check_has_no_dependent_set(self, gf7):
+        with pytest.raises(VerificationError):
+            min_distance(MatGF.identity(gf7, 3))
+
+    def test_witness_recheck_rejects_a_false_dependency(self, monkeypatch):
+        H = parity_check_matrix(GOLDEN_CODES[1].spec())  # 6 x 9, d = 7
+        field, row_op = H.field, H.field._eliminate
+
+        def faulty(dst, src, c, pinv):
+            # wipes the walk's carried columns (length 6); the rows that
+            # rank reduces (length 9 or the witness size) stay exact
+            if len(dst) == H.rows:
+                dst[:] = [0] * len(dst)
+            else:
+                row_op(dst, src, c, pinv)
+
+        monkeypatch.setattr(field, "_eliminate", faulty)
+        with pytest.raises(VerificationError, match="witness"):
+            min_distance(H)
+
+    def test_no_per_subset_elimination(self, monkeypatch):
+        H = parity_check_matrix(GOLDEN_CODES[0].spec())
+        classify_mod = sys.modules["tgrs.classify"]
+        calls = {"rank": 0, "submatrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(classify_mod, "rank", counted("rank", classify_mod.rank))
+        monkeypatch.setattr(MatGF, "submatrix", counted("submatrix", MatGF.submatrix))
+        assert min_distance(H) == 10
+        assert calls["rank"] <= 2
+        assert calls["submatrix"] <= 1
 
     def test_cap_enforced(self, gf31):
         spec = GOLDEN_CODES[0].spec()

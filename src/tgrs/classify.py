@@ -27,6 +27,7 @@ from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, element_to_json
 from .linalg import MatGF, det, rank
 from .poly import Poly
+from .symm import distinct_points, series_inverse
 
 DEFAULT_DISTANCE_CAP = 24
 
@@ -52,9 +53,7 @@ class PhiWorkspace:
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
-        pts = tuple(alpha)
-        if not pts:
-            raise ValidationError("need at least one evaluation point")
+        pts = distinct_points(alpha)
         n = len(pts)
         if not 1 <= h <= k - 1:
             raise ValidationError(f"hook must satisfy 1 <= h <= k-1, got h={h}, k={k}")
@@ -80,13 +79,8 @@ class PhiWorkspace:
     def _compute_row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
         k, h = self.k, self.h
         g = Poly.from_roots(self.field, [self.alpha[i] for i in subset])
-        c = [g.coeff(k - j) for j in range(k + 1)]
-        e = [self._one]
-        for j in range(1, self.l + 1):
-            acc = self._zero
-            for i in range(1, min(j, k) + 1):
-                acc = acc + c[i] * e[j - i]
-            e.append(-acc)
+        c = g.coeffs[::-1]  # c_j = [x^(k-j)] g, monic so c_0 = 1
+        e = series_inverse(c, self.l + 1)
         row = []
         for t in range(self.l + 1):
             acc = self._zero

@@ -97,7 +97,7 @@ def parity_check_matrix(spec: TgrsSpec) -> MatGF:
     """
     f = spec.field
     n, k, l = spec.n, spec.k, spec.l
-    ctx = SymContext(spec.alpha, t_max=n + l)
+    ctx = SymContext(spec.alpha)
     u = ctx.dual_coeffs()
     _, wt = ctx.hook_weights(spec.h)
     psi = ctx.psi_values(spec.eta)

@@ -284,7 +284,7 @@ def build_class2(params: Class2Params) -> BuildResult:
     qsum = quadratic_twist_sum(params.eta, params.m_gap)
     # cross-check against the tail-sum form, which collapses to the same
     # quadratic on a full root set of x^n - lambda
-    ctx = SymContext(params.alpha, t_max=params.n + params.l)
+    ctx = SymContext(params.alpha)
     psi = ctx.psi_values(params.eta)
     l, m = params.l, params.m_gap
     psum = params.field.zero()

@@ -115,9 +115,6 @@ class MatGF:
         return MatGF._from_reps(self.field, tuple(tuple(data[i][j] for j in col_idx)
                                                   for i in row_idx))
 
-    def column_submatrix(self, col_idx: Sequence[int]) -> "MatGF":
-        return self.submatrix(range(self.rows), col_idx)
-
     def is_zero(self) -> bool:
         zero = self.field.zero().rep
         return all(x == zero for r in self._data for x in r)

@@ -1,9 +1,12 @@
-"""Symmetric-function tables over a fixed tuple of distinct evaluation points.
+"""Symmetric-function values over a fixed tuple of distinct evaluation points.
 
-Covers the numeric apparatus behind the parity-check construction: complete
-symmetric values S_t, leave-one-out elementary symmetric values sigma_r(i),
-Lagrange dual coefficients u_i, the hook weight vectors w / w-tilde, and the
-twist tail sums Psi_s.
+Everything is read off one product polynomial P(x) = prod_i (x - x_i): the
+complete symmetric values S_t are the power series of 1 / prod_i (1 - x_i z),
+whose denominator is P with its coefficients reversed; the leave-one-out
+quotients q_i = P / (x - x_i) give the elementary symmetric values
+sigma_r(i), the Lagrange dual coefficients u_i = 1 / q_i(x_i) and the hook
+weights w-tilde; the twist tail sums Psi_s combine S_t with a twist vector.
+The same series helper gives the twist-criterion rows of the classifier.
 
 Convention: S_0 = 1 and S_t = 0 for t < 0, matching the generating function
 prod_i 1/(1 - x_i z).  All positions are 0-based.
@@ -18,86 +21,82 @@ from .gf import FieldElement
 from .poly import Poly
 
 
-class SymContext:
-    """Eagerly cached symmetric-function values for one point set.
+def distinct_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    """The points as a tuple, checked nonempty, in one field and pairwise distinct."""
+    pts = tuple(points)
+    if not pts:
+        raise ValidationError("need at least one evaluation point")
+    if any(p.field != pts[0].field for p in pts):
+        raise ValidationError("points must share one field")
+    if len(set(pts)) != len(pts):
+        raise ValidationError("evaluation points must be pairwise distinct")
+    return pts
 
-    The complete symmetric table is filled by the prefix recurrence
-    S_t(x_1..x_j) = S_t(x_1..x_{j-1}) + x_j S_{t-1}(x_1..x_j) and extended on
-    demand; dual coefficients are cached at construction.
+
+def series_inverse(c: Sequence[FieldElement], length: int) -> tuple[FieldElement, ...]:
+    """e_0..e_{length-1} of the power series 1 / sum_j c_j z^j, for c_0 = 1."""
+    zero, deg = c[0].field.zero(), len(c) - 1
+    e = [c[0]]
+    for j in range(1, length):
+        acc = zero
+        for i in range(1, min(j, deg) + 1):
+            acc = acc + c[i] * e[j - i]
+        e.append(-acc)
+    return tuple(e[:length])
+
+
+class SymContext:
+    """Symmetric-function values of one point set.
+
+    The leave-one-out quotients and dual coefficients are computed at
+    construction; the series S_t is computed on first use and recomputed to
+    a longer length only when a caller asks past its end.
     """
 
-    def __init__(self, points: Sequence[FieldElement], t_max: int | None = None):
-        pts = tuple(points)
-        if not pts:
-            raise ValidationError("need at least one evaluation point")
+    def __init__(self, points: Sequence[FieldElement]):
+        pts = distinct_points(points)
         self.field = pts[0].field
-        if any(p.field != self.field for p in pts):
-            raise ValidationError("points must share one field")
-        if len(set(pts)) != len(pts):
-            raise ValidationError("evaluation points must be pairwise distinct")
         self.points = pts
         self.n = len(pts)
         self._zero = self.field.zero()
-        # DP rows over prefix sizes; row t, entry j = S_t(points[:j])
-        self._s_rows: list[list[FieldElement]] = [[self.field.one()] * (self.n + 1)]
-        self._grow_s_table(self.n if t_max is None else max(t_max, 0))
-        self._sigma_polys: dict[int, Poly] = {}
-        self._full_product: Poly | None = None
-        self._eager_u()
+        product = Poly.from_roots(self.field, pts)
+        self._reversed = product.coeffs[::-1]  # c_j of prod_i (1 - x_i z)
+        self._s: tuple[FieldElement, ...] = ()
+        quotients = []
+        for i, a in enumerate(pts):
+            q, r = divmod(product, Poly(self.field, (-a, self.field.one())))
+            if not r.is_zero():
+                raise VerificationError(f"point {i} is not a root of the full product")
+            quotients.append(q)
+        self._q = tuple(quotients)
+        self._u = tuple(q(a).inverse() for q, a in zip(quotients, pts))
 
-    def _grow_s_table(self, t_max: int) -> None:
-        while len(self._s_rows) <= t_max:
-            prev = self._s_rows[-1]
-            row = [self._zero]  # S_t of the empty prefix, t >= 1
-            for j in range(1, self.n + 1):
-                row.append(row[j - 1] + self.points[j - 1] * prev[j])
-            self._s_rows.append(row)
-
-    def _eager_u(self) -> None:
-        us = []
-        for i, a in enumerate(self.points):
-            prod = self.field.one()
-            for j, b in enumerate(self.points):
-                if i != j:
-                    prod = prod * (a - b)
-            us.append(prod.inverse())
-        self._u = tuple(us)
+    def _series(self, length: int) -> tuple[FieldElement, ...]:
+        if len(self._s) < length:
+            self._s = series_inverse(self._reversed, length)
+        return self._s
 
     # -- queries ---------------------------------------------------------------
 
     def complete_symmetric(self, t: int) -> FieldElement:
         """S_t of all points; zero for t < 0, one for t = 0."""
-        if t < 0:
-            return self._zero
-        self._grow_s_table(t)
-        return self._s_rows[t][self.n]
+        return self._zero if t < 0 else self._series(t + 1)[t]
 
     def dual_coeffs(self) -> tuple[FieldElement, ...]:
         """u_i = prod_{j != i} (points_i - points_j)^{-1}."""
         return self._u
 
-    def _poly_excluding(self, i: int) -> Poly:
-        if i not in self._sigma_polys:
-            if self._full_product is None:
-                self._full_product = Poly.from_roots(self.field, self.points)
-            linear = Poly(self.field, (-self.points[i], self.field.one()))
-            q, r = divmod(self._full_product, linear)
-            if not r.is_zero():
-                raise VerificationError(f"point {i} is not a root of the full product")
-            self._sigma_polys[i] = q
-        return self._sigma_polys[i]
-
     def sigma_excluding(self, r: int, i: int) -> FieldElement:
         """Elementary symmetric value of degree r over all points but points[i].
 
-        Read off the coefficients of prod_{j != i} (x - points_j): the x^(n-1-r)
-        coefficient equals (-1)^r sigma_r(i).
+        Read off the coefficients of q_i = prod_{j != i} (x - points_j): the
+        x^(n-1-r) coefficient equals (-1)^r sigma_r(i).
         """
         if not 0 <= i < self.n:
             raise ValidationError(f"point index {i} out of range 0..{self.n - 1}")
         if not 0 <= r <= self.n - 1:
             raise ValidationError(f"degree {r} out of range 0..{self.n - 1}")
-        c = self._poly_excluding(i).coeff(self.n - 1 - r)
+        c = self._q[i].coeff(self.n - 1 - r)
         return c if r % 2 == 0 else -c
 
     def hook_weights(self, h: int) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
@@ -105,25 +104,23 @@ class SymContext:
 
         w solves the full Vandermonde system V w^T = e_{h+1} via the closed
         form w_i = (-1)^(n+h+1) u_i sigma_{n-1-h}(i); w_tilde_i = w_i / u_i.
+        The two signs cancel, (n+h+1) + (n-1-h) = 2n, so w_tilde_i is the
+        x^h coefficient of q_i.
         """
         if not 0 <= h <= self.n - 1:
             raise ValidationError(f"unit index {h} out of range 0..{self.n - 1}")
-        negate = (self.n + h + 1) % 2 == 1
-        wt = []
-        for i in range(self.n):
-            s = self.sigma_excluding(self.n - 1 - h, i)
-            wt.append(-s if negate else s)
-        w = tuple(u * t for u, t in zip(self._u, wt))
-        return w, tuple(wt)
+        wt = tuple(q.coeff(h) for q in self._q)
+        return tuple(u * t for u, t in zip(self._u, wt)), wt
 
     def psi_values(self, eta: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Tail sums Psi_s = sum_{t >= s} eta_t S_{t-s}, s = 0..len(eta)-1."""
         eta = [self.field.element(e) for e in eta]
         l = len(eta) - 1
+        s_vals = self._series(l + 1)
         out = []
         for s in range(l + 1):
             acc = self._zero
             for t in range(s, l + 1):
-                acc = acc + eta[t] * self.complete_symmetric(t - s)
+                acc = acc + eta[t] * s_vals[t - s]
             out.append(acc)
         return tuple(out)

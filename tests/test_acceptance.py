@@ -125,7 +125,7 @@ def test_c08_symmetric_identities_on_golden_configs():
     for gc in GOLDEN_CODES:
         f = gc.field()
         spec = gc.spec()
-        ctx = SymContext(spec.alpha, t_max=spec.n + spec.l + 4)
+        ctx = SymContext(spec.alpha)
         n, lam = gc.n, f.element(gc.lam)
         # complete symmetric values collapse on a full root set
         assert ctx.complete_symmetric(0) == f.one()

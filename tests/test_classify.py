@@ -146,8 +146,10 @@ class TestFtrCoefficient:
         for k, h, l in ((2, 0, 0), (2, 2, 0), (2, 1, -1), (2, 1, 2), (4, 1, 0)):
             with pytest.raises(ValidationError):
                 PhiWorkspace(pts, k, h, l)
-        with pytest.raises(ValidationError):
-            PhiWorkspace([], 2, 1, 0)
+        for bad_pts in ([], [gf7.one(), gf7.one(), gf7.element(2)],
+                        [gf7.one(), get_field(31).element(2), gf7.element(3)]):
+            with pytest.raises(ValidationError):
+                PhiWorkspace(bad_pts, 2, 1, 0)
         ws = PhiWorkspace(pts, 2, 1, 1)
         for bad in ((0,), (1, 0), (2, 2), (0, 4), (-1, 0), (0, 1, 2)):
             with pytest.raises(ValidationError):

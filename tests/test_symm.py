@@ -8,7 +8,11 @@ import pytest
 
 from tgrs import MatGF, SymContext, ValidationError, solve_vandermonde
 
-from conftest import get_field
+from conftest import GF8, GF9, GF16, get_field
+
+# The oracle tests below also run over these extension fields: GF(9) keeps
+# the signs of the closed forms, characteristic 2 collapses them to +1.
+EXTENSIONS = pytest.mark.parametrize("q", (GF8, GF9, GF16), ids=("GF8", "GF9", "GF16"))
 
 
 def brute_complete_symmetric(points, t):
@@ -38,6 +42,55 @@ def brute_sigma_excluding(points, r, i):
     return acc
 
 
+def random_points(f, rng, n):
+    return [f.from_index(a) for a in rng.sample(range(f.q), n)]
+
+
+def check_monomial_enumeration(f, rng):
+    for n in range(1, 6):
+        pts = random_points(f, rng, n)
+        ctx = SymContext(pts)
+        for t in range(5):
+            assert ctx.complete_symmetric(t) == brute_complete_symmetric(pts, t)
+
+
+def check_subset_sum_oracle(f, rng):
+    pts = random_points(f, rng, 6)
+    ctx = SymContext(pts)
+    for i in range(6):
+        for r in range(6):
+            assert ctx.sigma_excluding(r, i) == brute_sigma_excluding(pts, r, i)
+
+
+def check_unit_vector_property(f, rng):
+    for _ in range(15):
+        n = rng.randint(1, 7)
+        pts = random_points(f, rng, n)
+        ctx = SymContext(pts)
+        h = rng.randrange(n)
+        w, wt = ctx.hook_weights(h)
+        V = MatGF.vandermonde(pts, n)
+        prod = V @ MatGF(f, [[x] for x in w])
+        assert prod == MatGF(f, [[1 if j == h else 0] for j in range(n)])
+        assert all(wi == u * t for wi, u, t in zip(w, ctx.dual_coeffs(), wt))
+
+
+def check_power_sum_identity(f, rng):
+    # sum_i u_i a_i^e vanishes for e <= n-2 and gives S_{e-n+1} above
+    for n in range(3, 9):
+        pts = random_points(f, rng, n)
+        ctx = SymContext(pts)
+        u = ctx.dual_coeffs()
+        for e in range(n + 4):
+            acc = f.zero()
+            for ui, a in zip(u, pts):
+                acc = acc + ui * a**e
+            if e <= n - 2:
+                assert acc.is_zero(), (n, e)
+            else:
+                assert acc == ctx.complete_symmetric(e - n + 1), (n, e)
+
+
 def roots_context(f, n, lam=1):
     roots = f.roots_of_xn_minus_lambda(n, f.element(lam))
     return SymContext(roots), roots
@@ -62,16 +115,15 @@ class TestCompleteSymmetric:
             assert ctx.complete_symmetric(2 * n) == gf31.element(lam) ** 2
 
     def test_matches_monomial_enumeration(self):
-        rng = random.Random(11)
-        f = get_field(31)
-        for n in range(1, 6):
-            pts = [f.element(a) for a in rng.sample(range(31), n)]
-            ctx = SymContext(pts)
-            for t in range(5):
-                assert ctx.complete_symmetric(t) == brute_complete_symmetric(pts, t)
+        check_monomial_enumeration(get_field(31), random.Random(11))
 
-    def test_table_extends_past_initial_cap(self, gf7):
-        ctx = SymContext([gf7.element(1), gf7.element(2)], t_max=1)
+    @EXTENSIONS
+    def test_matches_monomial_enumeration_extension(self, q):
+        check_monomial_enumeration(get_field(*q), random.Random(11))
+
+    def test_series_grows_on_demand(self, gf7):
+        ctx = SymContext([gf7.element(1), gf7.element(2)])
+        assert ctx.complete_symmetric(1) == brute_complete_symmetric(ctx.points, 1)
         assert ctx.complete_symmetric(6) == brute_complete_symmetric(ctx.points, 6)
 
 
@@ -122,13 +174,11 @@ class TestSigmaExcluding:
         assert ctx.sigma_excluding(1, 1) == gf7.element(4)  # 1 + 3
 
     def test_matches_subset_sum_oracle(self):
-        rng = random.Random(13)
-        f = get_field(31)
-        pts = [f.element(a) for a in rng.sample(range(31), 6)]
-        ctx = SymContext(pts)
-        for i in range(6):
-            for r in range(6):
-                assert ctx.sigma_excluding(r, i) == brute_sigma_excluding(pts, r, i)
+        check_subset_sum_oracle(get_field(31), random.Random(13))
+
+    @EXTENSIONS
+    def test_matches_subset_sum_oracle_extension(self, q):
+        check_subset_sum_oracle(get_field(*q), random.Random(13))
 
     def test_range_errors(self, gf7):
         ctx = SymContext([gf7.element(a) for a in (1, 2, 3)])
@@ -140,19 +190,11 @@ class TestSigmaExcluding:
 
 class TestHookWeights:
     def test_unit_vector_property_randomized(self):
-        rng = random.Random(14)
-        f = get_field(31)
-        for _ in range(15):
-            n = rng.randint(1, 7)
-            pts = [f.element(a) for a in rng.sample(range(31), n)]
-            ctx = SymContext(pts)
-            h = rng.randrange(n)
-            w, wt = ctx.hook_weights(h)
-            V = MatGF.vandermonde(pts, n)
-            prod = V @ MatGF(f, [[x] for x in w])
-            expected = [[1 if j == h else 0] for j in range(n)]
-            assert prod.to_lists() == expected
-            assert all(wi == u * t for wi, u, t in zip(w, ctx.dual_coeffs(), wt))
+        check_unit_vector_property(get_field(31), random.Random(14))
+
+    @EXTENSIONS
+    def test_unit_vector_property_extension(self, q):
+        check_unit_vector_property(get_field(*q), random.Random(14))
 
     def test_roots_of_unity_ratio_closed_form(self, gf37):
         ctx, roots = roots_context(gf37, 9)
@@ -193,21 +235,11 @@ class TestPsiValues:
 
 class TestPowerSumIdentity:
     def test_dual_weighted_power_sums(self):
-        # sum_i u_i a_i^e vanishes for e <= n-2 and gives S_{e-n+1} above
-        rng = random.Random(15)
-        f = get_field(31)
-        for n in range(3, 9):
-            pts = [f.element(a) for a in rng.sample(range(31), n)]
-            ctx = SymContext(pts)
-            u = ctx.dual_coeffs()
-            for e in range(n + 4):
-                acc = f.zero()
-                for ui, a in zip(u, pts):
-                    acc = acc + ui * a**e
-                if e <= n - 2:
-                    assert acc.is_zero(), (n, e)
-                else:
-                    assert acc == ctx.complete_symmetric(e - n + 1), (n, e)
+        check_power_sum_identity(get_field(31), random.Random(15))
+
+    @EXTENSIONS
+    def test_dual_weighted_power_sums_extension(self, q):
+        check_power_sum_identity(get_field(*q), random.Random(15))
 
 
 class TestConstruction:

@@ -27,7 +27,7 @@ from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, element_to_json
 from .linalg import MatGF, det, rank
 from .poly import Poly
-from .symm import distinct_points, series_inverse
+from .symm import SymContext, distinct_points, series_inverse
 
 DEFAULT_DISTANCE_CAP = 24
 
@@ -48,8 +48,10 @@ class PhiWorkspace:
 
     Rows depend on the points, k, h and l only, never on eta or v, so one
     table serves every twist vector and column scaling on the point set.
-    A row is computed the first time its subset is asked for and kept;
-    verdicts stop at their first witness, so tables stay partial.
+    A row is computed the first time its subset is asked for and kept as
+    canonical reps; verdicts stop at their first witness, so tables stay
+    partial.  The table also holds the SymContext of its points, built on
+    first use, so one object caches everything a point set needs.
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
@@ -62,11 +64,22 @@ class PhiWorkspace:
                 f"twist degree must satisfy 0 <= l <= n-k-1 = {n - k - 1}, got l={l}")
         self.field = pts[0].field
         self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
-        self._zero, self._one = self.field.zero(), self.field.one()
-        self._rows: dict[tuple[int, ...], tuple[FieldElement, ...]] = {}
+        self._one = self.field.one().rep
+        self._rows: dict[tuple[int, ...], tuple] = {}
+        self._context: Optional[SymContext] = None
+
+    @property
+    def context(self) -> SymContext:
+        """The symmetric-function values of the table's points."""
+        if self._context is None:
+            self._context = SymContext(self.alpha)
+        return self._context
 
     def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
         """d_0(I)..d_l(I) for an ascending tuple I of k positions."""
+        return tuple(FieldElement(self.field, d) for d in self._rep_row(subset))
+
+    def _rep_row(self, subset: tuple[int, ...]) -> tuple:
         row = self._rows.get(subset)
         if row is None:
             if (len(subset) != self.k or list(subset) != sorted(set(subset))
@@ -76,37 +89,38 @@ class PhiWorkspace:
             row = self._rows[subset] = self._compute_row(subset)
         return row
 
-    def _compute_row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
-        k, h = self.k, self.h
-        g = Poly.from_roots(self.field, [self.alpha[i] for i in subset])
+    def _compute_row(self, subset: tuple[int, ...]) -> tuple:
+        f, k, h = self.field, self.k, self.h
+        g = Poly.from_roots(f, [self.alpha[i] for i in subset])
         c = g.coeffs[::-1]  # c_j = [x^(k-j)] g, monic so c_0 = 1
-        e = series_inverse(c, self.l + 1)
-        row = []
-        for t in range(self.l + 1):
-            acc = self._zero
-            for i in range(min(t, h) + 1):
-                acc = acc + e[t - i] * c[k - h + i]
-            row.append(acc)
-        return tuple(row)
+        e = [x.rep for x in series_inverse(c, self.l + 1)]
+        window = [x.rep for x in c[k - h:]]
+        # d_t = sum_{i <= min(t, h)} e_{t-i} c_{k-h+i}: e read back from t
+        return tuple(f._dot(e[t::-1], window) for t in range(self.l + 1))
 
-    def _singular(self, eta: Sequence[FieldElement], subset: tuple[int, ...]) -> bool:
-        acc = self._zero
-        for e, d in zip(eta, self.row(subset)):
-            acc = acc + e * d
-        return acc == self._one
-
-    def first_singular(self, eta: Sequence[FieldElement]) -> Optional[tuple[int, ...]]:
-        """The lexicographically first k-subset whose columns are dependent."""
+    def _eta_reps(self, eta: Sequence[FieldElement]) -> tuple:
         if len(eta) != self.l + 1:
             raise ValidationError(f"eta must have length l+1 = {self.l + 1}")
+        return tuple(self.field.element(e).rep for e in eta)
+
+    def _singular(self, eta: tuple, subset: tuple[int, ...]) -> bool:
+        """Whether the subset's columns are dependent, for eta given as reps."""
+        return self.field._dot(eta, self._rep_row(subset)) == self._one
+
+    def _first_singular(self, eta: tuple) -> Optional[tuple[int, ...]]:
         for subset in itertools.combinations(range(self.n), self.k):
             if self._singular(eta, subset):
                 return subset
         return None
 
+    def first_singular(self, eta: Sequence[FieldElement]) -> Optional[tuple[int, ...]]:
+        """The lexicographically first k-subset whose columns are dependent."""
+        return self._first_singular(self._eta_reps(eta))
+
     def amds_verdict(self, eta: Sequence[FieldElement]) -> tuple[bool, dict]:
         """Distance exactly n-k: some k-subset is singular, no (k+1)-set is deficient."""
-        dependent = self.first_singular(eta)
+        eta = self._eta_reps(eta)
+        dependent = self._first_singular(eta)
         if dependent is None:
             return False, {"reason": "code is MDS", "dependent_subset": None}
         for sup in itertools.combinations(range(self.n), self.k + 1):
@@ -296,7 +310,7 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     """
     table = _table_for(spec, workspace)
     G = generator_matrix(spec)
-    H = parity_check_matrix(spec)
+    H = parity_check_matrix(spec, context=table.context)
     mds, mds_cert = is_mds_phi(spec, workspace=table)
     certificates: dict = {}
     if mds_cert is not None:

@@ -10,12 +10,12 @@ fully general multi-hook encoder is available through GeneralTwistSpec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .gf import Field, FieldElement, element_to_json, field_from_json, field_to_json
+from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json, field_to_json
 from .linalg import MatGF
-from .symm import SymContext
+from .symm import SymContext, context_for, distinct_points
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,7 @@ class TgrsSpec:
             raise ValidationError(f"cannot place {n} distinct points in GF({f.q})")
         if len(self.alpha) != n:
             raise ValidationError(f"alpha must have length n={n}")
-        seen: dict[FieldElement, int] = {}
-        for i, a in enumerate(self.alpha):
-            if a in seen:
-                raise ValidationError(
-                    f"evaluation points must be distinct: positions {seen[a]} and {i} coincide")
-            seen[a] = i
+        distinct_points(self.alpha)
         if len(self.v) != n:
             raise ValidationError(f"v must have length n={n}")
         for i, x in enumerate(self.v):
@@ -89,15 +84,17 @@ def generator_matrix(spec: TgrsSpec) -> MatGF:
     return MatGF(f, rows)
 
 
-def parity_check_matrix(spec: TgrsSpec) -> MatGF:
+def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) -> MatGF:
     """Closed-form (n-k) x n parity-check matrix.
 
     Row j carries (u_i / v_i) alpha_i^j; the last l+1 rows are corrected by
     w_tilde_i Psi_{n-k-1-j} so that every generator row is annihilated.
+    ``context`` (built for spec.alpha, in order) is used instead of a fresh
+    SymContext when given.
     """
     f = spec.field
     n, k, l = spec.n, spec.k, spec.l
-    ctx = SymContext(spec.alpha)
+    ctx = context_for(spec.alpha, context)
     u = ctx.dual_coeffs()
     _, wt = ctx.hook_weights(spec.h)
     psi = ctx.psi_values(spec.eta)
@@ -174,8 +171,10 @@ class GeneralTwistSpec:
                 if not c.is_zero() and (i not in pset or j not in lset):
                     raise ValidationError(
                         f"coefficient ({i},{j}) outside the hook x twist support")
-        if len(self.alpha) != n or len(set(self.alpha)) != n:
-            raise ValidationError("alpha must be n pairwise-distinct points")
+        if len(self.alpha) != n:
+            raise ValidationError(f"alpha must have length n={n}")
+        if n:  # the empty code has no points to compare
+            distinct_points(self.alpha)
         if len(self.v) != n or any(x.is_zero() for x in self.v):
             raise ValidationError("v must be n nonzero multipliers")
 
@@ -226,6 +225,19 @@ def tgrs_spec_to_json(spec: TgrsSpec) -> dict:
     }
 
 
+def check_int_fields(obj: dict, names: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """Every named field present must be an exact int (no bool, no float).
+
+    A missing field is left to the reader's own message; an ``optional``
+    field may also be null, which reads as absent.
+    """
+    for name in (*names, *optional):
+        if name in obj and not _is_int(obj[name]):
+            if obj[name] is None and name in optional:
+                continue
+            raise ValidationError(f"field '{name}' must be an integer, got {obj[name]!r}")
+
+
 def tgrs_spec_from_json(obj) -> TgrsSpec:
     if not isinstance(obj, dict):
         raise ValidationError("code spec must be a JSON object")
@@ -234,9 +246,7 @@ def tgrs_spec_from_json(obj) -> TgrsSpec:
     if missing:
         raise ValidationError(f"code spec missing fields: {', '.join(missing)}")
     f = field_from_json(obj["field"])
-    for name in ("n", "k", "l", "h"):
-        if not isinstance(obj[name], int):
-            raise ValidationError(f"field '{name}' must be an integer")
+    check_int_fields(obj, ("n", "k", "l", "h"))
     return TgrsSpec(
         field=f, n=obj["n"], k=obj["k"], l=obj["l"], h=obj["h"],
         alpha=tuple(f.element(a) for a in obj["alpha"]),

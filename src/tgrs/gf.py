@@ -13,6 +13,7 @@ multiplicative order, and extraction of all n-th roots of a given lambda
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Optional, Sequence
 
 from .errors import ValidationError
@@ -123,9 +124,9 @@ class Field:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
-        if not isinstance(p, int) or not is_prime(p):
+        if not _is_int(p) or not is_prime(p):
             raise ValidationError(f"characteristic {p!r} is not prime")
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise ValidationError(f"extension degree must be >= 1, got {m!r}")
         q = p**m
         if q >= WORD_BUDGET:
@@ -137,6 +138,8 @@ class Field:
         else:
             if modulus is None:
                 raise ValidationError(f"GF({p}^{m}) requires an irreducible modulus")
+            if not isinstance(modulus, (list, tuple)) or not all(_is_int(c) for c in modulus):
+                raise ValidationError(f"modulus must be a list of ints, got {modulus!r}")
             self.modulus = _validate_modulus(p, m, modulus)
         self.p = p
         self.m = m
@@ -253,6 +256,16 @@ class Field:
                 for j in range(m):
                     out[j] = (out[j] + c * row[j]) % p
         return tuple(out)
+
+    def _dot(self, xs, ys):
+        """The rep of sum x_i y_i over the pairs of zip(xs, ys); zero when empty."""
+        if self.m == 1:
+            return sum(map(operator.mul, xs, ys)) % self.p
+        add, mul = self._add, self._mul
+        acc = (0,) * self.m
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
 
     def _eliminate(self, dst, src, c, pinv):
         """Clear dst[c] in place: dst[c:] -= f * src[c:] with f = dst[c] * pinv.

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .classify import CodeReport, PhiWorkspace, classify
-from .codes import TgrsSpec
+from .codes import TgrsSpec, check_int_fields
 from .errors import ValidationError, VerificationError
 from .gf import Field, FieldElement, element_to_json, field_from_json, field_to_json
 from .poly import Poly
-from .symm import SymContext
+from .symm import SymContext, context_for
 
 
 def _r_terms(k: int, h: int, width: int,
@@ -262,6 +262,12 @@ def build_class1(params: Class1Params) -> BuildResult:
     return BuildResult(spec=spec, record=record, applicable=gate)
 
 
+def _quadratic_rep(field: Field, eta: Sequence, m_gap: int):
+    """The rep of sum over t = m..l of eta_t eta_{l+m-t}, for eta given as reps."""
+    tail = eta[m_gap:]
+    return field._dot(tail, tail[::-1])
+
+
 def quadratic_twist_sum(eta: Sequence[FieldElement], m_gap: int) -> FieldElement:
     """sum over t = m..l of eta_t eta_{l+m-t}."""
     eta = list(eta)
@@ -269,14 +275,15 @@ def quadratic_twist_sum(eta: Sequence[FieldElement], m_gap: int) -> FieldElement
     if not 0 <= m_gap <= l:
         raise ValidationError(f"gap must lie in 0..{l}")
     field = eta[0].field
-    acc = field.zero()
-    for t in range(m_gap, l + 1):
-        acc = acc + eta[t] * eta[l + m_gap - t]
-    return acc
+    return FieldElement(field, _quadratic_rep(field, [field.element(e).rep for e in eta], m_gap))
 
 
-def build_class2(params: Class2Params) -> BuildResult:
-    """Second recipe; needs the r gate and the quadratic twist sum to vanish."""
+def build_class2(params: Class2Params, context: Optional[SymContext] = None) -> BuildResult:
+    """Second recipe; needs the r gate and the quadratic twist sum to vanish.
+
+    ``context`` (built for params.alpha, in order) serves the tail-sum
+    cross-check instead of a fresh SymContext when given.
+    """
     record = _base_record(params, klass=2)
     r = r_coefficient(params.k, params.h, params.eta, params.alpha[: params.k - 1])
     r_gate = not r.is_zero()
@@ -284,8 +291,7 @@ def build_class2(params: Class2Params) -> BuildResult:
     qsum = quadratic_twist_sum(params.eta, params.m_gap)
     # cross-check against the tail-sum form, which collapses to the same
     # quadratic on a full root set of x^n - lambda
-    ctx = SymContext(params.alpha)
-    psi = ctx.psi_values(params.eta)
+    psi = context_for(params.alpha, context).psi_values(params.eta)
     l, m = params.l, params.m_gap
     psum = params.field.zero()
     for t in range(m, l + 1):
@@ -355,39 +361,55 @@ class SearchHit:
 
 
 class _SearchEnv:
-    """Per-template tables making each twist candidate a few dot products."""
+    """Per-template tables making each twist candidate a few dot products.
+
+    Candidates are rep tuples and every gate runs on reps; FieldElements are
+    built only for hits, which are built and classified through the search's
+    criterion table and its point-set context.
+    """
 
     def __init__(self, template: SearchTemplate):
-        params = template.params_for((template.field.zero(),) * (template.l + 1))
+        f = template.field
+        params = template.params_for((f.zero(),) * (template.l + 1))
         self.template = template
-        self.field = template.field
+        self.field = f
         self.l = params.l
-        self.r_base, self.r_lin = _r_terms(params.k, params.h, params.l + 1,
-                                           params.alpha[: params.k - 1])
+        r_base, r_lin = _r_terms(params.k, params.h, params.l + 1,
+                                 params.alpha[: params.k - 1])
+        self.r_base, self.r_lin = r_base.rep, tuple(c.rep for c in r_lin)
+        self.zero = f.zero().rep
+        self.zero_eta = (self.zero,) * (params.l + 1)
+        self.reps = tuple(f.from_index(i).rep for i in range(f.q))
         self.table = PhiWorkspace(params.alpha, params.k, params.h, params.l)
 
-    def eta_from_index(self, idx: int) -> tuple[FieldElement, ...]:
-        digits = []
+    def eta_from_index(self, idx: int) -> tuple:
+        """The rep tuple of candidate idx, eta_0 the most significant digit."""
+        q, digits = self.field.q, []
         for _ in range(self.l + 1):
-            digits.append(idx % self.field.q)
-            idx //= self.field.q
-        return tuple(self.field.from_index(d) for d in reversed(digits))
+            idx, d = divmod(idx, q)
+            digits.append(self.reps[d])
+        return tuple(reversed(digits))
 
-    def evaluate(self, eta: tuple[FieldElement, ...]) -> Optional[SearchHit]:
-        if all(e.is_zero() for e in eta):
+    def evaluate(self, eta: tuple) -> Optional[SearchHit]:
+        """The hit of a candidate given as reps; gates in order, cheapest first."""
+        f, template = self.field, self.template
+        if eta == self.zero_eta:
             return None  # the MDS-certifying set excludes the zero twist
-        r = sum((e * c for e, c in zip(eta, self.r_lin)), self.r_base)
-        if r.is_zero():
+        r = f._add(self.r_base, f._dot(eta, self.r_lin))
+        if r == self.zero:
             return None
-        if self.template.klass == 2:
-            if not quadratic_twist_sum(eta, self.template.m_gap).is_zero():
-                return None
-        if self.table.first_singular(eta) is not None:
+        if template.klass == 2 and _quadratic_rep(f, eta, template.m_gap) != self.zero:
             return None
-        params = self.template.params_for(eta)
-        build = build_class1(params) if self.template.klass == 1 else build_class2(params)
+        if self.table._first_singular(eta) is not None:
+            return None
+        eta = tuple(FieldElement(f, e) for e in eta)
+        params = template.params_for(eta)
+        if template.klass == 1:
+            build = build_class1(params)
+        else:
+            build = build_class2(params, context=self.table.context)
         report = classify(build.spec, workspace=self.table)
-        return SearchHit(eta=eta, r_value=r, report=report)
+        return SearchHit(eta=eta, r_value=FieldElement(f, r), report=report)
 
 
 def _search_block(template: SearchTemplate, start: int, stop: int) -> list[SearchHit]:
@@ -451,6 +473,8 @@ def _search_block_star(args) -> list[SearchHit]:
 # -- JSON wire format ----------------------------------------------------------
 
 def _field_from_params_json(obj) -> Field:
+    if not isinstance(obj, dict):
+        raise ValidationError("parameters must be a JSON object")
     if "field" in obj:
         return field_from_json(obj["field"])
     if "q" in obj:
@@ -460,6 +484,7 @@ def _field_from_params_json(obj) -> Field:
 
 def class1_params_from_json(obj) -> Class1Params:
     f = _field_from_params_json(obj)
+    check_int_fields(obj, ("n", "k", "h", "l"))
     try:
         return Class1Params(
             field=f, n=obj["n"], k=obj["k"], h=obj["h"], l=obj["l"],
@@ -475,6 +500,7 @@ def class1_params_from_json(obj) -> Class1Params:
 
 def class2_params_from_json(obj) -> Class2Params:
     f = _field_from_params_json(obj)
+    check_int_fields(obj, ("n", "h", "l", "m_gap"), optional=("k",))
     try:
         return Class2Params(
             field=f, n=obj["n"], h=obj["h"], l=obj["l"], m_gap=obj["m_gap"],
@@ -491,6 +517,7 @@ def class2_params_from_json(obj) -> Class2Params:
 
 def template_from_json(obj) -> SearchTemplate:
     f = _field_from_params_json(obj)
+    check_int_fields(obj, ("class", "n", "h", "l"), optional=("k", "m_gap"))
     klass = obj.get("class", 1)
     try:
         return SearchTemplate(

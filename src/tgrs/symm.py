@@ -14,7 +14,7 @@ prod_i 1/(1 - x_i z).  All positions are 0-based.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError, VerificationError
 from .gf import FieldElement
@@ -28,21 +28,34 @@ def distinct_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         raise ValidationError("need at least one evaluation point")
     if any(p.field != pts[0].field for p in pts):
         raise ValidationError("points must share one field")
-    if len(set(pts)) != len(pts):
-        raise ValidationError("evaluation points must be pairwise distinct")
+    seen: dict[FieldElement, int] = {}
+    for i, p in enumerate(pts):
+        first = seen.setdefault(p, i)
+        if first != i:
+            raise ValidationError(
+                f"evaluation points must be distinct: positions {first} and {i} coincide")
     return pts
 
 
 def series_inverse(c: Sequence[FieldElement], length: int) -> tuple[FieldElement, ...]:
     """e_0..e_{length-1} of the power series 1 / sum_j c_j z^j, for c_0 = 1."""
-    zero, deg = c[0].field.zero(), len(c) - 1
-    e = [c[0]]
-    for j in range(1, length):
-        acc = zero
-        for i in range(1, min(j, deg) + 1):
-            acc = acc + c[i] * e[j - i]
-        e.append(-acc)
-    return tuple(e[:length])
+    field = c[0].field
+    tail = [x.rep for x in c[1:]]
+    e = [c[0].rep]
+    for _ in range(1, length):
+        # e_j = -sum_{i >= 1} c_i e_{j-i}: the tail against e read backwards
+        e.append(field._neg(field._dot(tail, e[::-1])))
+    return tuple(FieldElement(field, x) for x in e[:length])
+
+
+def context_for(points: Sequence[FieldElement], context: Optional["SymContext"] = None
+                ) -> "SymContext":
+    """``context`` checked to be built for exactly these points, or a fresh one."""
+    if context is None:
+        return SymContext(points)
+    if context.points != tuple(points):
+        raise ValidationError("symmetric-function context was built for other points")
+    return context
 
 
 class SymContext:

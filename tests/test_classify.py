@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError,
+from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError, SymContext,
                   TgrsSpec, ValidationError, VerificationError, classify, det,
                   encode, generator_matrix, hull_dimension, is_amds,
                   is_mds_minors, is_mds_phi, min_distance, parity_check_matrix,
@@ -411,6 +411,25 @@ class TestClassify:
             assert report_to_json(shared) == report_to_json(classify(spec))
             assert is_mds_phi(spec, workspace=table) == is_mds_phi(spec)
             assert is_amds(spec, workspace=table) == is_amds(spec)
+
+    def test_one_context_per_table(self, monkeypatch):
+        # classify builds one table and one point-set context; a shared table
+        # lends its context to every later classification on its points
+        built = []
+        init = SymContext.__init__
+        monkeypatch.setattr(SymContext, "__init__",
+                            lambda self, points: built.append(1) or init(self, points))
+        spec = GOLDEN_CODES[1].spec()
+        classify(spec)
+        assert len(built) == 1
+        table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
+        assert table.context is table.context and table.context.points == spec.alpha
+        for eta in ((1, 2), (22, 24), (5, 0)):
+            other = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l, h=spec.h,
+                             alpha=spec.alpha, v=spec.v, eta=eta)
+            assert report_to_json(classify(other, workspace=table)) == \
+                report_to_json(classify(other))
+        assert len(built) == 1 + 1 + 3
 
     def test_mismatched_table_rejected(self):
         spec = GOLDEN_CODES[1].spec()  # [9,3] with h = 1, l = 1

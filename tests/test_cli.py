@@ -79,6 +79,15 @@ class TestCheck:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("name,value", [("l", True), ("k", 3.0)])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, name, value):
+        obj = tgrs_spec_to_json(GOLDEN_CODES[1].spec())
+        obj[name] = value
+        assert main(["check", "--input", write_json(tmp_path / "bad.json", obj)]) == 2
+        captured = capsys.readouterr()
+        assert f"'{name}' must be an integer" in captured.err
+        assert captured.out == ""
+
     def test_unsafe_cap_gate(self, golden_spec_file, capsys):
         assert main(["check", "--input", golden_spec_file, "--distance-cap", "30"]) == 2
         assert "--unsafe-cap" in capsys.readouterr().err
@@ -120,6 +129,17 @@ class TestConstruct:
         assert code == 1
         assert "inapplicable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,name,value", [("construct1", "n", True),
+                                                    ("construct2", "m_gap", 2.0),
+                                                    ("construct2", "k", True)])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, recipe1_params_file,
+                                       recipe2_params_file, command, name, value):
+        path = recipe1_params_file if command == "construct1" else recipe2_params_file
+        obj = json.loads(open(path).read())
+        obj[name] = value
+        assert main([command, "--input", write_json(tmp_path / "bad.json", obj)]) == 2
+        assert f"'{name}' must be an integer" in capsys.readouterr().err
+
     def test_bad_params_exit_2(self, tmp_path, capsys):
         obj = {"q": 31, "n": 7, "k": 2, "h": 1, "l": 0, "lambda": 1, "eta": [1],
                "v_head": [2], "v_tail_signs": [1] * 6}
@@ -140,6 +160,28 @@ class TestSearch:
         blob = json.loads(capsys.readouterr().out)
         assert [22, 24] in [h["eta"] for h in blob["hits"]]
         assert blob["count"] == len(blob["hits"])
+
+    @pytest.mark.parametrize("name,value", [("k", 3.0), ("l", True), ("class", True),
+                                            ("m_gap", 2.0)])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, name, value):
+        gc = GOLDEN_CODES[1]
+        template = {
+            "class": 1, "q": gc.q, "n": gc.n, "k": gc.k, "h": gc.h, "l": gc.l,
+            "lambda": gc.lam, "v_head": list(gc.v[: gc.k - 1]),
+            "v_tail_signs": list(gc.v[gc.k - 1:]), name: value,
+        }
+        path = write_json(tmp_path / "tpl.json", template)
+        assert main(["search", "--input", path, "--budget", "1369"]) == 2
+        captured = capsys.readouterr()
+        assert f"'{name}' must be an integer" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["search", "construct1", "construct2"])
+    def test_non_object_input_exits_2(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "tpl.json", "q")
+        budget = ["--budget", "5"] if command == "search" else []
+        assert main([command, "--input", path, *budget]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_budget_zero_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "tpl.json", {"class": 1})

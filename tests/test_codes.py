@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from tgrs import (GeneralTwistSpec, MatGF, TgrsSpec, ValidationError, encode,
+from tgrs import (GeneralTwistSpec, MatGF, SymContext, TgrsSpec, ValidationError, encode,
                   encode_general, generator_matrix, null_space,
                   parity_check_matrix, rank, row_space_equal,
                   tgrs_spec_from_json, tgrs_spec_to_json)
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import get_field, random_spec
+from conftest import GF9, GF16, get_field, random_spec
 
 
 def grs_spec(f, n, k, alpha, v):
@@ -143,6 +143,29 @@ class TestParityCheckMatrix:
             assert same == (j != 3)
 
 
+class TestSharedContext:
+    def test_other_points_rejected(self):
+        spec = GOLDEN_CODES[1].spec()
+        for other in (spec.alpha[::-1], spec.alpha[:-1], GOLDEN_CODES[3].spec().alpha):
+            with pytest.raises(ValidationError, match="other points"):
+                parity_check_matrix(spec, context=SymContext(other))
+
+    def test_shared_context_gives_identical_h(self):
+        # one context serves specs with other h, l, v and eta on the same points,
+        # asked in an order that grows its cached series
+        rng = random.Random(43)
+        for q in (31, GF9, GF16):
+            for _ in range(6):
+                first = random_spec(rng, qs=(q,), n_max=9)
+                ctx = SymContext(first.alpha)
+                specs = [first] + [random_spec(rng, qs=(q,), n_min=first.n, n_max=first.n)
+                                   for _ in range(3)]
+                for spec in specs:
+                    spec = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l,
+                                    h=spec.h, alpha=first.alpha, v=spec.v, eta=spec.eta)
+                    assert parity_check_matrix(spec, context=ctx) == parity_check_matrix(spec)
+
+
 class TestEncode:
     def test_basis_message_reads_generator_row(self):
         spec = GOLDEN_CODES[1].spec()
@@ -206,6 +229,12 @@ class TestGeneralEncoder:
                              hooks=(1,), coeffs=((1, 0), (0, 0)),
                              alpha=alpha, v=v)
 
+    def test_duplicate_alpha_names_positions(self, gf7):
+        alpha = tuple(gf7.element(a) for a in (1, 2, 1, 4))
+        with pytest.raises(ValidationError, match="positions 0 and 2 coincide"):
+            GeneralTwistSpec(field=gf7, n=4, k=2, twist_exponents=(), hooks=(),
+                             coeffs=((0, 0), (0, 0)), alpha=alpha, v=(gf7.one(),) * 4)
+
     def test_hook_zero_allowed_here(self, gf7):
         alpha = tuple(gf7.element(a) for a in (1, 2, 3, 4))
         GeneralTwistSpec(field=gf7, n=4, k=2, twist_exponents=(0,), hooks=(0,),
@@ -255,3 +284,10 @@ class TestJson:
     def test_missing_fields_reported(self):
         with pytest.raises(ValidationError, match="missing"):
             tgrs_spec_from_json({"n": 5})
+
+    @pytest.mark.parametrize("name,value", [("l", True), ("k", 3.0), ("n", None)])
+    def test_integer_fields_strict(self, name, value):
+        obj = tgrs_spec_to_json(GOLDEN_CODES[1].spec())
+        obj[name] = value
+        with pytest.raises(ValidationError, match=f"'{name}' must be an integer"):
+            tgrs_spec_from_json(obj)

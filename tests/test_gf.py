@@ -37,6 +37,13 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="factor"):
             Field(3, 4, [1, 0, 2, 0, 1])
 
+    @pytest.mark.parametrize("args", [(True,), (7.0,), (3, True, [1, 0, 1]),
+                                      (3, 2.0, [1, 0, 1]), (3, 2, [1.0, 0, 1]),
+                                      (3, 2, [1, False, 1]), (3, 2, "101")])
+    def test_constructor_takes_exact_ints_only(self, args):
+        with pytest.raises(ValidationError):
+            Field(*args)
+
     def test_accepts_known_irreducibles(self):
         assert Field(3, 2, [1, 0, 1]).q == 9       # x^2 + 1
         assert Field(2, 3, [1, 1, 0, 1]).q == 8    # x^3 + x + 1
@@ -258,3 +265,18 @@ class TestEnumerationAndJson:
             assert pickle.loads(pickle.dumps(p)) == p
             M = MatGF(f, [[e, f.one()], [f.zero(), e]])
             assert pickle.loads(pickle.dumps(M)) == M
+
+
+class TestDot:
+    @pytest.mark.parametrize("spec", [(31,), (3, 2, [1, 0, 1]), (2, 4, [1, 1, 0, 0, 1])])
+    def test_matches_element_arithmetic(self, spec):
+        f = get_field(*spec)
+        rng = random.Random(52)
+        for length in range(6):
+            xs = [f.from_index(rng.randrange(f.q)) for _ in range(length)]
+            ys = [f.from_index(rng.randrange(f.q)) for _ in range(length + rng.randint(0, 2))]
+            expected = f.zero()
+            for x, y in zip(xs, ys):
+                expected = expected + x * y
+            got = f._dot([x.rep for x in xs], [y.rep for y in ys])
+            assert FieldElement(f, got) == expected

@@ -1,16 +1,20 @@
 """The two LCD recipes: gate coefficient, builders, and the twist search."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
-from tgrs import (Class1Params, Class2Params, SearchTemplate, ValidationError,
-                  build_class1, build_class2, classify, generator_matrix,
-                  hull_dimension, is_mds_minors, parity_check_matrix,
-                  quadratic_twist_sum, r_coefficient, report_to_json, search_eta)
+from tgrs import (Class1Params, Class2Params, PhiWorkspace, SearchTemplate, SymContext,
+                  ValidationError, build_class1, build_class2, classify,
+                  generator_matrix, hull_dimension, is_mds_minors,
+                  parity_check_matrix, quadratic_twist_sum, r_coefficient,
+                  report_to_json, search_eta)
+from tgrs.gf import element_to_json
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import get_field
+from conftest import GF16, get_field
 
 
 def golden_r(gc):
@@ -44,6 +48,93 @@ def fifth_roots_template(f31):
         v_head=(f31.element(2),),
         v_tail_signs=tuple(f31.element(s) for s in (1, -1, 1, -1)),
     )
+
+
+def demo_template():
+    """The [9,3] GF(37) template of the twist-search demo: 1,369 candidates."""
+    f = get_field(37)
+    return SearchTemplate(
+        klass=1, field=f, n=9, k=3, h=1, l=1, lam=f.one(),
+        v_head=tuple(f.element(x) for x in (21, 30)),
+        v_tail_signs=tuple(f.element(s) for s in (1, 1, -1, 1, 1, 1, -1)))
+
+
+def gf16_template():
+    """GF(16) with x^4+x+1, n = 5, k = 2: a characteristic-2 search."""
+    f = get_field(*GF16)
+    return SearchTemplate(
+        klass=1, field=f, n=5, k=2, h=1, l=0, lam=f.one(),
+        v_head=(f.element([0, 1]),), v_tail_signs=(f.one(),) * 4)
+
+
+def recipe2_template():
+    """The [10,3,8] GF(31) reference code with its twist vector left free."""
+    p = GOLDEN_CODES[3].params()
+    return SearchTemplate(
+        klass=2, field=p.field, n=p.n, k=p.k, h=p.h, l=p.l, m_gap=p.m_gap,
+        lam=p.lam, v_head=p.v_head, v_tail_signs=p.v_tail_signs, alpha=p.alpha)
+
+
+TEMPLATES = {
+    "demo": demo_template,
+    "gf9": lambda: gf9_template(get_field(3, 2, [1, 0, 1])),
+    "gf16": gf16_template,
+    "recipe2": recipe2_template,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_hits(name):
+    """The per-candidate FieldElement loop, over every candidate in index order.
+
+    r comes from affine interpolation of r_coefficient, the quadratic gate
+    and the criterion dot products from element arithmetic, and each hit is
+    classified afresh.  Returns {index: (eta, r, report) as JSON}.
+    """
+    template = TEMPLATES[name]()
+    f, l = template.field, template.l
+    params = template.params_for((f.zero(),) * (l + 1))
+    k, h, head = params.k, params.h, params.alpha[: params.k - 1]
+    base = r_coefficient(k, h, (f.zero(),) * (l + 1), head)
+    lin = [r_coefficient(k, h, tuple(f.one() if i == t else f.zero() for i in range(l + 1)),
+                         head) - base for t in range(l + 1)]
+    table = PhiWorkspace(params.alpha, k, h, l)
+    rows = [table.row(I) for I in itertools.combinations(range(params.n), k)]
+    hits = {}
+    for idx, digits in enumerate(itertools.product(range(f.q), repeat=l + 1)):
+        eta = tuple(f.from_index(d) for d in digits)
+        if all(e.is_zero() for e in eta):
+            continue
+        r = base
+        for e, c in zip(eta, lin):
+            r = r + e * c
+        if r.is_zero():
+            continue
+        if template.klass == 2:
+            m, quad = template.m_gap, f.zero()
+            for t in range(m, l + 1):
+                quad = quad + eta[t] * eta[l + m - t]
+            if not quad.is_zero():
+                continue
+        singular = False
+        for row in rows:
+            acc = f.zero()
+            for e, d in zip(eta, row):
+                acc = acc + e * d
+            if acc == f.one():
+                singular = True
+                break
+        if singular:
+            continue
+        params_eta = template.params_for(eta)
+        build = build_class1(params_eta) if template.klass == 1 else build_class2(params_eta)
+        hits[idx] = ([element_to_json(e) for e in eta], element_to_json(r),
+                     report_to_json(classify(build.spec)))
+    return hits
+
+
+def hits_json(hits):
+    return [(j["eta"], j["r"], j["report"]) for j in (h.to_json() for h in hits)]
 
 
 class TestRCoefficient:
@@ -387,3 +478,68 @@ class TestSearch:
             SearchTemplate(klass=2, field=gf7, n=6, h=1, l=0, lam=gf7.one(),
                            v_head=(gf7.element(3),),
                            v_tail_signs=(gf7.one(),) * 5)
+
+
+class TestSearchOracle:
+    """search_eta against the per-candidate element loop it replaced."""
+
+    @pytest.mark.parametrize("name,expected", [("demo", 117), ("gf9", 4), ("gf16", 4)])
+    def test_exhaustive_matches_oracle(self, name, expected):
+        template = TEMPLATES[name]()
+        space = template.field.q ** (template.l + 1)
+        hits = search_eta(template, budget=space)
+        assert len(hits) == expected
+        assert hits_json(hits) == list(oracle_hits(name).values())
+
+    def test_randomized_matches_oracle(self):
+        template = demo_template()
+        space, budget, seed = 37**2, 400, 11
+        rng = random.Random(seed)  # the search's own draws: budget randranges
+        drawn = {rng.randrange(space) for _ in range(budget)}
+        hits = search_eta(template, budget=budget, strategy="randomized", seed=seed)
+        oracle = oracle_hits("demo")
+        expected = [oracle[i] for i in sorted(drawn) if i in oracle]
+        assert expected and hits_json(hits) == expected
+
+    def test_workers_match_oracle(self):
+        hits = search_eta(demo_template(), budget=37**2, workers=2)
+        assert hits_json(hits) == list(oracle_hits("demo").values())
+
+    def test_recipe2_golden_template(self):
+        # the quadratic gate on the search path: every hit is LCD MDS
+        template = recipe2_template()
+        hits = search_eta(template, budget=31**3)
+        assert len(hits) == 40
+        assert (28, 6, 0) in [tuple(e.rep for e in h.eta) for h in hits]
+        assert all(h.report.is_lcd and h.report.is_mds for h in hits)
+        assert hits_json(hits) == list(oracle_hits("recipe2").values())
+
+
+class TestSharedContext:
+    def test_other_points_rejected(self):
+        params = GOLDEN_CODES[3].params()
+        for other in (params.alpha[::-1], params.alpha[:-1]):
+            with pytest.raises(ValidationError, match="other points"):
+                build_class2(params, context=SymContext(other))
+
+    def test_build_record_identical_with_shared_context(self):
+        # one context per template serves every twist vector on its points
+        rng = random.Random(41)
+        f9 = get_field(3, 2, [1, 0, 1])
+        f16 = get_field(*GF16)
+        gf9_recipe2 = SearchTemplate(
+            klass=2, field=f9, n=8, h=2, l=2, m_gap=0, lam=f9.one(),
+            v_head=(f9.element([0, 1]), f9.element([1, 1])),
+            v_tail_signs=tuple(f9.element(s) for s in (1, -1, -1, 1, 1, -1)))
+        gf16_recipe2 = SearchTemplate(
+            klass=2, field=f16, n=5, h=1, l=1, m_gap=0, lam=f16.one(),
+            v_head=(f16.element([1, 1]),), v_tail_signs=(f16.one(),) * 4)
+        for template in (recipe2_template(), gf9_recipe2, gf16_recipe2):
+            f = template.field
+            ctx = None
+            for _ in range(12):
+                eta = tuple(f.from_index(rng.randrange(f.q)) for _ in range(template.l + 1))
+                params = template.params_for(eta)
+                ctx = ctx or SymContext(params.alpha)
+                shared = build_class2(params, context=ctx)
+                assert shared.to_json() == build_class2(params).to_json()

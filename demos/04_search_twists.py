@@ -26,7 +26,7 @@ for h in hits[:10]:
           f"lcd={h.report.is_lcd} mds={h.report.is_mds}")
 
 print("\nrandomized sampling with a quarter of the budget (seeded):")
-sampled = search_eta(template, budget=space // 4, strategy="randomized", seed=7)
+sampled = search_eta(template, budget=space // 4, seed=7)  # below the space: random draws
 print(f"{len(sampled)} hits from random draws; all also in the exhaustive list:",
       {tuple(e.rep for e in h.eta) for h in sampled}
       <= {tuple(e.rep for e in h.eta) for h in hits})

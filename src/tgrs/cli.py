@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from .classify import DEFAULT_DISTANCE_CAP, classify, report_to_json
 from .codes import generator_matrix, parity_check_matrix, tgrs_spec_from_json, tgrs_spec_to_json
 from .errors import TgrsError, ValidationError, VerificationError
+from .gf import element_to_json
 from .golden import GOLDEN_CODES
 from .lcdgen import (build_class1, build_class2, class1_params_from_json,
                      class2_params_from_json, search_eta, template_from_json)
@@ -46,19 +46,6 @@ def _distance_cap(args) -> int:
         raise ValidationError(
             f"--distance-cap {cap} exceeds {DEFAULT_DISTANCE_CAP}; pass --unsafe-cap to override")
     return cap
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("TGRS_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValidationError(f"TGRS_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 0:
-        raise ValidationError("TGRS_WORKERS must be >= 0")
-    if workers == 0:  # auto
-        workers = min(os.cpu_count() or 1, 8)
-    return workers
 
 
 def cmd_build(args) -> int:
@@ -138,14 +125,13 @@ def cmd_search(args) -> int:
     if args.budget <= 0:
         raise ValidationError("--budget must be positive")
     template = template_from_json(_load_json(args.input))
-    hits = search_eta(template, budget=args.budget, seed=args.seed,
-                      workers=_worker_count())
+    hits = search_eta(template, budget=args.budget, seed=args.seed)
     if args.output == "json":
         _emit_json({"hits": [h.to_json() for h in hits], "count": len(hits)})
     else:
         print(f"{len(hits)} twist vector(s) pass all gates")
         for h in hits:
-            eta = [e.rep if template.field.m == 1 else list(e.rep) for e in h.eta]
+            eta = [element_to_json(e) for e in h.eta]
             print(f"eta {eta}  r {h.r_value.rep}  {h.report.params_string()}"
                   f"  mds {h.report.is_mds}  lcd {h.report.is_lcd}")
     return 0

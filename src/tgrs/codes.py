@@ -113,20 +113,7 @@ def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) ->
 
 def encode(spec: TgrsSpec, message: Sequence) -> tuple[FieldElement, ...]:
     """Evaluation encoding of a length-k message; equals message @ generator."""
-    f = spec.field
-    msg = [f.element(x) for x in message]
-    if len(msg) != spec.k:
-        raise ValidationError(f"message must have length k={spec.k}")
-    coeffs = list(msg) + [f.zero()] * (spec.l + 1)
-    for t, e in enumerate(spec.eta):
-        coeffs[spec.k + t] = msg[spec.h] * e
-    out = []
-    for a, vi in zip(spec.alpha, spec.v):
-        acc = f.zero()
-        for c in reversed(coeffs):
-            acc = acc * a + c
-        out.append(vi * acc)
-    return tuple(out)
+    return encode_general(GeneralTwistSpec.from_single_hook(spec), message)
 
 
 @dataclass(frozen=True)

@@ -522,8 +522,13 @@ def field_from_json(obj) -> Field:
     return Field(obj["p"], obj.get("m", 1), obj.get("modulus"))
 
 
+def rep_to_json(field: Field, rep):
+    """A rep as JSON: the int itself for GF(p), a coefficient list for GF(p^m)."""
+    return rep if field.m == 1 else list(rep)
+
+
 def element_to_json(e: FieldElement):
-    return e.rep if e.field.m == 1 else list(e.rep)
+    return rep_to_json(e.field, e.rep)
 
 
 def element_from_json(field: Field, v) -> FieldElement:

@@ -15,7 +15,6 @@ status independently.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -412,62 +411,30 @@ class _SearchEnv:
         return SearchHit(eta=eta, r_value=FieldElement(f, r), report=report)
 
 
-def _search_block(template: SearchTemplate, start: int, stop: int) -> list[SearchHit]:
-    env = _SearchEnv(template)
-    hits = []
-    for idx in range(start, stop):
-        hit = env.evaluate(env.eta_from_index(idx))
-        if hit is not None:
-            hits.append(hit)
-    return hits
-
-
-def search_eta(template: SearchTemplate, budget: int, strategy: str = "auto",
-               seed: Optional[int] = None, workers: int = 1) -> list[SearchHit]:
+def search_eta(template: SearchTemplate, budget: int,
+               seed: Optional[int] = None) -> list[SearchHit]:
     """Enumerate twist vectors passing all gates plus the MDS criterion.
 
-    Exhaustive over the q^(l+1) candidates when they fit in the budget
-    (strategy 'auto' falls back to seeded random draws otherwise); hits come
-    back in lexicographic twist order regardless of worker scheduling.
+    The budget alone picks the candidates: all q^(l+1) of them when they fit,
+    otherwise the distinct values of ``budget`` seeded random draws.  Either
+    set is evaluated in ascending index order, which is lexicographic twist
+    order, so hits come back sorted.
     """
     if budget <= 0:
         raise ValidationError("search budget must be positive")
-    if strategy not in ("auto", "exhaustive", "randomized"):
-        raise ValidationError(f"unknown strategy {strategy!r}")
     space = template.field.q ** (template.l + 1)
-    exhaustive = space <= budget if strategy == "auto" else strategy == "exhaustive"
-    if strategy == "exhaustive" and space > budget:
-        raise ValidationError(
-            f"exhaustive search needs budget >= {space}, got {budget}")
-    if exhaustive:
-        if workers > 1:
-            step = (space + workers - 1) // workers
-            blocks = [(s, min(s + step, space)) for s in range(0, space, step)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_search_block_star,
-                                      [(template, a, b) for a, b in blocks]))
-            hits = [h for part in parts for h in part]
-        else:
-            hits = _search_block(template, 0, space)
-        return hits
+    if space <= budget:
+        indices = range(space)
+    else:
+        rng = random.Random(seed)
+        indices = sorted({rng.randrange(space) for _ in range(budget)})
     env = _SearchEnv(template)
-    rng = random.Random(seed)
-    seen: set[int] = set()
     hits = []
-    for _ in range(budget):
-        idx = rng.randrange(space)
-        if idx in seen:
-            continue
-        seen.add(idx)
+    for idx in indices:
         hit = env.evaluate(env.eta_from_index(idx))
         if hit is not None:
             hits.append(hit)
-    hits.sort(key=lambda h: tuple(e.index() for e in h.eta))
     return hits
-
-
-def _search_block_star(args) -> list[SearchHit]:
-    return _search_block(*args)
 
 
 # -- JSON wire format ----------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError, ValidationError
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, rep_to_json
 
 
 class MatGF:
@@ -91,19 +91,9 @@ class MatGF:
             raise ValidationError("matrices over different fields")
         if self.cols != other.rows:
             raise ValidationError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        field = self.field
-        add, mul, zero = field._add, field._mul, field.zero().rep
-        bt = tuple(zip(*other._data))
-        out = []
-        for arow in self._data:
-            orow = []
-            for bcol in bt:
-                acc = zero
-                for a, b in zip(arow, bcol):
-                    acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return MatGF._from_reps(field, tuple(out))
+        dot, bt = self.field._dot, tuple(zip(*other._data))
+        return MatGF._from_reps(self.field, tuple(tuple(dot(arow, bcol) for bcol in bt)
+                                                  for arow in self._data))
 
     def stack(self, other: "MatGF") -> "MatGF":
         if self.field != other.field or self.cols != other.cols:
@@ -130,9 +120,7 @@ class MatGF:
         return f"MatGF({self.rows}x{self.cols} over GF({self.field.q}))"
 
     def to_lists(self) -> list[list]:
-        if self.field.m == 1:
-            return [list(r) for r in self._data]
-        return [[list(x) for x in r] for r in self._data]
+        return [[rep_to_json(self.field, x) for x in r] for r in self._data]
 
     def pretty(self) -> str:
         """Space-aligned unsigned residues, one row per line."""

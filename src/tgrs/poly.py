@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, element_to_json
 
 NEG_INF = float("-inf")
 
@@ -161,4 +161,4 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     def to_json(self) -> list:
-        return [c.rep if self.field.m == 1 else list(c.rep) for c in self.coeffs]
+        return [element_to_json(c) for c in self.coeffs]

@@ -45,9 +45,10 @@ def random_parity_check(rng: random.Random, f, rows: int, n: int) -> MatGF:
 
     About a quarter of the draws get a zero column (d = 1) and a quarter a
     nonzero multiple of an earlier column (d <= 2); the other columns are
-    uniform.
+    uniform.  Gives up after 50 draws, where one or two are the norm, so a
+    rank that never reaches ``rows`` fails instead of spinning.
     """
-    while True:
+    for _ in range(50):
         cols = [[f.from_index(rng.randrange(f.q)) for _ in range(rows)] for _ in range(n)]
         plant, j = rng.randrange(4), rng.randrange(1, n)
         if plant == 0:
@@ -58,6 +59,7 @@ def random_parity_check(rng: random.Random, f, rows: int, n: int) -> MatGF:
         H = MatGF(f, [list(r) for r in zip(*cols)])
         if rank(H) == rows:
             return H
+    raise AssertionError(f"no full-rank {rows}x{n} draw in 50 tries")
 
 
 def brute_hull_dim(spec: TgrsSpec) -> int:
@@ -489,7 +491,7 @@ class TestClassify:
 
     def test_certificates_one_based_in_json(self):
         rng = random.Random(26)
-        while True:
+        for _ in range(100):  # the first draw is non-MDS at this seed
             spec = random_spec(rng, n_max=8)
             ok, cert = is_mds_phi(spec)
             if not ok:
@@ -497,3 +499,5 @@ class TestClassify:
                 blob = report_to_json(report)
                 assert blob["certificates"]["mds_violating_subset"] == [i + 1 for i in cert]
                 break
+        else:
+            raise AssertionError("no non-MDS spec in 100 draws")

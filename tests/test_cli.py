@@ -187,24 +187,6 @@ class TestSearch:
         path = write_json(tmp_path / "tpl.json", {"class": 1})
         assert main(["search", "--input", path, "--budget", "0"]) == 2
 
-    def test_workers_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TGRS_WORKERS", "2")
-        template = {
-            "class": 1, "q": 31, "n": 5, "k": 2, "h": 1, "l": 0, "lambda": 1,
-            "v_head": [2], "v_tail_signs": [1, -1, 1, -1],
-        }
-        path = write_json(tmp_path / "tpl.json", template)
-        assert main(["search", "--input", path, "--budget", "31",
-                     "--output", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["count"] > 0
-
-    def test_bad_workers_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TGRS_WORKERS", "lots")
-        path = write_json(tmp_path / "tpl.json", {
-            "class": 1, "q": 31, "n": 5, "k": 2, "h": 1, "l": 0, "lambda": 1,
-            "v_head": [2], "v_tail_signs": [1, -1, 1, -1]})
-        assert main(["search", "--input", path, "--budget", "5"]) == 2
-
 
 class TestPaperExamples:
     def test_all_pass(self, capsys):

@@ -273,8 +273,10 @@ class TestClass1Builder:
         # the recipe's conclusion is re-checked, never assumed
         rng = random.Random(28)
         f = get_field(31)
-        hits = 0
+        hits = draws = 0
         while hits < 8:
+            draws += 1
+            assert draws <= 200, f"{hits} applicable builds in 200 draws"  # 8 suffice
             n = rng.choice((10, 15))
             l = rng.randint(0, 2)
             k_hi = (n - 2 * l - 1) // 2
@@ -344,8 +346,10 @@ class TestClass2Builder:
     def test_applicable_builds_are_lcd_randomized(self):
         rng = random.Random(29)
         f = get_field(31)
-        hits = 0
+        hits = draws = 0
         while hits < 5:
+            draws += 1
+            assert draws <= 3000, f"{hits} applicable builds in 3000 draws"  # 306 suffice
             n = rng.choice((10, 15))
             l = rng.randint(0, 3)
             m_gap = rng.randint(0, l)
@@ -417,30 +421,20 @@ class TestSearch:
         with pytest.raises(ValidationError, match="budget"):
             search_eta(toy_template(gf7), budget=0)
 
-    def test_explicit_exhaustive_needs_room(self, gf7):
-        with pytest.raises(ValidationError, match="exhaustive"):
-            search_eta(toy_template(gf7), budget=3, strategy="exhaustive")
-
     def test_randomized_is_seed_deterministic(self):
         template = fifth_roots_template(get_field(31))
-        a = search_eta(template, budget=12, strategy="randomized", seed=99)
-        b = search_eta(template, budget=12, strategy="randomized", seed=99)
+        a = search_eta(template, budget=12, seed=99)
+        b = search_eta(template, budget=12, seed=99)
         assert a and [h.to_json() for h in a] == [h.to_json() for h in b]
 
     def test_randomized_hits_sorted_and_subset_of_exhaustive(self):
         template = fifth_roots_template(get_field(31))
-        hits = search_eta(template, budget=15, strategy="randomized", seed=5)
+        hits = search_eta(template, budget=15, seed=5)
         etas = [tuple(e.rep for e in h.eta) for h in hits]
         assert etas == sorted(etas)
         exhaustive = search_eta(template, budget=31)
         keys = {tuple(e.rep for e in h.eta) for h in exhaustive}
         assert keys and all(e in keys for e in etas)
-
-    def test_worker_partition_matches_serial(self):
-        template = fifth_roots_template(get_field(31))
-        serial = search_eta(template, budget=31)
-        parallel = search_eta(template, budget=31, workers=2)
-        assert serial and [h.to_json() for h in serial] == [h.to_json() for h in parallel]
 
     def test_extension_field_template(self):
         # the whole recipe + search pipeline over GF(9)
@@ -496,14 +490,10 @@ class TestSearchOracle:
         space, budget, seed = 37**2, 400, 11
         rng = random.Random(seed)  # the search's own draws: budget randranges
         drawn = {rng.randrange(space) for _ in range(budget)}
-        hits = search_eta(template, budget=budget, strategy="randomized", seed=seed)
+        hits = search_eta(template, budget=budget, seed=seed)
         oracle = oracle_hits("demo")
         expected = [oracle[i] for i in sorted(drawn) if i in oracle]
         assert expected and hits_json(hits) == expected
-
-    def test_workers_match_oracle(self):
-        hits = search_eta(demo_template(), budget=37**2, workers=2)
-        assert hits_json(hits) == list(oracle_hits("demo").values())
 
     def test_recipe2_golden_template(self):
         # the quadratic gate on the search path: every hit is LCD MDS

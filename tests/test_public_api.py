@@ -23,12 +23,28 @@ def test_five_demos_present():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return env
+
+
+def test_import_loads_no_process_machinery():
+    # every CLI call pays the import; a process pool must not creep back in
+    probe = ("import sys, tgrs.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout

@@ -7,9 +7,10 @@ table per point set and (k, h, l), which the MDS and AMDS verdicts and the
 twist search share.  Minimum distance is found as the smallest number of
 linearly dependent parity-check columns, by a depth-first walk over column
 subsets that extends the reduced basis of each prefix by one column per
-node; its witness is re-checked by the rank of its own columns, and a square
-parity check (no dependent set) raises VerificationError.  LCD status comes
-from the rank of the generator stacked on the parity check.
+node; its witness is re-checked by the rank of its own columns, a square
+parity check (no dependent set) raises VerificationError, and a walk past
+its fixed node budget raises ResourceLimitError.  LCD status comes from the
+rank of the generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -29,7 +30,8 @@ from .linalg import MatGF, det, rank
 from .poly import Poly
 from .symm import SymContext, distinct_points, series_inverse
 
-DEFAULT_DISTANCE_CAP = 24
+# Walk nodes min_distance may visit, ~10 s; the reference codes need <= 25k.
+DISTANCE_NODE_BUDGET = 2_000_000
 
 
 class PhiWorkspace:
@@ -170,7 +172,7 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     return _table_for(spec, workspace).amds_verdict(spec.eta)
 
 
-def min_distance(H: MatGF, cap_n: int = DEFAULT_DISTANCE_CAP) -> int:
+def min_distance(H: MatGF) -> int:
     """Smallest number of linearly dependent parity-check columns.
 
     A depth-first walk over column subsets in lexicographic order.  A node
@@ -185,11 +187,12 @@ def min_distance(H: MatGF, cap_n: int = DEFAULT_DISTANCE_CAP) -> int:
     witness (the first rows+1 columns if nothing smaller turned up) is
     re-checked by a rank of its own submatrix before d is returned.  A
     square H has no dependent column set and raises VerificationError.
+
+    Each call of the walk is one node.  Past DISTANCE_NODE_BUDGET nodes the
+    search raises ResourceLimitError with the nodes visited and the best
+    bound so far; the count depends on H alone, so a refusal reproduces.
     """
     n, nrows = H.cols, H.rows
-    if n > cap_n:
-        raise ResourceLimitError(
-            f"minimum-distance search over {n} columns exceeds the cap {cap_n}")
     if rank(H) != nrows:
         raise ValidationError("parity-check matrix must have full row rank")
     if n <= nrows:
@@ -198,9 +201,14 @@ def min_distance(H: MatGF, cap_n: int = DEFAULT_DISTANCE_CAP) -> int:
     zero = field.zero().rep
     zero_col = [zero] * nrows
     best, witness = nrows + 1, tuple(range(nrows + 1))
+    nodes = 0
 
     def walk(prefix: tuple[int, ...], carried: list) -> None:
-        nonlocal best, witness
+        nonlocal best, witness, nodes
+        if nodes >= DISTANCE_NODE_BUDGET:
+            raise ResourceLimitError(f"minimum-distance search stopped at its budget of "
+                                     f"{nodes} nodes; best bound so far d <= {best}")
+        nodes += 1
         size = len(prefix) + 1  # of each extension checked here, always < best
         for at, (j, u) in enumerate(carried):
             if u == zero_col:
@@ -299,12 +307,11 @@ def report_from_json(obj: dict) -> CodeReport:
 
 
 def classify(spec: TgrsSpec, want_distance: bool = False,
-             distance_cap: int = DEFAULT_DISTANCE_CAP,
              workspace: Optional[PhiWorkspace] = None) -> CodeReport:
     """Full classification of one code spec.
 
-    Distance search runs only when requested and n fits under the cap; when
-    it runs, the MDS/AMDS verdicts are cross-checked against it.  Both
+    With ``want_distance`` the report carries the minimum distance, checked
+    against the MDS/AMDS verdicts, or min_distance's ResourceLimitError.  Both
     verdicts read one criterion table: ``workspace`` when given (it must be
     built for the spec's points, k, h and l), a fresh one otherwise.
     """
@@ -330,8 +337,8 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     )
     if spec.hook_is_boundary():
         report.notes.append("hook at the upper boundary h = k-1")
-    if want_distance and spec.n <= distance_cap:
-        d = min_distance(H, cap_n=distance_cap)
+    if want_distance:
+        d = min_distance(H)
         report.min_distance = d
         singleton = spec.n - spec.k + 1
         if d > singleton:

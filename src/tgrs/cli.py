@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional
 
-from .classify import DEFAULT_DISTANCE_CAP, classify, report_to_json
+from .classify import classify, report_to_json
 from .codes import generator_matrix, parity_check_matrix, tgrs_spec_from_json, tgrs_spec_to_json
 from .errors import TgrsError, ValidationError, VerificationError
 from .gf import element_to_json
@@ -36,16 +36,11 @@ def _load_json(path: str):
         raise ValidationError(
             f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
-def _distance_cap(args) -> int:
-    cap = args.distance_cap
-    if cap > DEFAULT_DISTANCE_CAP and not args.unsafe_cap:
-        raise ValidationError(
-            f"--distance-cap {cap} exceeds {DEFAULT_DISTANCE_CAP}; pass --unsafe-cap to override")
-    return cap
 
 
 def cmd_build(args) -> int:
@@ -68,10 +63,9 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     spec = tgrs_spec_from_json(_load_json(args.input))
-    cap = _distance_cap(args)
     G = generator_matrix(spec)
     H = parity_check_matrix(spec)
-    report = classify(spec, want_distance=spec.n <= cap, distance_cap=cap)
+    report = classify(spec, want_distance=spec.n <= args.distance_cap)
     if args.output == "json":
         _emit_json({"spec": tgrs_spec_to_json(spec),
                     "generator": G.to_lists(),
@@ -132,7 +126,7 @@ def cmd_search(args) -> int:
         print(f"{len(hits)} twist vector(s) pass all gates")
         for h in hits:
             eta = [element_to_json(e) for e in h.eta]
-            print(f"eta {eta}  r {h.r_value.rep}  {h.report.params_string()}"
+            print(f"eta {eta}  r {element_to_json(h.r_value)}  {h.report.params_string()}"
                   f"  mds {h.report.is_mds}  lcd {h.report.is_lcd}")
     return 0
 
@@ -236,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--distance-cap", type=int, default=12,
                    help="compute minimum distance when n is at most this")
-    p.add_argument("--unsafe-cap", action="store_true",
-                   help=f"allow --distance-cap beyond {DEFAULT_DISTANCE_CAP}")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct1", help="run the first LCD recipe from params JSON")

@@ -361,7 +361,7 @@ class Field:
         Requires n | q-1 and ord(lambda) | (q-1)/n, which together guarantee
         the full set of n roots lives in this field.
         """
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValidationError(f"root count n must be a positive integer, got {n!r}")
         lam = self.element(lam)
         if (self.q - 1) % n != 0:

@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 from .classify import CodeReport, PhiWorkspace, classify
 from .codes import TgrsSpec, check_int_fields
 from .errors import ValidationError, VerificationError
-from .gf import Field, FieldElement, element_to_json, field_from_json, field_to_json
+from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json, field_to_json
 from .poly import Poly
-from .symm import SymContext, context_for
+from .symm import SymContext, context_for, distinct_points
 
 
 def _r_terms(k: int, h: int, width: int,
@@ -49,11 +49,10 @@ def r_coefficient(k: int, h: int, eta: Sequence[FieldElement],
     g is the monic polynomial vanishing on the k-1 head points.  With an
     all-zero eta the remainder is x^(h-1) itself and the result is 1.
     """
-    head = list(alpha_head)
+    head = tuple(alpha_head)
     if len(head) != k - 1 or k < 2:
         raise ValidationError(f"need k-1 = {k - 1} head points, got {len(head)}")
-    if len(set(head)) != len(head):
-        raise ValidationError("head points must be pairwise distinct")
+    distinct_points(head)
     if not 1 <= h <= k - 1:
         raise ValidationError(f"hook must satisfy 1 <= h <= k-1, got h={h}")
     field = head[0].field
@@ -420,8 +419,8 @@ def search_eta(template: SearchTemplate, budget: int,
     set is evaluated in ascending index order, which is lexicographic twist
     order, so hits come back sorted.
     """
-    if budget <= 0:
-        raise ValidationError("search budget must be positive")
+    if not _is_int(budget) or budget <= 0:
+        raise ValidationError(f"search budget must be a positive integer, got {budget!r}")
     space = template.field.q ** (template.l + 1)
     if space <= budget:
         indices = range(space)

@@ -308,10 +308,31 @@ class TestMinDistance:
         assert calls["rank"] <= 2
         assert calls["submatrix"] <= 1
 
-    def test_cap_enforced(self, gf31):
-        spec = GOLDEN_CODES[0].spec()
-        with pytest.raises(ResourceLimitError):
-            min_distance(parity_check_matrix(spec), cap_n=10)
+    def test_node_budget_enforced(self, monkeypatch):
+        spec = GOLDEN_CODES[0].spec()  # [15,4,10]: 24,545 nodes
+        monkeypatch.setattr(sys.modules["tgrs.classify"], "DISTANCE_NODE_BUDGET", 1000)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError) as info:
+                min_distance(parity_check_matrix(spec))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "budget of 1000 nodes" in messages[0] and "d <= 11" in messages[0]
+        with pytest.raises(ResourceLimitError) as info:
+            classify(spec, want_distance=True)
+        assert str(info.value) == messages[0]
+
+    def test_budget_counts_nodes_not_length(self, gf31, monkeypatch):
+        # 3 x 30 Vandermonde: any 3 columns are independent, so d = 4; the
+        # length does not matter, the walk needs only 466 nodes
+        H = MatGF(gf31, [[a**i for a in range(1, 31)] for i in range(3)])
+        assert min_distance(H) == 4
+        classify_mod = sys.modules["tgrs.classify"]
+        monkeypatch.setattr(classify_mod, "DISTANCE_NODE_BUDGET", 466)
+        assert min_distance(H) == 4
+        monkeypatch.setattr(classify_mod, "DISTANCE_NODE_BUDGET", 465)
+        with pytest.raises(ResourceLimitError, match="budget of 465 nodes"):
+            min_distance(H)
 
     def test_rank_deficient_rejected(self, gf7):
         with pytest.raises(ValidationError, match="row rank"):
@@ -471,10 +492,6 @@ class TestClassify:
             report = classify(random_spec(rng, n_max=8))
             assert not (report.is_mds and report.is_amds)
             assert report.is_lcd == (report.hull_dim == 0)
-
-    def test_distance_skipped_over_cap(self):
-        report = classify(GOLDEN_CODES[0].spec(), want_distance=True, distance_cap=10)
-        assert report.min_distance is None
 
     def test_boundary_hook_noted(self, gf7):
         spec = TgrsSpec(field=gf7, n=6, k=2, l=0, h=1,

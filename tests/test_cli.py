@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, output formats, embedded examples."""
 
+import argparse
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
 from tgrs import tgrs_spec_to_json
-from tgrs.cli import main
+from tgrs.cli import build_parser, main
 from tgrs.golden import GOLDEN_CODES
 
 
@@ -88,9 +91,27 @@ class TestCheck:
         assert f"'{name}' must be an integer" in captured.err
         assert captured.out == ""
 
-    def test_unsafe_cap_gate(self, golden_spec_file, capsys):
-        assert main(["check", "--input", golden_spec_file, "--distance-cap", "30"]) == 2
-        assert "--unsafe-cap" in capsys.readouterr().err
+    def test_distance_budget_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "spec.json", tgrs_spec_to_json(GOLDEN_CODES[0].spec()))
+        monkeypatch.setattr(sys.modules["tgrs.classify"], "DISTANCE_NODE_BUDGET", 1000)
+        assert main(["check", "--input", path, "--distance-cap", "15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "d <= 11" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_distance_cap_beyond_length_runs_distance(self, golden_spec_file, capsys):
+        assert main(["check", "--input", golden_spec_file, "--distance-cap", "30"]) == 0
+        assert "min_distance 7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check", "search"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        budget = ["--budget", "5"] if command == "search" else []
+        assert main([command, "--input", str(path), *budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: not UTF-8")
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestBuild:
@@ -183,6 +204,16 @@ class TestSearch:
         assert main([command, "--input", path, *budget]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_extension_field_text_prints_r_as_json(self, tmp_path, capsys):
+        template = {"class": 1, "field": {"p": 2, "m": 4, "modulus": [1, 1, 0, 0, 1]},
+                    "n": 5, "k": 2, "h": 1, "l": 0, "lambda": 1,
+                    "v_head": [[0, 1]], "v_tail_signs": [1, 1, 1, 1]}
+        path = write_json(tmp_path / "gf16.json", template)
+        assert main(["search", "--input", path, "--budget", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("eta [[0, 0, 0, 1]]  r [1, 0, 0, 1]  [5,2]")
+        assert len(lines) == 5 and not any("(" in line for line in lines[1:])
+
     def test_budget_zero_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "tpl.json", {"class": 1})
         assert main(["search", "--input", path, "--budget", "0"]) == 2
@@ -259,7 +290,7 @@ class TestVerificationFailure:
                                     wrong_d, message):
         # the [9,3,7] code is MDS, so any other distance contradicts the verdicts
         monkeypatch.setattr(sys.modules["tgrs.classify"], "min_distance",
-                            lambda H, cap_n=None: wrong_d)
+                            lambda H: wrong_d)
         assert main(["check", "--input", golden_spec_file]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
@@ -277,3 +308,20 @@ class TestJsonStability:
         parsed = json.loads(first)
         again = json.dumps(parsed, sort_keys=True, indent=2) + "\n"
         assert first == again
+
+
+class TestReadmeSynopsis:
+    def test_flags_match_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            words = line.split()
+            assert words[0] == "tgrs", line
+            documented[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actual = {name: {opt for act in sub._actions for opt in act.option_strings
+                         if opt.startswith("--") and opt != "--help"}
+                  for name, sub in subparsers.choices.items()}
+        assert documented == actual

@@ -207,6 +207,11 @@ class TestRoots:
         with pytest.raises(ValidationError):
             gf31.roots_of_xn_minus_lambda(5, gf31.zero())
 
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_root_count_must_be_exact_int(self, gf7, n):
+        with pytest.raises(ValidationError, match="positive integer"):
+            gf7.roots_of_xn_minus_lambda(n, 3)
+
 
 class TestEnumerationAndJson:
     def test_prime_field_enumeration(self, gf7):

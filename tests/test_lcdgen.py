@@ -159,6 +159,11 @@ class TestRCoefficient:
         with pytest.raises(ValidationError, match="distinct"):
             r_coefficient(3, 1, [gf7.one()], [gf7.one(), gf7.one()])
 
+    def test_duplicate_head_named_like_other_point_sets(self, gf7):
+        head = [gf7.element(a) for a in (2, 5, 2)]
+        with pytest.raises(ValidationError, match="positions 0 and 2 coincide"):
+            r_coefficient(4, 1, [gf7.one()], head)
+
 
 class TestClass1Builder:
     def test_published_lcd_code(self):
@@ -420,6 +425,11 @@ class TestSearch:
     def test_budget_positive(self, gf7):
         with pytest.raises(ValidationError, match="budget"):
             search_eta(toy_template(gf7), budget=0)
+
+    @pytest.mark.parametrize("budget", [True, 2.5])
+    def test_budget_must_be_exact_int(self, gf7, budget):
+        with pytest.raises(ValidationError, match="positive integer"):
+            search_eta(toy_template(gf7), budget)
 
     def test_randomized_is_seed_deterministic(self):
         template = fifth_roots_template(get_field(31))

@@ -116,8 +116,6 @@ def cmd_construct2(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.budget <= 0:
-        raise ValidationError("--budget must be positive")
     template = template_from_json(_load_json(args.input))
     hits = search_eta(template, budget=args.budget, seed=args.seed)
     if args.output == "json":

@@ -1,9 +1,14 @@
 """Exact arithmetic in GF(p^m).
 
-Elements of a prime field GF(p) are stored as integers in [0, p); elements
-of an extension field GF(p^m) as length-m coefficient tuples over GF(p),
-low degree first, reduced modulo a user-supplied irreducible polynomial.
-Everything is immutable and safe to share.
+Every element is stored as an integer code in [0, q), its position in the
+canonical order.  For a prime field GF(p) that is the residue itself.  For an
+extension field GF(p^m) it is the base-p number whose digits, least
+significant first, are the coefficients of the element's polynomial modulo a
+user-supplied irreducible polynomial; the field keeps exp, log and Zech
+logarithm tables of its first primitive element (K. Huber, "Some comments on
+Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so that addition,
+negation, multiplication and inversion are table lookups.  Everything is
+immutable and safe to share.
 
 Beyond the ring operations the module provides element enumeration,
 multiplicative order, and extraction of all n-th roots of a given lambda
@@ -19,30 +24,12 @@ from typing import Iterator, Optional, Sequence
 from .errors import ValidationError
 
 WORD_BUDGET = 2**31  # q below this keeps products inside 64-bit integers
+TABLE_BUDGET = 2**16  # largest GF(p^m), m > 1: its exp/log/Zech tables are built whole
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2^31 field cap."""
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division; fine for n < 2^31."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -59,7 +46,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-# -- helpers on raw GF(p) coefficient lists (used for the modulus and m>1 reps)
+# -- helpers on raw GF(p) coefficient lists (modulus validation)
 
 def _gfp_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
     num = num[:]
@@ -120,17 +107,24 @@ class Field:
 
     For m = 1 pass only the prime p.  For m > 1 a monic irreducible
     ``modulus`` of degree m over GF(p) is required (coefficients low degree
-    first); irreducibility is verified at construction.
+    first); irreducibility is verified at construction, and q = p^m may be at
+    most 2^16.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
-        if not _is_int(p) or not is_prime(p):
+        if not _is_int(p):
             raise ValidationError(f"characteristic {p!r} is not prime")
         if not _is_int(m) or m < 1:
             raise ValidationError(f"extension degree must be >= 1, got {m!r}")
+        # p >= 2 and m >= 31 is over budget: decided without raising p to a huge m
+        if p >= 2 and (m >= 31 or p**m >= WORD_BUDGET):
+            raise ValidationError(f"field size {p}^{m} exceeds the 2^31 word budget")
+        if not is_prime(p):
+            raise ValidationError(f"characteristic {p!r} is not prime")
         q = p**m
-        if q >= WORD_BUDGET:
-            raise ValidationError(f"field size {q} exceeds the 2^31 word budget")
+        if m > 1 and q > TABLE_BUDGET:
+            raise ValidationError(
+                f"extension field size {q} exceeds the 2^16 bound of its log tables")
         if m == 1:
             if modulus is not None:
                 raise ValidationError("modulus must be absent for a prime field")
@@ -147,14 +141,52 @@ class Field:
         self._fact_qm1: Optional[dict[int, int]] = None
         self._generator: Optional[FieldElement] = None
         if m > 1:
-            # reduction table: x^(m+i) mod modulus for i = 0..m-2
-            red = [tuple((-c) % p for c in self.modulus[:m])]
-            for _ in range(m - 2):
-                prev = red[-1]
-                shifted = [0] + list(prev[: m - 1])
-                carry = prev[m - 1]
-                red.append(tuple((shifted[j] + carry * red[0][j]) % p for j in range(m)))
-            self._xpow = red
+            self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Exp, log and Zech tables of the first primitive element in canonical order.
+
+        Each candidate g is walked through its powers as a coefficient list,
+        one polynomial multiply and reduction per step, until the walk comes
+        back to one; the first walk that meets all q - 1 units is the table.
+        ``_exp`` holds g^0 .. g^(q-2) twice, so a sum of two logs indexes it
+        without a reduction; ``_zech[j]`` is log(1 + g^j), None where
+        g^j = -1; ``_neg_log`` is log(-1).
+        """
+        p, m, q = self.p, self.m, self.q
+        weights = [p**i for i in range(m)]
+        red = [(-c) % p for c in self.modulus[:m]]  # x^m = sum red[j] x^j
+        for g in range(p, q):  # codes below p are GF(p) constants, of order dividing p - 1
+            digits = [g // w % p for w in weights]
+            terms = [(i, c) for i, c in enumerate(digits) if c]
+            width = m + terms[-1][0]
+            cur, exp = [1] + [0] * (m - 1), [1]
+            while True:
+                prod = [0] * width
+                for i, c in terms:
+                    for j, x in enumerate(cur):
+                        prod[i + j] += c * x
+                for k in range(width - 1, m - 1, -1):
+                    t = prod[k] % p
+                    if t:
+                        for j in range(m):
+                            prod[k - m + j] += t * red[j]
+                cur = [c % p for c in prod[:m]]
+                code = sum(map(operator.mul, cur, weights))
+                if code == 1:
+                    break
+                exp.append(code)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q  # log[0] is never read
+        for j, c in enumerate(exp):
+            log[c] = j
+        # 1 + c adds one to the constant digit, with no carry into the next
+        plus_one = [c + 1 if c % p != p - 1 else c + 1 - p for c in exp]
+        self._exp = exp + exp
+        self._log = log
+        self._zech = [log[c] if c else None for c in plus_one]
+        self._neg_log = 0 if p == 2 else (q - 1) // 2
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field)
@@ -174,17 +206,15 @@ class Field:
         """Canonicalize an int (any field) or coefficient list or tuple (m > 1).
 
         Only true ints are accepted, as the value and as coefficients: bools,
-        floats and strings are rejected rather than truncated or parsed.
+        floats and strings are rejected rather than truncated or parsed.  An
+        int embeds via the prime subfield, where the code of c is c itself.
         """
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise ValidationError("element belongs to a different field")
             return value
         if type(value) is int:  # _is_int, inlined on the hot path
-            if self.m == 1:
-                return FieldElement(self, value % self.p)
-            # ints embed via the prime subfield
-            return FieldElement(self, (value % self.p,) + (0,) * (self.m - 1))
+            return FieldElement(self, value % self.p)
         if self.m == 1 or not isinstance(value, (list, tuple)):
             kind = "an int" if self.m == 1 else "an int or a coefficient list"
             raise ValidationError(f"GF({self.q}) element must be {kind}, got {value!r}")
@@ -192,8 +222,10 @@ class Field:
             raise ValidationError(f"GF({self.q}) coefficients must be ints, got {value!r}")
         if len(value) > self.m:
             raise ValidationError(f"coefficient vector longer than degree {self.m}")
-        coeffs = [c % self.p for c in value] + [0] * (self.m - len(value))
-        return FieldElement(self, tuple(coeffs))
+        code = 0
+        for c in reversed(value):
+            code = code * self.p + c % self.p
+        return FieldElement(self, code)
 
     def zero(self) -> FieldElement:
         return self.element(0)
@@ -205,13 +237,7 @@ class Field:
         """The i-th element in canonical order, 0 <= i < q."""
         if not 0 <= i < self.q:
             raise ValidationError(f"index {i} out of range for field of size {self.q}")
-        if self.m == 1:
-            return FieldElement(self, i)
-        digits = []
-        for _ in range(self.m):
-            digits.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(digits))
+        return FieldElement(self, i)
 
     def elements(self) -> Iterator[FieldElement]:
         """All q elements in canonical ascending order."""
@@ -227,42 +253,37 @@ class Field:
     def _add(self, a, b):
         if self.m == 1:
             return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^i + g^j = g^i (1 + g^(j-i)); a negative j - i indexes from the end,
+        # which is j - i mod q - 1
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def _sub(self, a, b):
         if self.m == 1:
             return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self._add(a, self._neg(b))
 
     def _neg(self, a):
         if self.m == 1:
             return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+        return self._exp[self._log[a] + self._neg_log] if a else 0
 
     def _mul(self, a, b):
         if self.m == 1:
             return a * b % self.p
-        m, p = self.m, self.p
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:m]
-        for i in range(m, 2 * m - 1):
-            c = prod[i]
-            if c:
-                row = self._xpow[i - m]
-                for j in range(m):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def _dot(self, xs, ys):
         """The rep of sum x_i y_i over the pairs of zip(xs, ys); zero when empty."""
         if self.m == 1:
             return sum(map(operator.mul, xs, ys)) % self.p
         add, mul = self._add, self._mul
-        acc = (0,) * self.m
+        acc = 0
         for x, y in zip(xs, ys):
             acc = add(acc, mul(x, y))
         return acc
@@ -279,43 +300,17 @@ class Field:
             for j in range(c, len(dst)):
                 dst[j] = (dst[j] - f * src[j]) % p
             return
-        mul, sub = self._mul, self._sub
-        f = mul(dst[c], pinv)
+        add, mul = self._add, self._mul
+        f = self._neg(mul(dst[c], pinv))
         for j in range(c, len(dst)):
-            dst[j] = sub(dst[j], mul(f, src[j]))
+            dst[j] = add(dst[j], mul(f, src[j]))
 
     def _inv(self, a):
-        if self.m == 1:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)  # Fermat
-        if not any(a):
+        if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid over GF(p)[x]; gcd(modulus, a) is a nonzero constant
-        # because the modulus is irreducible and deg(a) < m
-        p = self.p
-
-        def sub_scaled(u: list[int], q: list[int], v: list[int]) -> list[int]:
-            prod = [0] * (len(q) + len(v) - 1) if q and v else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(v):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            length = max(len(u), len(prod))
-            out = [((u[i] if i < len(u) else 0) - (prod[i] if i < len(prod) else 0)) % p
-                   for i in range(length)]
-            return _gfp_trim(out)
-
-        r0, r1 = list(self.modulus), _gfp_trim(list(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _gfp_divmod(r0, r1, p)
-            r0, r1 = r1, _gfp_trim(r)
-            s0, s1 = s1, sub_scaled(s0, q, s1)
-        c_inv = pow(r1[0], p - 2, p)
-        out = [c * c_inv % p for c in s1]
-        out += [0] * (self.m - len(out))
-        return tuple(out[: self.m])
+        if self.m == 1:
+            return pow(a, self.p - 2, self.p)  # Fermat
+        return self._exp[self.q - 1 - self._log[a]]
 
     # -- group structure -------------------------------------------------------
 
@@ -387,7 +382,11 @@ class Field:
 
 
 class FieldElement:
-    """Immutable element of a Field, equal iff the canonical reps match."""
+    """Immutable element of a Field, equal iff the canonical reps match.
+
+    ``rep`` is the element's int code in [0, q), equal to ``index()``; for
+    GF(p^m) its base-p digits are the coefficients, read by ``element_to_json``.
+    """
 
     __slots__ = ("field", "rep")
 
@@ -458,16 +457,12 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        if self.field.m == 1:
-            return FieldElement(self.field, pow(self.rep, e, self.field.p))
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        if f.m == 1:
+            return FieldElement(f, pow(self.rep, e, f.p))
+        if self.rep == 0:
+            return f.one() if e == 0 else f.zero()
+        return FieldElement(f, f._exp[f._log[self.rep] * e % (f.q - 1)])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
@@ -480,20 +475,18 @@ class FieldElement:
         return hash((self.field.p, self.field.m, self.rep))
 
     def __repr__(self) -> str:
-        return f"FieldElement({self.rep!r} in GF({self.field.q}))"
+        return f"FieldElement({element_to_json(self)!r} in GF({self.field.q}))"
 
     def is_zero(self) -> bool:
-        return self.rep == 0 if self.field.m == 1 else not any(self.rep)
+        return self.rep == 0
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse; Fermat for m = 1, extended Euclid above."""
+        """Multiplicative inverse; Fermat for m = 1, a log-table lookup above."""
         return FieldElement(self.field, self.field._inv(self.rep))
 
     def index(self) -> int:
         """Position in the canonical enumeration (also the sort key)."""
-        if self.field.m == 1:
-            return self.rep
-        return sum(c * self.field.p**i for i, c in enumerate(self.rep))
+        return self.rep
 
     def order(self) -> int:
         """Least t >= 1 with self^t = 1; always divides q - 1."""
@@ -524,7 +517,9 @@ def field_from_json(obj) -> Field:
 
 def rep_to_json(field: Field, rep):
     """A rep as JSON: the int itself for GF(p), a coefficient list for GF(p^m)."""
-    return rep if field.m == 1 else list(rep)
+    if field.m == 1:
+        return rep
+    return [rep // field.p**i % field.p for i in range(field.m)]
 
 
 def element_to_json(e: FieldElement):

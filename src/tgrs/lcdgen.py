@@ -377,7 +377,6 @@ class _SearchEnv:
         self.r_base, self.r_lin = r_base.rep, tuple(c.rep for c in r_lin)
         self.zero = f.zero().rep
         self.zero_eta = (self.zero,) * (params.l + 1)
-        self.reps = tuple(f.from_index(i).rep for i in range(f.q))
         self.table = PhiWorkspace(params.alpha, params.k, params.h, params.l)
 
     def eta_from_index(self, idx: int) -> tuple:
@@ -385,7 +384,7 @@ class _SearchEnv:
         q, digits = self.field.q, []
         for _ in range(self.l + 1):
             idx, d = divmod(idx, q)
-            digits.append(self.reps[d])
+            digits.append(d)
         return tuple(reversed(digits))
 
     def evaluate(self, eta: tuple) -> Optional[SearchHit]:

@@ -1,8 +1,7 @@
 """Exact dense linear algebra over GF(q).
 
-A matrix stores the canonical reps of its entries: ints for a prime field,
-coefficient tuples for an extension field, as in ``FieldElement.rep``.  The
-public constructor validates every entry through ``Field.element``; matrices
+A matrix stores the canonical reps of its entries, the int codes of
+``FieldElement.rep`` for every field.  The public constructor validates every entry through ``Field.element``; matrices
 derived from other matrices (submatrices, products, kernel results) are built
 from reps directly and are not re-validated.  Entry reads return
 ``FieldElement`` values.  All matrices are immutable; operations return new
@@ -50,7 +49,7 @@ class MatGF:
         raise AttributeError("MatGF is immutable")
 
     def __reduce__(self):
-        return (MatGF, (self.field, self._data))
+        return (MatGF._from_reps, (self.field, self._data))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "MatGF":

@@ -157,7 +157,7 @@ class Poly:
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
-        terms = [f"{c.rep}*x^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        terms = [f"{element_to_json(c)}*x^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
         return "Poly(" + " + ".join(terms) + ")"
 
     def to_json(self) -> list:

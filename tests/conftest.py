@@ -39,6 +39,7 @@ GF9 = (3, 2, (1, 0, 1))
 GF16 = (2, 4, (1, 1, 0, 0, 1))
 GF25 = (5, 2, (2, 0, 1))
 EXTENSION_FIELDS = (GF8, GF9, GF16, GF25)
+RANDOM_SPEC_TRIES = 1000
 
 
 def random_spec(rng: random.Random, qs=(7, 31, 37) + EXTENSION_FIELDS, n_min=3, n_max=14,
@@ -47,7 +48,7 @@ def random_spec(rng: random.Random, qs=(7, 31, 37) + EXTENSION_FIELDS, n_min=3, 
 
     ``qs`` holds primes and (p, m, modulus) triples for extension fields.
     """
-    while True:
+    for _ in range(RANDOM_SPEC_TRIES):
         q = rng.choice(qs)
         f = get_field(q) if isinstance(q, int) else get_field(*q)
         hi = min(n_max, f.q)
@@ -66,3 +67,4 @@ def random_spec(rng: random.Random, qs=(7, 31, 37) + EXTENSION_FIELDS, n_min=3, 
         eta = [f.from_index(rng.randint(0, f.q - 1)) for _ in range(l + 1)]
         return TgrsSpec(field=f, n=n, k=k, l=l, h=h,
                         alpha=tuple(alpha), v=tuple(v), eta=tuple(eta))
+    raise RuntimeError(f"no spec drawn within {RANDOM_SPEC_TRIES} tries")

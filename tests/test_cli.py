@@ -215,8 +215,13 @@ class TestSearch:
         assert len(lines) == 5 and not any("(" in line for line in lines[1:])
 
     def test_budget_zero_exits_2(self, tmp_path, capsys):
-        path = write_json(tmp_path / "tpl.json", {"class": 1})
+        template = {"class": 1, "q": 37, "n": 9, "k": 3, "h": 1, "l": 1, "lambda": 1,
+                    "v_head": [21, 30], "v_tail_signs": [1, 1, -1, 1, 1, 1, -1]}
+        path = write_json(tmp_path / "tpl.json", template)
         assert main(["search", "--input", path, "--budget", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "search budget must be a positive integer, got 0" in err
+        assert "Traceback" not in err
 
 
 class TestPaperExamples:
@@ -281,6 +286,17 @@ class TestExtensionFieldInput:
         path = write_json(tmp_path / "float.json", obj)
         assert main(["check", "--input", path]) == 2
         assert "1.5" in capsys.readouterr().err
+
+    def test_field_over_table_bound_exits_2(self, tmp_path, capsys):
+        obj = {
+            "field": {"p": 2, "m": 17, "modulus": [1, 0, 0, 1] + [0] * 13 + [1]},
+            "n": 4, "k": 2, "l": 0, "h": 1,
+            "alpha": [[0], [1], [0, 1], [1, 1]], "v": [[1]] * 4, "eta": [[1]],
+        }
+        path = write_json(tmp_path / "gf2_17.json", obj)
+        assert main(["check", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "131072 exceeds the 2^16 bound" in err and "Traceback" not in err
 
 
 class TestVerificationFailure:

@@ -7,7 +7,11 @@ import pytest
 from tgrs import Field, FieldElement, ValidationError, field_from_json, field_to_json
 from tgrs.gf import element_from_json, element_to_json, is_prime
 
-from conftest import get_field
+from conftest import EXTENSION_FIELDS, get_field
+
+GF27 = (3, 3, (1, 2, 0, 1))  # x^3 + 2x + 1
+# x^16 + x^12 + x^3 + x + 1, the largest extension field the tables allow
+GF65536 = (2, 16, (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1))
 
 
 class TestConstruction:
@@ -18,6 +22,26 @@ class TestConstruction:
     def test_rejects_field_over_word_budget(self):
         with pytest.raises(ValidationError, match="word budget"):
             Field(46349, 2)  # q = p^2 > 2^31
+
+    @pytest.mark.parametrize("args", [(2**61 - 1,), (3, 10**7)], ids=["p", "m"])
+    def test_huge_field_refused_by_word_budget(self, args):
+        # refused before p is trial-divided or raised to the m-th power
+        with pytest.raises(ValidationError, match="word budget"):
+            Field(*args)
+
+    def test_extension_field_over_table_bound_refused(self):
+        assert get_field(*GF65536).q == 2**16
+        with pytest.raises(ValidationError, match="2\\^16 bound"):
+            Field(2, 17, [1, 0, 0, 1] + [0] * 13 + [1])  # x^17 + x^3 + 1
+        with pytest.raises(ValidationError, match="2\\^16 bound"):
+            Field(3, 11)  # refused before the modulus is looked at
+
+    @pytest.mark.parametrize("spec", EXTENSION_FIELDS + (GF27, GF65536),
+                             ids=["GF8", "GF9", "GF16", "GF25", "GF27", "GF65536"])
+    def test_generator_is_the_table_generator(self, spec):
+        f = get_field(*spec)
+        assert f.multiplicative_generator().rep == f._exp[1]
+        assert sorted(f._exp[: f.q - 1]) == list(range(1, f.q))
 
     def test_prime_field_rejects_modulus(self):
         with pytest.raises(ValidationError):
@@ -242,23 +266,26 @@ class TestEnumerationAndJson:
             e.rep = 5
 
     def test_extension_product_against_divmod_oracle(self):
-        # multiply as raw polynomials and reduce with the generic divmod,
-        # independently of the precomputed reduction table
-        import random as _random
-        from tgrs.gf import _gfp_divmod, _gfp_trim
-        rng = _random.Random(40)
-        for p, m, mod in ((3, 3, [1, 2, 0, 1]), (2, 4, [1, 1, 0, 0, 1]), (5, 2, [2, 0, 1])):
+        # every pair of each small extension field, independently of the log
+        # tables: sums and differences digit by digit, products as raw
+        # polynomials reduced with the generic divmod
+        from tgrs.gf import _gfp_divmod
+        for p, m, mod in EXTENSION_FIELDS + (GF27,):
             f = get_field(p, m, mod)
-            for _ in range(60):
-                a = f.from_index(rng.randrange(f.q))
-                b = f.from_index(rng.randrange(f.q))
-                raw = [0] * (2 * m - 1)
-                for i, x in enumerate(a.rep):
-                    for j, y in enumerate(b.rep):
-                        raw[i + j] = (raw[i + j] + x * y) % p
-                _, rem = _gfp_divmod(raw, list(f.modulus), p)
-                rem = _gfp_trim(rem) + [0] * m
-                assert (a * b).rep == tuple(rem[:m])
+            for a in f.elements():
+                ca = element_to_json(a)
+                if not a.is_zero():
+                    assert a * a.inverse() == f.one()
+                assert a ** 0 == f.one() and a ** (f.q + 1) == a * a  # a^q = a
+                for b in f.elements():
+                    cb = element_to_json(b)
+                    assert element_to_json(a + b) == [(x + y) % p for x, y in zip(ca, cb)]
+                    assert element_to_json(a - b) == [(x - y) % p for x, y in zip(ca, cb)]
+                    raw = [0] * (2 * m - 1)
+                    for i, x in enumerate(ca):
+                        for j, y in enumerate(cb):
+                            raw[i + j] += x * y
+                    assert element_to_json(a * b) == _gfp_divmod(raw, list(mod), p)[1]
 
     def test_pickle_round_trip(self):
         import pickle

@@ -1,16 +1,18 @@
 """MDS / AMDS / LCD classification of twisted GRS codes.
 
 Two independent routes decide MDS-ness: the per-subset twist criterion and
-exhaustive k x k minors of the generator matrix; the test suite keeps them in
-agreement.  The criterion reads rows from PhiWorkspace, one lazily filled
+exhaustive k x k minors of the generator matrix; the test suite keeps them
+in agreement.  The criterion reads rows from PhiWorkspace, one lazily filled
 table per point set and (k, h, l), which the MDS and AMDS verdicts and the
-twist search share.  Minimum distance is found as the smallest number of
-linearly dependent parity-check columns, by a depth-first walk over column
-subsets that extends the reduced basis of each prefix by one column per
-node; its witness is re-checked by the rank of its own columns, a square
-parity check (no dependent set) raises VerificationError, and a walk past
-its fixed node budget raises ResourceLimitError.  LCD status comes from the
-rank of the generator stacked on the parity check.
+twist search share; a row is one ``symm.criterion_row`` on reps, which also
+gives the LCD recipes' r gate, so no ``Poly`` is built per subset.  Minimum
+distance is found as the smallest number of linearly dependent parity-check
+columns, by a depth-first walk over column subsets that extends the reduced
+basis of each prefix by one column per node; its witness is re-checked by
+the rank of its own columns, a square parity check (no dependent set) raises
+VerificationError, and a walk past its fixed node budget raises
+ResourceLimitError.  LCD status comes from the rank of the generator stacked
+on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -27,8 +29,7 @@ from .codes import TgrsSpec, generator_matrix, parity_check_matrix
 from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, element_to_json
 from .linalg import MatGF, det, rank
-from .poly import Poly
-from .symm import SymContext, distinct_points, series_inverse
+from .symm import SymContext, criterion_row, distinct_points
 
 # Walk nodes min_distance may visit, ~10 s; the reference codes need <= 25k.
 DISTANCE_NODE_BUDGET = 2_000_000
@@ -37,16 +38,11 @@ DISTANCE_NODE_BUDGET = 2_000_000
 class PhiWorkspace:
     """The twist-criterion table of one point set, for fixed k, h and l.
 
-    For a k-subset I of the evaluation points let g(x) = prod (x - alpha_i)
-    over I, write g(x) = sum_j c_j x^(k-j) (so c_0 = 1), and let e_0, e_1, ..
-    be the power-series inverse of sum_j c_j z^j.  The row of I is
-
-        d_t(I) = sum_{i <= min(t, h)} e_{t-i} c_{k-h+i},   t = 0..l,
-
-    i.e. e^T A_t^{-1} c_t^(h) with A_t the unit lower-triangular Toeplitz
-    matrix of (c_0..c_t) and c_t^(h) the window (c_{k-h}, .., c_{k-h+t}),
-    entries beyond c_k read as zero.  The k columns of I are dependent in
-    the code with twist vector eta exactly when 1 - sum_t eta_t d_t(I) = 0.
+    The row of a k-subset I of the evaluation points is the ``criterion_row``
+    of its points with hook h, d_t(I) = -[x^h] (x^(k+t) mod g_I) for
+    t = 0..l, g_I the product of x - alpha_i over I.  The k columns of I are
+    dependent in the code with twist vector eta exactly when
+    1 - sum_t eta_t d_t(I) = 0.
 
     Rows depend on the points, k, h and l only, never on eta or v, so one
     table serves every twist vector and column scaling on the point set.
@@ -66,7 +62,6 @@ class PhiWorkspace:
                 f"twist degree must satisfy 0 <= l <= n-k-1 = {n - k - 1}, got l={l}")
         self.field = pts[0].field
         self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
-        self._one = self.field.one().rep
         self._rows: dict[tuple[int, ...], tuple] = {}
         self._context: Optional[SymContext] = None
 
@@ -88,17 +83,9 @@ class PhiWorkspace:
                     or subset[0] < 0 or subset[-1] >= self.n):
                 raise ValidationError(
                     f"need an ascending subset of {self.k} positions in 0..{self.n - 1}")
-            row = self._rows[subset] = self._compute_row(subset)
+            row = self._rows[subset] = criterion_row(
+                self.field, [self.alpha[i].rep for i in subset], self.h, self.l + 1)
         return row
-
-    def _compute_row(self, subset: tuple[int, ...]) -> tuple:
-        f, k, h = self.field, self.k, self.h
-        g = Poly.from_roots(f, [self.alpha[i] for i in subset])
-        c = g.coeffs[::-1]  # c_j = [x^(k-j)] g, monic so c_0 = 1
-        e = [x.rep for x in series_inverse(c, self.l + 1)]
-        window = [x.rep for x in c[k - h:]]
-        # d_t = sum_{i <= min(t, h)} e_{t-i} c_{k-h+i}: e read back from t
-        return tuple(f._dot(e[t::-1], window) for t in range(self.l + 1))
 
     def _eta_reps(self, eta: Sequence[FieldElement]) -> tuple:
         if len(eta) != self.l + 1:
@@ -107,7 +94,7 @@ class PhiWorkspace:
 
     def _singular(self, eta: tuple, subset: tuple[int, ...]) -> bool:
         """Whether the subset's columns are dependent, for eta given as reps."""
-        return self.field._dot(eta, self._rep_row(subset)) == self._one
+        return self.field._dot(eta, self._rep_row(subset)) == 1
 
     def _first_singular(self, eta: tuple) -> Optional[tuple[int, ...]]:
         for subset in itertools.combinations(range(self.n), self.k):
@@ -198,8 +185,6 @@ def min_distance(H: MatGF) -> int:
     if n <= nrows:
         raise VerificationError(f"a square {nrows}x{n} parity check has no dependent columns")
     field = H.field
-    zero = field.zero().rep
-    zero_col = [zero] * nrows
     best, witness = nrows + 1, tuple(range(nrows + 1))
     nodes = 0
 
@@ -211,15 +196,15 @@ def min_distance(H: MatGF) -> int:
         nodes += 1
         size = len(prefix) + 1  # of each extension checked here, always < best
         for at, (j, u) in enumerate(carried):
-            if u == zero_col:
+            if not any(u):
                 best, witness = size, prefix + (j,)
                 return
             if size + 1 < best:
-                piv = next(i for i, x in enumerate(u) if x != zero)
+                piv = next(i for i, x in enumerate(u) if x)
                 pinv = field._inv(u[piv])
                 rest = []
                 for jj, v in carried[at + 1:]:
-                    if v[piv] != zero:
+                    if v[piv]:
                         v = list(v)
                         field._eliminate(v, u, piv, pinv)
                     rest.append((jj, v))

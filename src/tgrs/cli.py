@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional
 
-from .classify import classify, report_to_json
+from .classify import PhiWorkspace, classify, report_to_json
 from .codes import generator_matrix, parity_check_matrix, tgrs_spec_from_json, tgrs_spec_to_json
 from .errors import TgrsError, ValidationError, VerificationError
 from .gf import element_to_json
@@ -63,9 +63,10 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     spec = tgrs_spec_from_json(_load_json(args.input))
+    table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)  # one per point set
     G = generator_matrix(spec)
-    H = parity_check_matrix(spec)
-    report = classify(spec, want_distance=spec.n <= args.distance_cap)
+    H = parity_check_matrix(spec, context=table.context)
+    report = classify(spec, want_distance=spec.n <= args.distance_cap, workspace=table)
     if args.output == "json":
         _emit_json({"spec": tgrs_spec_to_json(spec),
                     "generator": G.to_lists(),

@@ -69,19 +69,15 @@ class TgrsSpec:
 
 def generator_matrix(spec: TgrsSpec) -> MatGF:
     """k x n generator: monomial rows by ascending degree, twisted at row h."""
-    f = spec.field
-    rows = []
-    for i in range(spec.k):
-        row = []
-        for j in range(spec.n):
-            a = spec.alpha[j]
-            val = a**i
-            if i == spec.h:
-                for t, e in enumerate(spec.eta):
-                    val = val + e * a ** (spec.k + t)
-            row.append(spec.v[j] * val)
-        rows.append(row)
-    return MatGF(f, rows)
+    f, k = spec.field, spec.k
+    powers = MatGF.vandermonde(spec.alpha, k + spec.l + 1)._data
+    eta = [e.rep for e in spec.eta]
+    rows = list(powers[:k])
+    # row h gains sum_t eta_t alpha^(k+t), one dot per column
+    rows[spec.h] = tuple(map(f._add, rows[spec.h],
+                             (f._dot(eta, col) for col in zip(*powers[k:]))))
+    v = [x.rep for x in spec.v]
+    return MatGF._from_reps(f, tuple(tuple(map(f._mul, v, row)) for row in rows))
 
 
 def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) -> MatGF:
@@ -92,23 +88,18 @@ def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) ->
     ``context`` (built for spec.alpha, in order) is used instead of a fresh
     SymContext when given.
     """
-    f = spec.field
-    n, k, l = spec.n, spec.k, spec.l
+    f, n, k, l = spec.field, spec.n, spec.k, spec.l
     ctx = context_for(spec.alpha, context)
-    u = ctx.dual_coeffs()
-    _, wt = ctx.hook_weights(spec.h)
-    psi = ctx.psi_values(spec.eta)
-    scale = [ui / vi for ui, vi in zip(u, spec.v)]
+    wt = [x.rep for x in ctx.hook_weights(spec.h)[1]]
+    psi = [x.rep for x in ctx.psi_values(spec.eta)]
+    scale = [(u / v).rep for u, v in zip(ctx.dual_coeffs(), spec.v)]
     rows = []
-    for j in range(n - k):
-        row = []
-        for i in range(n):
-            val = spec.alpha[i] ** j
-            if j >= n - k - l - 1:
-                val = val - wt[i] * psi[n - k - 1 - j]
-            row.append(scale[i] * val)
-        rows.append(row)
-    return MatGF(f, rows)
+    for j, row in enumerate(MatGF.vandermonde(spec.alpha, n - k)._data):
+        if j >= n - k - l - 1:
+            c = psi[n - k - 1 - j]
+            row = [f._sub(x, f._mul(w, c)) for x, w in zip(row, wt)]
+        rows.append(tuple(map(f._mul, scale, row)))
+    return MatGF._from_reps(f, tuple(rows))
 
 
 def encode(spec: TgrsSpec, message: Sequence) -> tuple[FieldElement, ...]:

@@ -7,8 +7,9 @@ significant first, are the coefficients of the element's polynomial modulo a
 user-supplied irreducible polynomial; the field keeps exp, log and Zech
 logarithm tables of its first primitive element (K. Huber, "Some comments on
 Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so that addition,
-negation, multiplication and inversion are table lookups.  Everything is
-immutable and safe to share.
+negation, multiplication and inversion are table lookups.  In every field the
+rep of zero is 0 and the rep of one is 1, and the rest of the package writes
+them as those literals.  Everything is immutable and safe to share.
 
 Beyond the ring operations the module provides element enumeration,
 multiplicative order, and extraction of all n-th roots of a given lambda
@@ -146,38 +147,49 @@ class Field:
     def _build_tables(self) -> None:
         """Exp, log and Zech tables of the first primitive element in canonical order.
 
-        Each candidate g is walked through its powers as a coefficient list,
-        one polynomial multiply and reduction per step, until the walk comes
-        back to one; the first walk that meets all q - 1 units is the table.
-        ``_exp`` holds g^0 .. g^(q-2) twice, so a sum of two logs indexes it
-        without a reduction; ``_zech[j]`` is log(1 + g^j), None where
-        g^j = -1; ``_neg_log`` is log(-1).
+        Elements multiply as coefficient lists.  A candidate g is primitive
+        when g^((q-1)/f) != 1 for every prime f dividing q - 1, so only the
+        generator is walked through its q - 1 powers.  ``_exp`` holds g^0 ..
+        g^(q-2) twice, so a sum of two logs indexes it without a reduction;
+        ``_zech[j]`` is log(1 + g^j), None where g^j = -1; ``_neg_log`` is
+        log(-1).
         """
         p, m, q = self.p, self.m, self.q
         weights = [p**i for i in range(m)]
         red = [(-c) % p for c in self.modulus[:m]]  # x^m = sum red[j] x^j
-        for g in range(p, q):  # codes below p are GF(p) constants, of order dividing p - 1
-            digits = [g // w % p for w in weights]
-            terms = [(i, c) for i, c in enumerate(digits) if c]
-            width = m + terms[-1][0]
-            cur, exp = [1] + [0] * (m - 1), [1]
-            while True:
-                prod = [0] * width
-                for i, c in terms:
-                    for j, x in enumerate(cur):
-                        prod[i + j] += c * x
-                for k in range(width - 1, m - 1, -1):
-                    t = prod[k] % p
-                    if t:
-                        for j in range(m):
-                            prod[k - m + j] += t * red[j]
-                cur = [c % p for c in prod[:m]]
-                code = sum(map(operator.mul, cur, weights))
-                if code == 1:
-                    break
-                exp.append(code)
-            if len(exp) == q - 1:
+        one = [1] + [0] * (m - 1)
+
+        def nonzero(digits: list[int]) -> list[tuple[int, int]]:
+            return [(i, c) for i, c in enumerate(digits) if c]
+
+        def times(cur: list[int], terms: list[tuple[int, int]]) -> list[int]:  # cur * terms
+            prod = [0] * (m + terms[-1][0])
+            for i, c in terms:
+                for j, x in enumerate(cur):
+                    prod[i + j] += c * x
+            for k in range(len(prod) - 1, m - 1, -1):
+                t = prod[k] % p
+                if t:
+                    for j in range(m):
+                        prod[k - m + j] += t * red[j]
+            return [c % p for c in prod[:m]]
+
+        def power(g: list[tuple[int, int]], e: int) -> list[int]:  # square-and-multiply
+            acc = one
+            for bit in bin(e)[2:]:
+                acc = times(acc, nonzero(acc))
+                if bit == "1":
+                    acc = times(acc, g)
+            return acc
+
+        for code in range(p, q):  # codes below p are GF(p) constants, of order dividing p - 1
+            g = nonzero([code // w % p for w in weights])
+            if all(power(g, (q - 1) // f) != one for f in self._unit_group_factorization()):
                 break
+        cur, exp = one, [1]
+        for _ in range(q - 2):
+            cur = times(cur, g)
+            exp.append(sum(map(operator.mul, cur, weights)))
         log = [0] * q  # log[0] is never read
         for j, c in enumerate(exp):
             log[c] = j

@@ -2,10 +2,11 @@
 
 Both recipes place the evaluation points at the n roots of x^n - lambda and
 split the multipliers into a head (outside {0, 1, -1}) and a sign tail.  The
-gatekeeper is the coefficient r of x^(h-1) in q(x) mod g(x), where q collects
-the hook monomial and the shifted twist monomials and g vanishes on the head
-points.  Recipe 1 needs r != 0; recipe 2 trades the dimension bound for the
-balance equation k = (n - l - m)/2 plus a quadratic twist condition.
+gatekeeper r, the coefficient of x^(h-1) in (x^(h-1) + sum_t eta_t x^(k+t-1))
+mod g with g vanishing on the head points, is the twist criterion of the head
+points with hook h-1: r = 1 - sum_t eta_t d_t for their ``criterion_row`` d.
+Recipe 1 needs r != 0; recipe 2 trades the dimension bound for the balance
+equation k = (n - l - m)/2 plus a quadratic twist condition.
 
 Both are sufficient conditions: when a gate fails the builder still returns
 the spec, flagged inapplicable, so the generic classifier can settle LCD
@@ -22,32 +23,20 @@ from .classify import CodeReport, PhiWorkspace, classify
 from .codes import TgrsSpec, check_int_fields
 from .errors import ValidationError, VerificationError
 from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json, field_to_json
-from .poly import Poly
-from .symm import SymContext, context_for, distinct_points
+from .symm import SymContext, context_for, criterion_row, distinct_points
 
 
-def _r_terms(k: int, h: int, width: int,
-             alpha_head: Sequence[FieldElement]) -> tuple[FieldElement, tuple[FieldElement, ...]]:
-    """r as an affine function of eta: r = base + sum_t eta_t lin[t], t < width.
-
-    base and lin[t] are the x^(h-1) coefficients of x^(h-1) mod g and of
-    x^(k+t-1) mod g, with g the monic polynomial vanishing on the head points.
-    """
-    field = alpha_head[0].field
-    g = Poly.from_roots(field, alpha_head)
-
-    def at(degree: int) -> FieldElement:
-        return (Poly.monomial(field, degree) % g).coeff(h - 1)
-
-    return at(h - 1), tuple(at(k + t - 1) for t in range(width))
+def _head_row(field: Field, h: int, width: int, alpha_head: Sequence[FieldElement]) -> tuple:
+    """Reps of the criterion row, t < width, of the k-1 head points with hook h-1."""
+    return criterion_row(field, [a.rep for a in alpha_head], h - 1, width)
 
 
 def r_coefficient(k: int, h: int, eta: Sequence[FieldElement],
                   alpha_head: Sequence[FieldElement]) -> FieldElement:
     """Coefficient of x^(h-1) in (x^(h-1) + sum_t eta_t x^(k+t-1)) mod g(x).
 
-    g is the monic polynomial vanishing on the k-1 head points.  With an
-    all-zero eta the remainder is x^(h-1) itself and the result is 1.
+    g vanishes on the k-1 head points, so x^(h-1) mod g = x^(h-1) and r =
+    1 - sum_t eta_t d_t, d their criterion row with hook h-1; zero eta gives 1.
     """
     head = tuple(alpha_head)
     if len(head) != k - 1 or k < 2:
@@ -56,8 +45,8 @@ def r_coefficient(k: int, h: int, eta: Sequence[FieldElement],
     if not 1 <= h <= k - 1:
         raise ValidationError(f"hook must satisfy 1 <= h <= k-1, got h={h}")
     field = head[0].field
-    base, lin = _r_terms(k, h, len(eta), head)
-    return sum((field.element(e) * c for e, c in zip(eta, lin)), base)
+    eta = [field.element(e).rep for e in eta]
+    return FieldElement(field, field._sub(1, field._dot(eta, _head_row(field, h, len(eta), head))))
 
 
 @dataclass
@@ -372,11 +361,7 @@ class _SearchEnv:
         self.template = template
         self.field = f
         self.l = params.l
-        r_base, r_lin = _r_terms(params.k, params.h, params.l + 1,
-                                 params.alpha[: params.k - 1])
-        self.r_base, self.r_lin = r_base.rep, tuple(c.rep for c in r_lin)
-        self.zero = f.zero().rep
-        self.zero_eta = (self.zero,) * (params.l + 1)
+        self.r_row = _head_row(f, params.h, params.l + 1, params.alpha[: params.k - 1])
         self.table = PhiWorkspace(params.alpha, params.k, params.h, params.l)
 
     def eta_from_index(self, idx: int) -> tuple:
@@ -390,12 +375,12 @@ class _SearchEnv:
     def evaluate(self, eta: tuple) -> Optional[SearchHit]:
         """The hit of a candidate given as reps; gates in order, cheapest first."""
         f, template = self.field, self.template
-        if eta == self.zero_eta:
+        if not any(eta):
             return None  # the MDS-certifying set excludes the zero twist
-        r = f._add(self.r_base, f._dot(eta, self.r_lin))
-        if r == self.zero:
+        r = f._sub(1, f._dot(eta, self.r_row))
+        if r == 0:
             return None
-        if template.klass == 2 and _quadratic_rep(f, eta, template.m_gap) != self.zero:
+        if template.klass == 2 and _quadratic_rep(f, eta, template.m_gap) != 0:
             return None
         if self.table._first_singular(eta) is not None:
             return None

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over GF(q).
 
 A matrix stores the canonical reps of its entries, the int codes of
-``FieldElement.rep`` for every field.  The public constructor validates every entry through ``Field.element``; matrices
-derived from other matrices (submatrices, products, kernel results) are built
-from reps directly and are not re-validated.  Entry reads return
-``FieldElement`` values.  All matrices are immutable; operations return new
-values.
+``FieldElement.rep`` for every field, so zero is 0 and one is 1.  The public
+constructor validates every entry through ``Field.element``; matrices derived
+from other matrices (submatrices, products, kernel results) are built from
+reps directly and are not re-validated.  Entry reads return ``FieldElement``
+values.  All matrices are immutable; operations return new values.
 
 Rank, determinant, reduced row echelon form, kernel and square solves all go
 through one Gaussian elimination, ``_echelon``, with first-nonzero pivoting;
@@ -53,8 +53,7 @@ class MatGF:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "MatGF":
-        zero, one = field.zero().rep, field.one().rep
-        return cls._from_reps(field, tuple(tuple(one if i == j else zero for j in range(n))
+        return cls._from_reps(field, tuple(tuple(int(i == j) for j in range(n))
                                            for i in range(n)))
 
     @classmethod
@@ -63,7 +62,7 @@ class MatGF:
         field = points[0].field
         pts = [field.element(p).rep for p in points]
         rows = []
-        cur = [field.one().rep] * len(pts)
+        cur = [1] * len(pts)
         for _ in range(nrows):
             rows.append(tuple(cur))
             cur = [field._mul(c, p) for c, p in zip(cur, pts)]
@@ -105,8 +104,7 @@ class MatGF:
                                                   for i in row_idx))
 
     def is_zero(self) -> bool:
-        zero = self.field.zero().rep
-        return all(x == zero for r in self._data for x in r)
+        return not any(map(any, self._data))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatGF) and self.field == other.field
@@ -150,7 +148,6 @@ def _echelon(rows: list[list], field: Field, reduced: bool) -> tuple[list[int], 
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    zero = field.zero().rep
     inv, mul, eliminate = field._inv, field._mul, field._eliminate
     pivots: list[int] = []
     swaps = 0
@@ -158,7 +155,7 @@ def _echelon(rows: list[list], field: Field, reduced: bool) -> tuple[list[int], 
         r = len(pivots)
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if rows[i][c] != zero), None)
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
@@ -172,7 +169,7 @@ def _echelon(rows: list[list], field: Field, reduced: bool) -> tuple[list[int], 
             pinv = prow[c]  # one, after the scaling
             targets = [i for i in range(nr) if i != r]
         for i in targets:
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 eliminate(rows[i], prow, c, pinv)
         pivots.append(c)
     return pivots, swaps
@@ -192,7 +189,7 @@ def det(M: MatGF) -> FieldElement:
     pivots, swaps = _echelon(rows, field, False)
     if len(pivots) < M.rows:
         return field.zero()
-    acc = field.one().rep
+    acc = 1
     for i, row in enumerate(rows):
         acc = field._mul(acc, row[i])
     return FieldElement(field, field._neg(acc) if swaps % 2 else acc)
@@ -209,11 +206,10 @@ def null_space(M: MatGF) -> MatGF:
     """Rows form a basis of {x : M x^T = 0}; row count = cols - rank."""
     field = M.field
     R, pivots = rref(M)
-    zero, one = field.zero().rep, field.one().rep
     basis = []
     for f in (c for c in range(M.cols) if c not in pivots):
-        vec = [zero] * M.cols
-        vec[f] = one
+        vec = [0] * M.cols
+        vec[f] = 1
         for i, pc in enumerate(pivots):
             vec[pc] = field._neg(R._data[i][f])
         basis.append(tuple(vec))

@@ -3,6 +3,10 @@
 Coefficients are stored low degree first with no trailing zeros; the zero
 polynomial stores nothing and reports degree NEG_INF so that degree
 comparisons in Euclidean division work without a -1 sentinel.
+
+``Poly`` is a public utility and test oracle that no internal path uses per
+subset: the twist-criterion rows, and the r gate among them, take products on
+reps from ``root_product``, which ``Poly.from_roots`` wraps.
 """
 
 from __future__ import annotations
@@ -13,6 +17,17 @@ from .errors import ValidationError
 from .gf import Field, FieldElement, element_to_json
 
 NEG_INF = float("-inf")
+
+
+def root_product(field: Field, roots: Sequence[int]) -> list[int]:
+    """Reps of prod (x - r) over the root reps, low degree first; monic."""
+    add, mul = field._add, field._mul
+    out = [1]
+    for r in roots:
+        m = field._neg(r)
+        # x * out - r * out: coefficient i gains out[i-1] and -r out[i]
+        out = [add(a, mul(m, b)) for a, b in zip([0] + out, out + [0])]
+    return out
 
 
 class Poly:
@@ -50,15 +65,8 @@ class Poly:
     @classmethod
     def from_roots(cls, field: Field, roots: Sequence) -> "Poly":
         """Monic polynomial vanishing exactly on the given root multiset."""
-        out = [field.one()]
-        for r in roots:
-            r = field.element(r)
-            nxt = [field.zero()] * (len(out) + 1)
-            for i, c in enumerate(out):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - r * c
-            out = nxt
-        return cls(field, out)
+        reps = root_product(field, [field.element(r).rep for r in roots])
+        return cls(field, (FieldElement(field, c) for c in reps))
 
     @property
     def degree(self):

@@ -6,7 +6,10 @@ whose denominator is P with its coefficients reversed; the leave-one-out
 quotients q_i = P / (x - x_i) give the elementary symmetric values
 sigma_r(i), the Lagrange dual coefficients u_i = 1 / q_i(x_i) and the hook
 weights w-tilde; the twist tail sums Psi_s combine S_t with a twist vector.
-The same series helper gives the twist-criterion rows of the classifier.
+All of it runs on reps from the context's one ``Poly.from_roots``, with
+FieldElements only in the public getters.  ``criterion_row`` takes the same
+series on reps, with no ``Poly``: the classifier's rows, and the LCD recipes'
+r gate, the row of the k-1 head points with hook h-1.
 
 Convention: S_0 = 1 and S_t = 0 for t < 0, matching the generating function
 prod_i 1/(1 - x_i z).  All positions are 0-based.
@@ -17,8 +20,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ValidationError, VerificationError
-from .gf import FieldElement
-from .poly import Poly
+from .gf import Field, FieldElement
+from .poly import Poly, root_product
 
 
 def distinct_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -37,15 +40,31 @@ def distinct_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     return pts
 
 
-def series_inverse(c: Sequence[FieldElement], length: int) -> tuple[FieldElement, ...]:
-    """e_0..e_{length-1} of the power series 1 / sum_j c_j z^j, for c_0 = 1."""
-    field = c[0].field
-    tail = [x.rep for x in c[1:]]
-    e = [c[0].rep]
+def series_inverse(field: Field, c: Sequence[int], length: int) -> list[int]:
+    """Reps e_0..e_{length-1} of the power series 1 / sum_j c_j z^j, for reps c with c_0 = 1."""
+    e = [c[0]]
     for _ in range(1, length):
         # e_j = -sum_{i >= 1} c_i e_{j-i}: the tail against e read backwards
-        e.append(field._neg(field._dot(tail, e[::-1])))
-    return tuple(FieldElement(field, x) for x in e[:length])
+        e.append(field._neg(field._dot(c[1:], e[::-1])))
+    return e[:length]
+
+
+def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tuple[int, ...]:
+    """Reps d_0..d_{length-1} of the twist criterion of the root reps with hook h.
+
+    Write g(x) = prod (x - root) = sum_j c_j x^(k-j), k = len(roots), so
+    c_0 = 1, and let e_0, e_1, .. be the power-series inverse of sum_j c_j z^j:
+
+        d_t = sum_{i <= min(t, h)} e_{t-i} c_{k-h+i} = -[x^h] (x^(k+t) mod g),
+
+    i.e. e^T A_t^{-1} c_t^(h) with A_t the unit lower-triangular Toeplitz
+    matrix of (c_0..c_t) and c_t^(h) the window (c_{k-h}, .., c_{k-h+t}),
+    entries beyond c_k read as zero.
+    """
+    c = root_product(field, roots)[::-1]
+    e = series_inverse(field, c, length)
+    window = c[len(roots) - h:]
+    return tuple(field._dot(e[t::-1], window) for t in range(length))  # e read back from t
 
 
 def context_for(points: Sequence[FieldElement], context: Optional["SymContext"] = None
@@ -68,36 +87,41 @@ class SymContext:
 
     def __init__(self, points: Sequence[FieldElement]):
         pts = distinct_points(points)
-        self.field = pts[0].field
+        field = self.field = pts[0].field
         self.points = pts
         self.n = len(pts)
-        self._zero = self.field.zero()
-        product = Poly.from_roots(self.field, pts)
-        self._reversed = product.coeffs[::-1]  # c_j of prod_i (1 - x_i z)
-        self._s: tuple[FieldElement, ...] = ()
-        quotients = []
+        product = [c.rep for c in Poly.from_roots(field, pts).coeffs]
+        self._reversed = product[::-1]  # c_j of prod_i (1 - x_i z)
+        self._s: list[int] = []
+        add, mul = field._add, field._mul
+        self._q, self._u = [], []  # reps of q_i (low degree first) and of u_i
         for i, a in enumerate(pts):
-            q, r = divmod(product, Poly(self.field, (-a, self.field.one())))
-            if not r.is_zero():
+            a = a.rep
+            # synthetic division by x - a, high degree first, and Horner's q(a)
+            q = [product[-1]]
+            acc = q[0]
+            for c in product[-2:0:-1]:
+                q.append(add(c, mul(a, q[-1])))
+                acc = add(mul(acc, a), q[-1])
+            if add(product[0], mul(a, q[-1])) != 0:
                 raise VerificationError(f"point {i} is not a root of the full product")
-            quotients.append(q)
-        self._q = tuple(quotients)
-        self._u = tuple(q(a).inverse() for q, a in zip(quotients, pts))
+            self._q.append(q[::-1])
+            self._u.append(field._inv(acc))
 
-    def _series(self, length: int) -> tuple[FieldElement, ...]:
+    def _series(self, length: int) -> list[int]:
         if len(self._s) < length:
-            self._s = series_inverse(self._reversed, length)
+            self._s = series_inverse(self.field, self._reversed, length)
         return self._s
 
     # -- queries ---------------------------------------------------------------
 
     def complete_symmetric(self, t: int) -> FieldElement:
         """S_t of all points; zero for t < 0, one for t = 0."""
-        return self._zero if t < 0 else self._series(t + 1)[t]
+        return FieldElement(self.field, 0 if t < 0 else self._series(t + 1)[t])
 
     def dual_coeffs(self) -> tuple[FieldElement, ...]:
         """u_i = prod_{j != i} (points_i - points_j)^{-1}."""
-        return self._u
+        return tuple(FieldElement(self.field, u) for u in self._u)
 
     def sigma_excluding(self, r: int, i: int) -> FieldElement:
         """Elementary symmetric value of degree r over all points but points[i].
@@ -109,8 +133,8 @@ class SymContext:
             raise ValidationError(f"point index {i} out of range 0..{self.n - 1}")
         if not 0 <= r <= self.n - 1:
             raise ValidationError(f"degree {r} out of range 0..{self.n - 1}")
-        c = self._q[i].coeff(self.n - 1 - r)
-        return c if r % 2 == 0 else -c
+        c = self._q[i][self.n - 1 - r]
+        return FieldElement(self.field, c if r % 2 == 0 else self.field._neg(c))
 
     def hook_weights(self, h: int) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
         """Weight vectors (w, w_tilde) for unit-vector index h.
@@ -122,18 +146,14 @@ class SymContext:
         """
         if not 0 <= h <= self.n - 1:
             raise ValidationError(f"unit index {h} out of range 0..{self.n - 1}")
-        wt = tuple(q.coeff(h) for q in self._q)
-        return tuple(u * t for u, t in zip(self._u, wt)), wt
+        f = self.field
+        wt = [q[h] for q in self._q]
+        return (tuple(FieldElement(f, f._mul(u, t)) for u, t in zip(self._u, wt)),
+                tuple(FieldElement(f, t) for t in wt))
 
     def psi_values(self, eta: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Tail sums Psi_s = sum_{t >= s} eta_t S_{t-s}, s = 0..len(eta)-1."""
-        eta = [self.field.element(e) for e in eta]
-        l = len(eta) - 1
-        s_vals = self._series(l + 1)
-        out = []
-        for s in range(l + 1):
-            acc = self._zero
-            for t in range(s, l + 1):
-                acc = acc + eta[t] * s_vals[t - s]
-            out.append(acc)
-        return tuple(out)
+        f = self.field
+        eta = [f.element(e).rep for e in eta]
+        s_vals = self._series(len(eta))
+        return tuple(FieldElement(f, f._dot(eta[s:], s_vals)) for s in range(len(eta)))

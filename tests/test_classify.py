@@ -125,11 +125,11 @@ class TestFtrCoefficient:
 
     def test_expansion_identity_randomized(self):
         rng = random.Random(20)
-        f = get_field(31)
-        for _ in range(12):
+        fields = (get_field(31), get_field(*GF8), get_field(*GF9), get_field(*GF16))
+        for f, _ in itertools.product(fields, range(12)):
             n = rng.randint(4, 8)
             k = rng.randint(2, n - 1)
-            alpha = [f.element(a) for a in rng.sample(range(31), n)]
+            alpha = [f.from_index(a) for a in rng.sample(range(f.q), n)]
             idx = tuple(sorted(rng.sample(range(n), k)))
             pts = [alpha[i] for i in idx]
             for t in range(n - k):
@@ -453,6 +453,17 @@ class TestClassify:
             assert report_to_json(classify(other, workspace=table)) == \
                 report_to_json(classify(other))
         assert len(built) == 1 + 1 + 3
+
+    def test_one_polynomial_product_per_classification(self, monkeypatch):
+        # the point-set context multiplies out its points once; the criterion
+        # rows take their products on reps and build no Poly
+        calls = []
+        from_roots = Poly.from_roots
+        monkeypatch.setattr(Poly, "from_roots", classmethod(
+            lambda cls, field, roots: calls.append(len(roots)) or from_roots(field, roots)))
+        report = classify(GOLDEN_CODES[1].spec())
+        assert report.is_mds and report.is_lcd
+        assert calls == [9]
 
     def test_mismatched_table_rejected(self):
         spec = GOLDEN_CODES[1].spec()  # [9,3] with h = 1, l = 1

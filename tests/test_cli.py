@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tgrs import tgrs_spec_to_json
+from tgrs import SymContext, tgrs_spec_to_json
 from tgrs.cli import build_parser, main
 from tgrs.golden import GOLDEN_CODES
 
@@ -98,6 +98,16 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "d <= 11" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_builds_one_symmetric_context(self, golden_spec_file, capsys, monkeypatch):
+        # the parity check and the classification share one point-set context
+        built = []
+        init = SymContext.__init__
+        monkeypatch.setattr(SymContext, "__init__",
+                            lambda self, points: built.append(points) or init(self, points))
+        assert main(["check", "--input", golden_spec_file]) == 0
+        assert "[9,3,7]" in capsys.readouterr().out
+        assert len(built) == 1
 
     def test_distance_cap_beyond_length_runs_distance(self, golden_spec_file, capsys):
         assert main(["check", "--input", golden_spec_file, "--distance-cap", "30"]) == 0

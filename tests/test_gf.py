@@ -12,6 +12,9 @@ from conftest import EXTENSION_FIELDS, get_field
 GF27 = (3, 3, (1, 2, 0, 1))  # x^3 + 2x + 1
 # x^16 + x^12 + x^3 + x + 1, the largest extension field the tables allow
 GF65536 = (2, 16, (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1))
+# x^10+x^8+x^7+x^6+2x^5+x^4+x^3+2x^2+2x+1, a GF(3^10) modulus whose generator is
+# the eighth candidate code
+GF3_10 = (3, 10, (1, 2, 2, 1, 1, 2, 1, 1, 1, 0, 1))
 
 
 class TestConstruction:
@@ -36,12 +39,27 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="2\\^16 bound"):
             Field(3, 11)  # refused before the modulus is looked at
 
-    @pytest.mark.parametrize("spec", EXTENSION_FIELDS + (GF27, GF65536),
-                             ids=["GF8", "GF9", "GF16", "GF25", "GF27", "GF65536"])
-    def test_generator_is_the_table_generator(self, spec):
+    # the first primitive code: x itself in GF(8), GF(16), GF(27) and GF(2^16); x + 1
+    # in GF(9) (x^2 = -1), x + 1 in GF(25) (x^2 = -2), and x^2 + 1 for GF3_10, where
+    # the seven codes 3..9 before it are not primitive
+    @pytest.mark.parametrize("spec,generator",
+                             list(zip(EXTENSION_FIELDS + (GF27, GF65536, GF3_10),
+                                      (2, 4, 2, 6, 3, 2, 10))),
+                             ids=["GF8", "GF9", "GF16", "GF25", "GF27", "GF65536", "GF3_10"])
+    def test_generator_is_the_table_generator(self, spec, generator):
         f = get_field(*spec)
+        assert f._exp[1] == generator
         assert f.multiplicative_generator().rep == f._exp[1]
         assert sorted(f._exp[: f.q - 1]) == list(range(1, f.q))
+
+    @pytest.mark.parametrize("spec", [(2,), (7,), (31,)] + list(EXTENSION_FIELDS) + [GF27],
+                             ids=["GF2", "GF7", "GF31", "GF8", "GF9", "GF16", "GF25", "GF27"])
+    def test_zero_and_one_reps_are_literals(self, spec):
+        f = get_field(*spec)
+        assert (f.zero().rep, f.one().rep) == (0, 1)
+        assert f.element(0).rep == 0 and f.element(1).rep == 1
+        for a in range(f.q):
+            assert f._add(a, 0) == a and f._mul(a, 1) == a and f._mul(a, 0) == 0
 
     def test_prime_field_rejects_modulus(self):
         with pytest.raises(ValidationError):

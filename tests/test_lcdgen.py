@@ -6,15 +6,31 @@ import random
 
 import pytest
 
-from tgrs import (Class1Params, Class2Params, PhiWorkspace, SearchTemplate, SymContext,
-                  ValidationError, build_class1, build_class2, classify,
+from tgrs import (Class1Params, Class2Params, PhiWorkspace, Poly, SearchTemplate,
+                  SymContext, ValidationError, build_class1, build_class2, classify,
                   generator_matrix, hull_dimension, is_mds_minors,
                   parity_check_matrix, quadratic_twist_sum, r_coefficient,
                   report_to_json, search_eta)
 from tgrs.gf import element_to_json
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import GF16, get_field
+from conftest import GF8, GF9, GF16, get_field
+
+
+def monomial_r(k, h, eta, head):
+    """Oracle: r by polynomial remainders, r = base + sum_t eta_t lin[t].
+
+    base and lin[t] are the x^(h-1) coefficients of x^(h-1) mod g and of
+    x^(k+t-1) mod g, with g the product of the linear factors x - a over the
+    head points, multiplied out as Poly values.
+    """
+    f = head[0].field
+    g = functools.reduce(lambda acc, a: acc * Poly(f, (-a, 1)), head, Poly.one(f))
+
+    def at(degree):
+        return (Poly.monomial(f, degree) % g).coeff(h - 1)
+
+    return sum((f.element(e) * at(k + t - 1) for t, e in enumerate(eta)), at(h - 1))
 
 
 def golden_r(gc):
@@ -50,11 +66,11 @@ def fifth_roots_template(f31):
     )
 
 
-def demo_template():
+def demo_template(h=1):
     """The [9,3] GF(37) template of the twist-search demo: 1,369 candidates."""
     f = get_field(37)
     return SearchTemplate(
-        klass=1, field=f, n=9, k=3, h=1, l=1, lam=f.one(),
+        klass=1, field=f, n=9, k=3, h=h, l=1, lam=f.one(),
         v_head=tuple(f.element(x) for x in (21, 30)),
         v_tail_signs=tuple(f.element(s) for s in (1, 1, -1, 1, 1, 1, -1)))
 
@@ -77,6 +93,7 @@ def recipe2_template():
 
 TEMPLATES = {
     "demo": demo_template,
+    "demo_h2": lambda: demo_template(h=2),
     "gf9": lambda: gf9_template(get_field(3, 2, [1, 0, 1])),
     "gf16": gf16_template,
     "recipe2": recipe2_template,
@@ -150,6 +167,22 @@ class TestRCoefficient:
             head = [f.element(a) for a in rng.sample(range(31), k - 1)]
             eta = [f.zero()] * rng.randint(1, 4)
             assert r_coefficient(k, h, eta, head) == f.one()
+
+    @pytest.mark.parametrize("spec", [(31,), GF8, GF9, GF16],
+                             ids=["GF31", "GF8", "GF9", "GF16"])
+    def test_matches_remainder_oracle(self, spec):
+        # every hook 1 <= h <= k-1, not only the h = 1 of the reference codes
+        f = get_field(*spec)
+        rng = random.Random(28)
+        hooks = set()
+        for _ in range(40):
+            k = rng.randint(2, 7)
+            h = rng.randint(1, k - 1)
+            head = [f.from_index(a) for a in rng.sample(range(f.q), k - 1)]
+            eta = [f.from_index(rng.randrange(f.q)) for _ in range(rng.randint(0, 5))]
+            assert r_coefficient(k, h, eta, head) == monomial_r(k, h, eta, head)
+            hooks.add(h)
+        assert max(hooks) >= 4
 
     def test_head_length_checked(self, gf7):
         with pytest.raises(ValidationError, match="head"):
@@ -487,7 +520,8 @@ class TestSearch:
 class TestSearchOracle:
     """search_eta against the per-candidate element loop it replaced."""
 
-    @pytest.mark.parametrize("name,expected", [("demo", 117), ("gf9", 4), ("gf16", 4)])
+    @pytest.mark.parametrize("name,expected", [("demo", 117), ("demo_h2", 97), ("gf9", 4),
+                                               ("gf16", 4)])
     def test_exhaustive_matches_oracle(self, name, expected):
         template = TEMPLATES[name]()
         space = template.field.q ** (template.l + 1)

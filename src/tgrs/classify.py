@@ -5,11 +5,17 @@ exhaustive k x k minors of the generator matrix; the test suite keeps them
 in agreement.  The criterion reads rows from PhiWorkspace, one lazily filled
 table per point set and (k, h, l), which the MDS and AMDS verdicts and the
 twist search share; a row is one ``symm.criterion_row`` on reps, which also
-gives the LCD recipes' r gate, so no ``Poly`` is built per subset.  Minimum
-distance is found as the smallest number of linearly dependent parity-check
-columns, by a depth-first walk over column subsets that extends the reduced
-basis of each prefix by one column per node; its witness is re-checked by
-the rank of its own columns, a square parity check (no dependent set) raises
+gives the LCD recipes' r gate, so no ``Poly`` is built per subset.
+
+Minimum distance takes one of two depth-first walks, chosen by the shape of
+the parity check H alone, k = n - rows.  A low-rate code, 2k < n, walks the
+hyperplanes spanned by columns of a generator G of ker H: d is n minus the
+most columns of G in one hyperplane, and the last level of the walk counts
+columns by their ratio on a projective line.  Any other code walks column
+subsets of H, extending the reduced basis of each prefix by one column per
+node, and d is the smallest dependent set.  The two walks share the node
+count, the budget and its refusal; either witness is re-checked by the rank
+of its own columns of H, a square parity check (no dependent set) raises
 VerificationError, and a walk past its fixed node budget raises
 ResourceLimitError.  LCD status comes from the rank of the generator stacked
 on the parity check.
@@ -22,16 +28,21 @@ positions in serialized form; the in-process API is 0-based.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .codes import TgrsSpec, generator_matrix, parity_check_matrix
 from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, element_to_json
-from .linalg import MatGF, det, rank
+from .linalg import MatGF, det, null_space, rank
 from .symm import SymContext, criterion_row, distinct_points
 
-# Walk nodes min_distance may visit, ~10 s; the reference codes need <= 25k.
+# Nodes either distance walk may visit.  A column-walk node costs ~5 us, so the
+# budget is ~10 s there; a hyperplane node reduces all n columns, ~30-65 us at
+# n = 24-36, so one to two minutes there.  The four reference codes need 121,
+# 10, 1,941 and 11 hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
 DISTANCE_NODE_BUDGET = 2_000_000
 
 
@@ -159,8 +170,26 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     return _table_for(spec, workspace).amds_verdict(spec.eta)
 
 
-def min_distance(H: MatGF) -> int:
-    """Smallest number of linearly dependent parity-check columns.
+class _Walk:
+    """The best distance bound, its witness and the nodes spent: what both walks share.
+
+    The bound starts at rows + 1 = n - k + 1 with the first rows + 1 columns
+    as witness, since with full row rank any rows + 1 columns are dependent.
+    """
+
+    def __init__(self, bound: int):
+        self.best, self.witness, self.nodes = bound, tuple(range(bound)), 0
+
+    def step(self) -> None:
+        """Count one node; past DISTANCE_NODE_BUDGET refuse with the bound so far."""
+        if self.nodes >= DISTANCE_NODE_BUDGET:
+            raise ResourceLimitError(f"minimum-distance search stopped at its budget of "
+                                     f"{self.nodes} nodes; best bound so far d <= {self.best}")
+        self.nodes += 1
+
+
+def _column_walk(H: MatGF, walk: _Walk) -> None:
+    """Smallest dependent set of columns of H, by a walk over column subsets.
 
     A depth-first walk over column subsets in lexicographic order.  A node
     is an independent prefix; it carries every later column already reduced
@@ -169,37 +198,18 @@ def min_distance(H: MatGF) -> int:
     cleared from the later carried columns: one column reduction per node.
     The walk records a dependent set only when it is smaller than the best
     so far and descends only while smaller sets are reachable, so the last
-    set recorded is the lexicographically first of minimum size.  With full
-    row rank any rows+1 columns are dependent, which bounds the answer; the
-    witness (the first rows+1 columns if nothing smaller turned up) is
-    re-checked by a rank of its own submatrix before d is returned.  A
-    square H has no dependent column set and raises VerificationError.
-
-    Each call of the walk is one node.  Past DISTANCE_NODE_BUDGET nodes the
-    search raises ResourceLimitError with the nodes visited and the best
-    bound so far; the count depends on H alone, so a refusal reproduces.
+    set recorded is the lexicographically first of minimum size.
     """
-    n, nrows = H.cols, H.rows
-    if rank(H) != nrows:
-        raise ValidationError("parity-check matrix must have full row rank")
-    if n <= nrows:
-        raise VerificationError(f"a square {nrows}x{n} parity check has no dependent columns")
     field = H.field
-    best, witness = nrows + 1, tuple(range(nrows + 1))
-    nodes = 0
 
-    def walk(prefix: tuple[int, ...], carried: list) -> None:
-        nonlocal best, witness, nodes
-        if nodes >= DISTANCE_NODE_BUDGET:
-            raise ResourceLimitError(f"minimum-distance search stopped at its budget of "
-                                     f"{nodes} nodes; best bound so far d <= {best}")
-        nodes += 1
+    def visit(prefix: tuple[int, ...], carried: list) -> None:
+        walk.step()
         size = len(prefix) + 1  # of each extension checked here, always < best
         for at, (j, u) in enumerate(carried):
             if not any(u):
-                best, witness = size, prefix + (j,)
+                walk.best, walk.witness = size, prefix + (j,)
                 return
-            if size + 1 < best:
+            if size + 1 < walk.best:
                 piv = next(i for i, x in enumerate(u) if x)
                 pinv = field._inv(u[piv])
                 rest = []
@@ -208,12 +218,107 @@ def min_distance(H: MatGF) -> int:
                         v = list(v)
                         field._eliminate(v, u, piv, pinv)
                     rest.append((jj, v))
-                walk(prefix + (j,), rest)
+                visit(prefix + (j,), rest)
 
-    walk((), [(j, [row[j] for row in H._data]) for j in range(n)])
-    if rank(H.submatrix(tuple(range(nrows)), witness)) >= best:
-        raise VerificationError(f"distance witness {witness} is not a dependent column set")
-    return best
+    visit((), [(j, [row[j] for row in H._data]) for j in range(H.cols)])
+
+
+def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
+    """Lightest codeword of the row space of a k x n generator G, k >= 1.
+
+    A codeword x G vanishes on the columns of G inside the hyperplane x^perp,
+    and a hyperplane holding the most columns is spanned by k - 1 of them, so
+    d = n - (most columns in a hyperplane spanned by columns).  The walk
+    visits independent sets of up to k - 2 columns depth first in
+    lexicographic order; a node carries every column reduced against its prefix, and a
+    child takes one more column as pivot and clears it from all n carried
+    columns.  At depth k - 2 the carried columns live in the two coordinates
+    a < b that are not pivots, and the hyperplanes through the prefix are
+    the points of that projective line: a nonzero column lies in exactly
+    one, the class of its ratio u_b / u_a (or infinity when u_a = 0), and a
+    zero column lies in all of them.  The largest class and the zero columns
+    make the zero set of a codeword; its support is the witness.  k = 1 is
+    the weight of the one row.  A lighter codeword replaces the best only
+    when strictly lighter, so the first lightest one found is kept.
+    """
+    field, k, n = G.field, G.rows, G.cols
+    inv, mul = field._inv, field._mul
+    if k == 1:
+        walk.step()
+        walk.witness = tuple(j for j, x in enumerate(G._data[0]) if x)
+        walk.best = len(walk.witness)
+        return
+
+    def leaf(carried: list, a: int, b: int) -> None:
+        # key: None for a zero column, -1 for u_a = 0, else the rep of u_b / u_a
+        keys = [mul(u[b], inv(u[a])) if u[a] else (-1 if u[b] else None) for u in carried]
+        counts = Counter(keys)
+        zeros = counts.pop(None, 0)
+        top, size = max(counts.items(), key=itemgetter(1))
+        weight = n - zeros - size
+        if weight < walk.best:
+            walk.best = weight
+            walk.witness = tuple(j for j, key in enumerate(keys)
+                                 if key is not None and key != top)
+
+    def visit(start: int, carried: list, free: tuple[int, ...]) -> None:
+        walk.step()
+        if len(free) == 2:  # depth k - 2
+            leaf(carried, *free)
+            return
+        for j in range(start, n):
+            u = carried[j]
+            piv = next((i for i in free if u[i]), None)
+            if piv is None:  # column j lies in the span of the prefix
+                continue
+            pinv = inv(u[piv])
+            rest = []
+            for v in carried:
+                if v[piv]:
+                    v = list(v)
+                    field._eliminate(v, u, piv, pinv)
+                rest.append(v)
+            visit(j + 1, rest, tuple(i for i in free if i != piv))
+
+    visit(0, [list(col) for col in zip(*G._data)], tuple(range(k)))
+
+
+def min_distance(H: MatGF) -> int:
+    """Minimum distance of the code with full-row-rank parity check H.
+
+    One elimination of H gives a k x n generator G of its kernel, and its
+    rank by the row count k = n - rows.  A low-rate code, 2k < n, takes the
+    hyperplane walk over the columns of G (``_hyperplane_walk``), whose
+    nodes are independent sets of at most k - 2 columns, and its witness is
+    the support of the first lightest codeword found.  Any other code takes
+    the column-subset walk over H (``_column_walk``), whose nodes are
+    independent column sets that can still grow into a dependent set below
+    the best bound, and its witness is the lexicographically first smallest
+    dependent set.  Both start from the bound rows + 1 witnessed by the
+    first rows + 1 columns, and either witness is re-checked by a rank of
+    its own columns of H before d is returned.  A square H has no dependent column set and raises
+    VerificationError.  The MDS/AMDS verdicts neither seed nor prune either
+    walk.
+
+    Each visited node of either walk counts once.  Past DISTANCE_NODE_BUDGET
+    nodes the search raises ResourceLimitError with the nodes visited and
+    the best bound so far; the count depends on H alone, so a refusal
+    reproduces.
+    """
+    n, nrows = H.cols, H.rows
+    G = null_space(H)
+    if G.rows != n - nrows:
+        raise ValidationError("parity-check matrix must have full row rank")
+    if n <= nrows:
+        raise VerificationError(f"a square {nrows}x{n} parity check has no dependent columns")
+    walk = _Walk(nrows + 1)
+    if 2 * G.rows < n:
+        _hyperplane_walk(G, walk)
+    else:
+        _column_walk(H, walk)
+    if rank(H.submatrix(tuple(range(nrows)), walk.witness)) >= walk.best:
+        raise VerificationError(f"distance witness {walk.witness} is not a dependent column set")
+    return walk.best
 
 
 def hull_dimension(G: MatGF, H: MatGF) -> int:

@@ -197,6 +197,7 @@ class Field:
         plus_one = [c + 1 if c % p != p - 1 else c + 1 - p for c in exp]
         self._exp = exp + exp
         self._log = log
+        self._generator = FieldElement(self, exp[1])
         self._zech = [log[c] if c else None for c in plus_one]
         self._neg_log = 0 if p == 2 else (q - 1) // 2
 
@@ -332,7 +333,11 @@ class Field:
         return self._fact_qm1
 
     def multiplicative_generator(self) -> FieldElement:
-        """A fixed primitive element (first in canonical order)."""
+        """A fixed primitive element (first in canonical order).
+
+        For m > 1 the table build sets it to the log tables' generator exp[1];
+        a prime field searches for it once.
+        """
         if self._generator is None:
             fact = self._unit_group_factorization()
             one = self.one()
@@ -345,7 +350,14 @@ class Field:
         return self._generator
 
     def _discrete_log(self, target: FieldElement) -> int:
-        """Baby-step giant-step index of target w.r.t. the fixed generator."""
+        """Index of target w.r.t. the fixed generator.
+
+        A log-table read for m > 1; baby-step giant-step in a prime field.
+        """
+        if target.is_zero():
+            raise ZeroDivisionError("discrete log of zero")
+        if self.m > 1:
+            return self._log[target.rep]
         g = self.multiplicative_generator()
         order = self.q - 1
         step = math.isqrt(order) + 1
@@ -360,7 +372,7 @@ class Field:
             if cur in baby:
                 return (s * step + baby[cur]) % order
             cur = cur * giant
-        raise ZeroDivisionError("discrete log of zero")  # pragma: no cover
+        raise AssertionError("unreachable: every unit is a power of the generator")  # pragma: no cover
 
     def roots_of_xn_minus_lambda(self, n: int, lam: FieldElement) -> list[FieldElement]:
         """All n distinct roots of x^n - lambda, canonical ascending order.

@@ -1,5 +1,6 @@
 """Classification: twist criterion vs minors, distance, and hull dimension."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -15,6 +16,8 @@ from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError, Sym
 from tgrs.golden import GOLDEN_CODES
 
 from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, get_field, random_spec
+
+CLASSIFY = sys.modules["tgrs.classify"]  # the package exports the function under this name
 
 
 def brute_min_weight(spec: TgrsSpec) -> int:
@@ -60,6 +63,33 @@ def random_parity_check(rng: random.Random, f, rows: int, n: int) -> MatGF:
         if rank(H) == rows:
             return H
     raise AssertionError(f"no full-rank {rows}x{n} draw in 50 tries")
+
+
+def draw_shape(rng: random.Random, kind: int) -> tuple[int, int]:
+    """(n, k) with n <= 9: k = 1, 2 <= 2k < n, 2k = n or 2k > n by ``kind`` 0..3."""
+    if kind == 0:
+        return rng.randint(2, 9), 1
+    if kind == 1:
+        n = rng.randint(5, 9)
+        return n, rng.randint(2, (n - 1) // 2)
+    if kind == 2:
+        k = rng.randint(1, 4)
+        return 2 * k, k
+    n = rng.randint(3, 9)
+    return n, rng.randint(n // 2 + 1, n - 1)
+
+
+def eighteenth_roots_spec(gf37) -> TgrsSpec:
+    """[18,6] over GF(37) on the 18th roots of unity, h = 2, l = 2, d = 10."""
+    return TgrsSpec(field=gf37, n=18, k=6, l=2, h=2,
+                    alpha=tuple(gf37.roots_of_xn_minus_lambda(18, gf37.one())),
+                    v=(gf37.element(2),) * 18,
+                    eta=tuple(gf37.element(e) for e in (3, 5, 7)))
+
+
+def high_rate_spec() -> TgrsSpec:
+    """The [15,4] reference code's points and twist with k = 8: 2k >= n, d = 6."""
+    return dataclasses.replace(GOLDEN_CODES[0].spec(), k=8)
 
 
 def brute_hull_dim(spec: TgrsSpec) -> int:
@@ -259,29 +289,40 @@ class TestMinDistance:
             assert checked > 0
 
     def test_matches_subset_elimination_oracle(self):
+        # every field draws, in turn, k = 1 (rows = n - 1) and 2 <= 2k < n for
+        # the hyperplane walk, then the tie 2k = n and 2k > n for the column walk
         rng = random.Random(25)
         seen_d = set()
         for q in (2, 3, 7, 31) + EXTENSION_FIELDS:
             f = get_field(q) if isinstance(q, int) else get_field(*q)
-            for _ in range(40):
-                n = rng.randint(2, 9)
-                H = random_parity_check(rng, f, rng.randint(1, n - 1), n)
+            for i in range(40):
+                n, k = draw_shape(rng, i % 4)
+                H = random_parity_check(rng, f, n - k, n)
                 d = min_distance(H)
                 assert d == brute_min_distance(H), (f, H.to_lists())
                 seen_d.add(d)
-        assert {1, 2, 3} <= seen_d
+        assert {1, 2, 3, 4} <= seen_d
+
+    def test_eighteenth_roots_code_matches_the_column_walk(self, gf37):
+        # [18,6] on the 18th roots of unity: 4,048 hyperplane nodes, and the
+        # column walk, forced here, needs 149,409
+        H = parity_check_matrix(eighteenth_roots_spec(gf37))
+        assert min_distance(H) == 10
+        walk = CLASSIFY._Walk(H.rows + 1)
+        CLASSIFY._column_walk(H, walk)
+        assert walk.best == 10
 
     def test_square_parity_check_has_no_dependent_set(self, gf7):
         with pytest.raises(VerificationError):
             min_distance(MatGF.identity(gf7, 3))
 
-    def test_witness_recheck_rejects_a_false_dependency(self, monkeypatch):
-        H = parity_check_matrix(GOLDEN_CODES[1].spec())  # 6 x 9, d = 7
+    def test_witness_recheck_catches_a_column_walk_fault(self, monkeypatch):
+        H = parity_check_matrix(high_rate_spec())  # 7 x 15, k = 8: the column walk
         field, row_op = H.field, H.field._eliminate
 
         def faulty(dst, src, c, pinv):
-            # wipes the walk's carried columns (length 6); the rows that
-            # rank reduces (length 9 or the witness size) stay exact
+            # wipes the walk's carried columns (length 7); the rows that
+            # rref and rank reduce (length 15 or the witness size) stay exact
             if len(dst) == H.rows:
                 dst[:] = [0] * len(dst)
             else:
@@ -291,9 +332,39 @@ class TestMinDistance:
         with pytest.raises(VerificationError, match="witness"):
             min_distance(H)
 
+    def test_witness_recheck_rejects_a_false_dependency(self, monkeypatch):
+        H = parity_check_matrix(GOLDEN_CODES[1].spec())  # 6 x 9, k = 3, d = 7
+        kernel = CLASSIFY.null_space
+
+        def faulty(M):
+            # a generator whose first column is falsely zero, so the walk
+            # sees codewords one lighter than the code's
+            G = kernel(M)
+            return MatGF._from_reps(G.field, tuple((0,) + row[1:] for row in G._data))
+
+        monkeypatch.setattr(CLASSIFY, "null_space", faulty)
+        with pytest.raises(VerificationError, match="witness"):
+            min_distance(H)
+
+    @pytest.mark.parametrize("spec,d", [(GOLDEN_CODES[0].spec(), 10),
+                                        (GOLDEN_CODES[2].spec(), 8),
+                                        (high_rate_spec(), 6)],
+                             ids=["15_4_hyperplane", "15_6_hyperplane", "15_8_columns"])
+    def test_witness_is_a_minimal_dependent_set(self, spec, d, monkeypatch):
+        # the re-checked witness has exactly d columns of rank d - 1: the
+        # support of a lightest codeword
+        H = parity_check_matrix(spec)
+        witnesses = []
+        submatrix = MatGF.submatrix
+        monkeypatch.setattr(MatGF, "submatrix", lambda M, r, c: witnesses.append(c)
+                            or submatrix(M, r, c))
+        assert min_distance(H) == d
+        assert len(witnesses) == 1 and len(witnesses[0]) == d
+        monkeypatch.undo()
+        assert rank(H.submatrix(tuple(range(H.rows)), witnesses[0])) == d - 1
+
     def test_no_per_subset_elimination(self, monkeypatch):
         H = parity_check_matrix(GOLDEN_CODES[0].spec())
-        classify_mod = sys.modules["tgrs.classify"]
         calls = {"rank": 0, "submatrix": 0}
 
         def counted(name, fn):
@@ -302,35 +373,37 @@ class TestMinDistance:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(classify_mod, "rank", counted("rank", classify_mod.rank))
+        monkeypatch.setattr(CLASSIFY, "rank", counted("rank", CLASSIFY.rank))
         monkeypatch.setattr(MatGF, "submatrix", counted("submatrix", MatGF.submatrix))
         assert min_distance(H) == 10
         assert calls["rank"] <= 2
         assert calls["submatrix"] <= 1
 
     def test_node_budget_enforced(self, monkeypatch):
-        spec = GOLDEN_CODES[0].spec()  # [15,4,10]: 24,545 nodes
-        monkeypatch.setattr(sys.modules["tgrs.classify"], "DISTANCE_NODE_BUDGET", 1000)
+        spec = GOLDEN_CODES[0].spec()  # [15,4,10]: 121 hyperplane nodes
+        H = parity_check_matrix(spec)
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 121)
+        assert min_distance(H) == 10
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 120)
         messages = []
         for _ in range(2):
             with pytest.raises(ResourceLimitError) as info:
-                min_distance(parity_check_matrix(spec))
+                min_distance(H)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert "budget of 1000 nodes" in messages[0] and "d <= 11" in messages[0]
+        assert "budget of 120 nodes" in messages[0] and "d <= 10" in messages[0]
         with pytest.raises(ResourceLimitError) as info:
             classify(spec, want_distance=True)
         assert str(info.value) == messages[0]
 
     def test_budget_counts_nodes_not_length(self, gf31, monkeypatch):
         # 3 x 30 Vandermonde: any 3 columns are independent, so d = 4; the
-        # length does not matter, the walk needs only 466 nodes
+        # length does not matter, the column walk needs only 466 nodes
         H = MatGF(gf31, [[a**i for a in range(1, 31)] for i in range(3)])
         assert min_distance(H) == 4
-        classify_mod = sys.modules["tgrs.classify"]
-        monkeypatch.setattr(classify_mod, "DISTANCE_NODE_BUDGET", 466)
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 466)
         assert min_distance(H) == 4
-        monkeypatch.setattr(classify_mod, "DISTANCE_NODE_BUDGET", 465)
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 465)
         with pytest.raises(ResourceLimitError, match="budget of 465 nodes"):
             min_distance(H)
 

@@ -18,6 +18,23 @@ def write_json(path, obj):
     return str(path)
 
 
+def refused_check(tmp_path, capsys, monkeypatch, k: int, budget: int) -> str:
+    """stderr of ``check`` refused by the distance node budget.
+
+    The input is the [15,4] reference code's spec with dimension k: k = 4
+    takes the hyperplane walk, k = 8 (2k >= n) the column walk.
+    """
+    obj = tgrs_spec_to_json(GOLDEN_CODES[0].spec())
+    obj["k"] = k
+    path = write_json(tmp_path / "spec.json", obj)
+    monkeypatch.setattr(sys.modules["tgrs.classify"], "DISTANCE_NODE_BUDGET", budget)
+    assert main(["check", "--input", path, "--distance-cap", "15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+    return captured.err
+
+
 @pytest.fixture
 def golden_spec_file(tmp_path):
     return write_json(tmp_path / "spec.json", tgrs_spec_to_json(GOLDEN_CODES[1].spec()))
@@ -92,12 +109,12 @@ class TestCheck:
         assert captured.out == ""
 
     def test_distance_budget_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
-        path = write_json(tmp_path / "spec.json", tgrs_spec_to_json(GOLDEN_CODES[0].spec()))
-        monkeypatch.setattr(sys.modules["tgrs.classify"], "DISTANCE_NODE_BUDGET", 1000)
-        assert main(["check", "--input", path, "--distance-cap", "15"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "d <= 11" in captured.err
-        assert "Traceback" not in captured.out + captured.err
+        err = refused_check(tmp_path, capsys, monkeypatch, k=4, budget=120)  # 121 nodes
+        assert "budget of 120 nodes" in err and "d <= 10" in err
+
+    def test_column_walk_budget_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
+        err = refused_check(tmp_path, capsys, monkeypatch, k=8, budget=1000)  # 1,946 nodes
+        assert "budget of 1000 nodes" in err and "d <= 6" in err
 
     def test_builds_one_symmetric_context(self, golden_spec_file, capsys, monkeypatch):
         # the parity check and the classification share one point-set context

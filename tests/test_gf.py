@@ -52,6 +52,17 @@ class TestConstruction:
         assert f.multiplicative_generator().rep == f._exp[1]
         assert sorted(f._exp[: f.q - 1]) == list(range(1, f.q))
 
+    @pytest.mark.parametrize("spec", [(7,), (31,)] + list(EXTENSION_FIELDS) + [GF27],
+                             ids=["GF7", "GF31", "GF8", "GF9", "GF16", "GF25", "GF27"])
+    def test_discrete_log_inverts_generator_powers(self, spec):
+        # a table read for m > 1, baby-step giant-step for m = 1; both agree
+        # with the generator's powers
+        f = get_field(*spec)
+        g = f.multiplicative_generator()
+        assert [f._discrete_log(g ** j) for j in range(f.q - 1)] == list(range(f.q - 1))
+        with pytest.raises(ZeroDivisionError):
+            f._discrete_log(f.zero())
+
     @pytest.mark.parametrize("spec", [(2,), (7,), (31,)] + list(EXTENSION_FIELDS) + [GF27],
                              ids=["GF2", "GF7", "GF31", "GF8", "GF9", "GF16", "GF25", "GF27"])
     def test_zero_and_one_reps_are_literals(self, spec):

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Search the twist-vector space for LCD MDS codes.
 
-A template fixes everything but the twist vector; the search enumerates
-candidates (exhaustively when the space fits the budget, otherwise seeded
-random draws), keeps those passing the recipe gates plus the MDS criterion,
-and returns each with a full classification report.
+The template is a recipe's parameters; the search replaces their twist
+vector by each candidate (exhaustively when the space fits the budget,
+otherwise seeded random draws), keeps those passing the recipe gates plus the
+MDS criterion, and returns each with a full classification report.
 """
 
-from tgrs import Field, SearchTemplate, search_eta
+from tgrs import Class1Params, Field, search_eta
 
 f37 = Field(37)
-template = SearchTemplate(
-    klass=1, field=f37, n=9, k=3, h=1, l=1, lam=f37.one(),
+template = Class1Params(
+    field=f37, n=9, k=3, h=1, l=1, lam=f37.one(),
+    eta=(f37.zero(), f37.zero()),  # replaced by every candidate
     v_head=tuple(f37.element(x) for x in (21, 30)),
     v_tail_signs=tuple(f37.element(s) for s in (1, 1, -1, 1, 1, 1, -1)),
 )

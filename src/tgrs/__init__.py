@@ -15,9 +15,9 @@ from .errors import (ResourceLimitError, SingularMatrixError, TgrsError, Validat
                      VerificationError)
 from .gf import Field, FieldElement, field_from_json, field_to_json
 from .golden import GOLDEN_CODES, GoldenCode
-from .lcdgen import (BuildResult, Class1Params, Class2Params, HypothesisCheck,
-                     SearchHit, SearchTemplate, build_class1, build_class2,
-                     quadratic_twist_sum, r_coefficient, search_eta)
+from .lcdgen import (BuildResult, Class1Params, Class2Params, HypothesisCheck, SearchHit,
+                     build_class1, build_class2, quadratic_twist_sum, r_coefficient,
+                     search_eta)
 from .linalg import (MatGF, det, null_space, rank, row_space_equal, rref, solve,
                      solve_vandermonde)
 from .poly import NEG_INF, Poly
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Field", "FieldElement", "Poly", "NEG_INF", "MatGF", "SymContext",
     "TgrsSpec", "GeneralTwistSpec", "CodeReport", "PhiWorkspace",
-    "Class1Params", "Class2Params", "SearchTemplate", "SearchHit",
+    "Class1Params", "Class2Params", "SearchHit",
     "BuildResult", "HypothesisCheck", "GoldenCode", "GOLDEN_CODES",
     "TgrsError", "ValidationError", "ResourceLimitError", "SingularMatrixError",
     "VerificationError",

@@ -339,7 +339,11 @@ def hull_dimension(G: MatGF, H: MatGF) -> int:
 
 @dataclass
 class CodeReport:
-    """Classification verdicts with reproducible certificates."""
+    """Classification verdicts with reproducible certificates.
+
+    ``classify`` also leaves the generator and parity check it built on the
+    report; they take no part in comparison or JSON.
+    """
 
     n: int
     k: int
@@ -350,6 +354,8 @@ class CodeReport:
     min_distance: Optional[int] = None
     certificates: dict = dc_field(default_factory=dict)
     notes: list[str] = dc_field(default_factory=list)
+    generator: Optional[MatGF] = dc_field(default=None, compare=False, repr=False)
+    parity_check: Optional[MatGF] = dc_field(default=None, compare=False, repr=False)
 
     def params_string(self) -> str:
         if self.min_distance is not None:
@@ -424,6 +430,7 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     report = CodeReport(
         n=spec.n, k=spec.k, is_mds=mds, is_amds=amds,
         is_lcd=(hull == 0), hull_dim=hull, certificates=certificates,
+        generator=G, parity_check=H,
     )
     if spec.hook_is_boundary():
         report.notes.append("hook at the upper boundary h = k-1")

@@ -15,13 +15,12 @@ import json
 import sys
 from typing import Optional
 
-from .classify import PhiWorkspace, classify, report_to_json
+from .classify import classify, report_to_json
 from .codes import generator_matrix, parity_check_matrix, tgrs_spec_from_json, tgrs_spec_to_json
 from .errors import TgrsError, ValidationError, VerificationError
 from .gf import element_to_json
 from .golden import GOLDEN_CODES
-from .lcdgen import (build_class1, build_class2, class1_params_from_json,
-                     class2_params_from_json, search_eta, template_from_json)
+from .lcdgen import build_class1, build_class2, params_from_json, search_eta, template_from_json
 
 
 def _emit_json(obj) -> None:
@@ -63,10 +62,8 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     spec = tgrs_spec_from_json(_load_json(args.input))
-    table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)  # one per point set
-    G = generator_matrix(spec)
-    H = parity_check_matrix(spec, context=table.context)
-    report = classify(spec, want_distance=spec.n <= args.distance_cap, workspace=table)
+    report = classify(spec, want_distance=spec.n <= args.distance_cap)
+    G, H = report.generator, report.parity_check
     if args.output == "json":
         _emit_json({"spec": tgrs_spec_to_json(spec),
                     "generator": G.to_lists(),
@@ -90,11 +87,8 @@ def cmd_check(args) -> int:
 
 
 def _cmd_construct(args, klass: int) -> int:
-    obj = _load_json(args.input)
-    if klass == 1:
-        result = build_class1(class1_params_from_json(obj))
-    else:
-        result = build_class2(class2_params_from_json(obj))
+    params = params_from_json(_load_json(args.input), klass)
+    result = build_class1(params) if klass == 1 else build_class2(params)
     if args.output == "json":
         _emit_json(result.to_json())
     else:
@@ -150,7 +144,9 @@ def cmd_paper_examples(args) -> int:
     first_mismatch: Optional[str] = None
     for pos, gc in enumerate(GOLDEN_CODES, start=1):
         spec = gc.spec()
-        G = generator_matrix(spec)
+        want_d = gc.expected_distance is not None
+        report = classify(spec, want_distance=want_d)
+        G = report.generator
         got = [[x.rep for x in row] for row in (G.row(i) for i in range(G.rows))]
         want = gc.normalized_generator()
         if corrupt is not None and corrupt[0] == pos:
@@ -167,8 +163,6 @@ def cmd_paper_examples(args) -> int:
         build = build_class1(gc.params()) if gc.klass == 1 else build_class2(gc.params())
         r_got = next(c for c in build.record if c.condition == "r coefficient is nonzero").evidence
         r_ok = r_got.rep == gc.expected_r and build.applicable
-        want_d = gc.expected_distance is not None
-        report = classify(spec, want_distance=want_d)
         verdict_ok = report.is_lcd and report.is_mds == gc.expect_mds
         if want_d:
             verdict_ok = verdict_ok and report.min_distance == gc.expected_distance

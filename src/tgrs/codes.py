@@ -216,6 +216,14 @@ def check_int_fields(obj: dict, names: Sequence[str], optional: Sequence[str] = 
             raise ValidationError(f"field '{name}' must be an integer, got {obj[name]!r}")
 
 
+def element_list(field: Field, obj: dict, name: str) -> tuple[FieldElement, ...]:
+    """The elements of the present field ``name``, which must be a JSON list."""
+    value = obj[name]
+    if not isinstance(value, list):
+        raise ValidationError(f"field '{name}' must be a list, got {value!r}")
+    return tuple(field.element(x) for x in value)
+
+
 def tgrs_spec_from_json(obj) -> TgrsSpec:
     if not isinstance(obj, dict):
         raise ValidationError("code spec must be a JSON object")
@@ -227,7 +235,6 @@ def tgrs_spec_from_json(obj) -> TgrsSpec:
     check_int_fields(obj, ("n", "k", "l", "h"))
     return TgrsSpec(
         field=f, n=obj["n"], k=obj["k"], l=obj["l"], h=obj["h"],
-        alpha=tuple(f.element(a) for a in obj["alpha"]),
-        v=tuple(f.element(x) for x in obj["v"]),
-        eta=tuple(f.element(e) for e in obj["eta"]),
+        alpha=element_list(f, obj, "alpha"), v=element_list(f, obj, "v"),
+        eta=element_list(f, obj, "eta"),
     )

@@ -11,18 +11,23 @@ equation k = (n - l - m)/2 plus a quadratic twist condition.
 Both are sufficient conditions: when a gate fails the builder still returns
 the spec, flagged inapplicable, so the generic classifier can settle LCD
 status independently.
+
+A recipe's parameters are also the template of the twist search, which
+varies eta alone: each hit is the template with its eta replaced, so it
+passes the same validation.  One JSON reader serves both recipes and, with
+the zero twist vector, the search templates.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .classify import CodeReport, PhiWorkspace, classify
-from .codes import TgrsSpec, check_int_fields
+from .codes import TgrsSpec, check_int_fields, element_list
 from .errors import ValidationError, VerificationError
-from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json, field_to_json
+from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json
 from .symm import SymContext, context_for, criterion_row, distinct_points
 
 
@@ -120,6 +125,8 @@ def _arrange_roots(field: Field, n: int, lam: FieldElement,
 def _check_cyclic_clauses(p) -> None:
     """The clauses placing n points on the roots of x^n - lambda."""
     q, n = p.field.q, p.n
+    if n < 1:
+        raise ValidationError(f"clause 'n >= 1' fails: n={n}")
     if (q - 1) % n != 0:
         raise ValidationError(f"clause 'n | q-1' fails: {n} does not divide {q - 1}")
     d = p.lam.order()
@@ -293,45 +300,6 @@ def build_class2(params: Class2Params, context: Optional[SymContext] = None) -> 
 
 # -- twist vector search ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchTemplate:
-    """Everything of a recipe parameter set except the twist vector."""
-
-    klass: int
-    field: Field
-    n: int
-    h: int
-    l: int
-    lam: FieldElement
-    v_head: tuple[FieldElement, ...]
-    v_tail_signs: tuple[FieldElement, ...]
-    k: Optional[int] = None
-    m_gap: Optional[int] = None
-    alpha: Optional[tuple[FieldElement, ...]] = None
-
-    def __post_init__(self):
-        if self.klass not in (1, 2):
-            raise ValidationError("template class must be 1 or 2")
-        if self.klass == 2 and self.m_gap is None:
-            raise ValidationError("second-recipe template requires m_gap")
-        # validate structure once via a throwaway all-zero twist vector
-        zero_eta = (self.field.zero(),) * (self.l + 1)
-        self.params_for(zero_eta)
-
-    def params_for(self, eta: Sequence[FieldElement]):
-        if self.klass == 1:
-            if self.k is None:
-                raise ValidationError("first-recipe template requires k")
-            return Class1Params(field=self.field, n=self.n, k=self.k, h=self.h,
-                                l=self.l, lam=self.lam, eta=tuple(eta),
-                                v_head=self.v_head, v_tail_signs=self.v_tail_signs,
-                                alpha=self.alpha)
-        return Class2Params(field=self.field, n=self.n, h=self.h, l=self.l,
-                            m_gap=self.m_gap, lam=self.lam, eta=tuple(eta),
-                            v_head=self.v_head, v_tail_signs=self.v_tail_signs,
-                            alpha=self.alpha, k=self.k)
-
-
 @dataclass
 class SearchHit:
     eta: tuple[FieldElement, ...]
@@ -347,136 +315,95 @@ class SearchHit:
         }
 
 
-class _SearchEnv:
-    """Per-template tables making each twist candidate a few dot products.
-
-    Candidates are rep tuples and every gate runs on reps; FieldElements are
-    built only for hits, which are built and classified through the search's
-    criterion table and its point-set context.
-    """
-
-    def __init__(self, template: SearchTemplate):
-        f = template.field
-        params = template.params_for((f.zero(),) * (template.l + 1))
-        self.template = template
-        self.field = f
-        self.l = params.l
-        self.r_row = _head_row(f, params.h, params.l + 1, params.alpha[: params.k - 1])
-        self.table = PhiWorkspace(params.alpha, params.k, params.h, params.l)
-
-    def eta_from_index(self, idx: int) -> tuple:
-        """The rep tuple of candidate idx, eta_0 the most significant digit."""
-        q, digits = self.field.q, []
-        for _ in range(self.l + 1):
-            idx, d = divmod(idx, q)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def evaluate(self, eta: tuple) -> Optional[SearchHit]:
-        """The hit of a candidate given as reps; gates in order, cheapest first."""
-        f, template = self.field, self.template
-        if not any(eta):
-            return None  # the MDS-certifying set excludes the zero twist
-        r = f._sub(1, f._dot(eta, self.r_row))
-        if r == 0:
-            return None
-        if template.klass == 2 and _quadratic_rep(f, eta, template.m_gap) != 0:
-            return None
-        if self.table._first_singular(eta) is not None:
-            return None
-        eta = tuple(FieldElement(f, e) for e in eta)
-        params = template.params_for(eta)
-        if template.klass == 1:
-            build = build_class1(params)
-        else:
-            build = build_class2(params, context=self.table.context)
-        report = classify(build.spec, workspace=self.table)
-        return SearchHit(eta=eta, r_value=FieldElement(f, r), report=report)
-
-
-def search_eta(template: SearchTemplate, budget: int,
+def search_eta(template: Class1Params | Class2Params, budget: int,
                seed: Optional[int] = None) -> list[SearchHit]:
     """Enumerate twist vectors passing all gates plus the MDS criterion.
 
+    ``template`` is a recipe's parameters; its own eta is ignored, and each
+    hit replaces it, so the hit's build re-runs the recipe's validation.
     The budget alone picks the candidates: all q^(l+1) of them when they fit,
     otherwise the distinct values of ``budget`` seeded random draws.  Either
     set is evaluated in ascending index order, which is lexicographic twist
     order, so hits come back sorted.
+
+    Candidates are rep tuples and every gate runs on reps, cheapest first:
+    zero twist, r, the quadratic gate of the second recipe, the criterion.
+    FieldElements, builds and classification are made only for hits, all
+    through one criterion table and its point-set context.
     """
     if not _is_int(budget) or budget <= 0:
         raise ValidationError(f"search budget must be a positive integer, got {budget!r}")
-    space = template.field.q ** (template.l + 1)
+    f, q, l = template.field, template.field.q, template.l
+    space = q ** (l + 1)
     if space <= budget:
         indices = range(space)
     else:
         rng = random.Random(seed)
         indices = sorted({rng.randrange(space) for _ in range(budget)})
-    env = _SearchEnv(template)
+    second = isinstance(template, Class2Params)
+    r_row = _head_row(f, template.h, l + 1, template.alpha[: template.k - 1])
+    table = PhiWorkspace(template.alpha, template.k, template.h, l)
     hits = []
     for idx in indices:
-        hit = env.evaluate(env.eta_from_index(idx))
-        if hit is not None:
-            hits.append(hit)
+        digits = []  # eta_0 is the most significant digit of idx
+        for _ in range(l + 1):
+            idx, d = divmod(idx, q)
+            digits.append(d)
+        eta = tuple(reversed(digits))
+        if not any(eta):
+            continue  # the MDS-certifying set excludes the zero twist
+        r = f._sub(1, f._dot(eta, r_row))
+        if (r == 0 or (second and _quadratic_rep(f, eta, template.m_gap) != 0)
+                or table._first_singular(eta) is not None):
+            continue
+        params = replace(template, eta=tuple(FieldElement(f, e) for e in eta))
+        build = build_class2(params, context=table.context) if second else build_class1(params)
+        report = classify(build.spec, workspace=table)
+        hits.append(SearchHit(eta=params.eta, r_value=FieldElement(f, r), report=report))
     return hits
 
 
 # -- JSON wire format ----------------------------------------------------------
 
-def _field_from_params_json(obj) -> Field:
+def params_from_json(obj, klass: int) -> Class1Params | Class2Params:
+    """The parameters of recipe ``klass`` (1 or 2) from their JSON object.
+
+    The field is a prime ``q`` or a ``field`` object; ``alpha`` is optional,
+    and so is ``k`` for the second recipe.  An ``m_gap`` given to the first
+    recipe must be an integer and is otherwise ignored.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("parameters must be a JSON object")
     if "field" in obj:
-        return field_from_json(obj["field"])
-    if "q" in obj:
-        return Field(obj["q"])
-    raise ValidationError("parameters need either 'q' (prime) or a 'field' object")
+        f = field_from_json(obj["field"])
+    elif "q" in obj:
+        f = Field(obj["q"])
+    else:
+        raise ValidationError("parameters need either 'q' (prime) or a 'field' object")
+    ints = ("n", "k", "h", "l") if klass == 1 else ("n", "h", "l", "m_gap")
+    check_int_fields(obj, ints, optional=("m_gap",) if klass == 1 else ("k",))
+    missing = [key for key in (*ints, "lambda", "eta", "v_head", "v_tail_signs")
+               if key not in obj]
+    if missing:
+        raise ValidationError(f"parameters missing fields: {', '.join(missing)}")
+    kwargs = {key: obj[key] for key in ints}
+    if klass == 2:
+        kwargs["k"] = obj.get("k")
+    cls = Class1Params if klass == 1 else Class2Params
+    return cls(
+        field=f, lam=f.element(obj["lambda"]), eta=element_list(f, obj, "eta"),
+        v_head=element_list(f, obj, "v_head"), v_tail_signs=element_list(f, obj, "v_tail_signs"),
+        alpha=element_list(f, obj, "alpha") if "alpha" in obj else None, **kwargs)
 
 
-def class1_params_from_json(obj) -> Class1Params:
-    f = _field_from_params_json(obj)
-    check_int_fields(obj, ("n", "k", "h", "l"))
-    try:
-        return Class1Params(
-            field=f, n=obj["n"], k=obj["k"], h=obj["h"], l=obj["l"],
-            lam=f.element(obj["lambda"]),
-            eta=tuple(f.element(e) for e in obj["eta"]),
-            v_head=tuple(f.element(x) for x in obj["v_head"]),
-            v_tail_signs=tuple(f.element(s) for s in obj["v_tail_signs"]),
-            alpha=tuple(f.element(a) for a in obj["alpha"]) if "alpha" in obj else None,
-        )
-    except KeyError as exc:
-        raise ValidationError(f"parameters missing field {exc.args[0]!r}") from None
-
-
-def class2_params_from_json(obj) -> Class2Params:
-    f = _field_from_params_json(obj)
-    check_int_fields(obj, ("n", "h", "l", "m_gap"), optional=("k",))
-    try:
-        return Class2Params(
-            field=f, n=obj["n"], h=obj["h"], l=obj["l"], m_gap=obj["m_gap"],
-            lam=f.element(obj["lambda"]),
-            eta=tuple(f.element(e) for e in obj["eta"]),
-            v_head=tuple(f.element(x) for x in obj["v_head"]),
-            v_tail_signs=tuple(f.element(s) for s in obj["v_tail_signs"]),
-            alpha=tuple(f.element(a) for a in obj["alpha"]) if "alpha" in obj else None,
-            k=obj.get("k"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"parameters missing field {exc.args[0]!r}") from None
-
-
-def template_from_json(obj) -> SearchTemplate:
-    f = _field_from_params_json(obj)
-    check_int_fields(obj, ("class", "n", "h", "l"), optional=("k", "m_gap"))
-    klass = obj.get("class", 1)
-    try:
-        return SearchTemplate(
-            klass=klass, field=f, n=obj["n"], h=obj["h"], l=obj["l"],
-            lam=f.element(obj["lambda"]),
-            v_head=tuple(f.element(x) for x in obj["v_head"]),
-            v_tail_signs=tuple(f.element(s) for s in obj["v_tail_signs"]),
-            k=obj.get("k"), m_gap=obj.get("m_gap"),
-            alpha=tuple(f.element(a) for a in obj["alpha"]) if "alpha" in obj else None,
-        )
-    except KeyError as exc:
-        raise ValidationError(f"template missing field {exc.args[0]!r}") from None
+def template_from_json(obj) -> Class1Params | Class2Params:
+    """A search template: the parameters of recipe ``"class"`` (default 1) with
+    the zero twist vector in place of ``eta``."""
+    if not isinstance(obj, dict):
+        raise ValidationError("parameters must be a JSON object")
+    check_int_fields(obj, ("class", "n", "l"))
+    klass, n, l = obj.get("class", 1), obj.get("n", 0), obj.get("l", 0)
+    if klass not in (1, 2):
+        raise ValidationError("template class must be 1 or 2")
+    # an l outside 0..n-1 fails its recipe clause before eta's length is read
+    return params_from_json({**obj, "eta": [0] * (l + 1 if 0 <= l < n else 1)}, klass)

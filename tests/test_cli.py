@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,18 @@ from tgrs.golden import GOLDEN_CODES
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def count_matrix_builds(monkeypatch) -> Counter:
+    """Counts of generator and parity-check builds, wherever tgrs binds the builders."""
+    calls = Counter()
+    for module in ("tgrs.cli", "tgrs.classify"):
+        for name in ("generator_matrix", "parity_check_matrix"):
+            build = getattr(sys.modules[module], name)
+            monkeypatch.setattr(sys.modules[module], name,
+                                lambda *a, build=build, name=name, **kw:
+                                calls.update([name]) or build(*a, **kw))
+    return calls
 
 
 def refused_check(tmp_path, capsys, monkeypatch, k: int, budget: int) -> str:
@@ -40,24 +53,43 @@ def golden_spec_file(tmp_path):
     return write_json(tmp_path / "spec.json", tgrs_spec_to_json(GOLDEN_CODES[1].spec()))
 
 
+def recipe_params(gc) -> dict:
+    """The recipe parameter file of a reference code: k for recipe 1, m_gap for 2."""
+    obj = {"q": gc.q, "n": gc.n, "h": gc.h, "l": gc.l, "lambda": gc.lam,
+           "eta": list(gc.eta), "v_head": list(gc.v[: gc.k - 1]),
+           "v_tail_signs": list(gc.v[gc.k - 1:]), "alpha": list(gc.alpha)}
+    obj.update({"k": gc.k} if gc.klass == 1 else {"m_gap": gc.m_gap})
+    return obj
+
+
+DELETED = "<deleted>"  # an edit that removes the field
+
+
+def edited(obj: dict, key: str, value) -> dict:
+    """A copy of obj with one field set to value, or removed for DELETED."""
+    obj = dict(obj)
+    if value == DELETED:
+        del obj[key]
+    else:
+        obj[key] = value
+    return obj
+
+
+def search_template(gc) -> dict:
+    """A reference code's recipe parameters with the twist vector left free."""
+    obj = {"class": gc.klass, "k": gc.k, **recipe_params(gc)}
+    del obj["eta"]
+    return obj
+
+
 @pytest.fixture
 def recipe1_params_file(tmp_path):
-    gc = GOLDEN_CODES[1]
-    return write_json(tmp_path / "params.json", {
-        "q": gc.q, "n": gc.n, "k": gc.k, "h": gc.h, "l": gc.l, "lambda": gc.lam,
-        "eta": list(gc.eta), "v_head": list(gc.v[: gc.k - 1]),
-        "v_tail_signs": list(gc.v[gc.k - 1:]), "alpha": list(gc.alpha),
-    })
+    return write_json(tmp_path / "params.json", recipe_params(GOLDEN_CODES[1]))
 
 
 @pytest.fixture
 def recipe2_params_file(tmp_path):
-    gc = GOLDEN_CODES[3]
-    return write_json(tmp_path / "params.json", {
-        "q": gc.q, "n": gc.n, "h": gc.h, "l": gc.l, "m_gap": gc.m_gap,
-        "lambda": gc.lam, "eta": list(gc.eta), "v_head": list(gc.v[: gc.k - 1]),
-        "v_tail_signs": list(gc.v[gc.k - 1:]), "alpha": list(gc.alpha),
-    })
+    return write_json(tmp_path / "params.json", recipe_params(GOLDEN_CODES[3]))
 
 
 class TestCheck:
@@ -125,6 +157,14 @@ class TestCheck:
         assert main(["check", "--input", golden_spec_file]) == 0
         assert "[9,3,7]" in capsys.readouterr().out
         assert len(built) == 1
+
+    def test_builds_each_matrix_once(self, golden_spec_file, capsys, monkeypatch):
+        # the printed matrices are the ones the classification built
+        calls = count_matrix_builds(monkeypatch)
+        assert main(["check", "--input", golden_spec_file, "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["generator"] == (
+            GOLDEN_CODES[1].normalized_generator())
+        assert calls == {"generator_matrix": 1, "parity_check_matrix": 1}
 
     def test_distance_cap_beyond_length_runs_distance(self, golden_spec_file, capsys):
         assert main(["check", "--input", golden_spec_file, "--distance-cap", "30"]) == 0
@@ -231,6 +271,18 @@ class TestSearch:
         assert main([command, "--input", path, *budget]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("klass,key,value,message", [
+        (1, "k", DELETED, "parameters missing fields: k"),
+        (2, "m_gap", DELETED, "parameters missing fields: m_gap"),
+        (1, "class", 3, "template class must be 1 or 2"),
+    ], ids=["class1-without-k", "class2-without-m_gap", "class-3"])
+    def test_template_structure_errors_exit_2(self, tmp_path, capsys, klass, key, value,
+                                              message):
+        template = search_template(GOLDEN_CODES[1 if klass == 1 else 3])
+        path = write_json(tmp_path / "tpl.json", edited(template, key, value))
+        assert main(["search", "--input", path, "--budget", "5"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_extension_field_text_prints_r_as_json(self, tmp_path, capsys):
         template = {"class": 1, "field": {"p": 2, "m": 4, "modulus": [1, 1, 0, 0, 1]},
                     "n": 5, "k": 2, "h": 1, "l": 0, "lambda": 1,
@@ -278,12 +330,58 @@ class TestPaperExamples:
         assert bad["pass"] is False
         assert bad["mismatch"]["row"] == 1 and bad["mismatch"]["col"] == 1
 
+    def test_builds_one_generator_per_code(self, capsys, monkeypatch):
+        calls = count_matrix_builds(monkeypatch)
+        assert main(["paper-examples"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+        assert calls["generator_matrix"] == 4
+
     def test_bad_corrupt_format_exits_2(self, capsys):
         assert main(["paper-examples", "--corrupt", "xyz"]) == 2
 
     def test_out_of_range_corrupt_exits_2(self, capsys):
         assert main(["paper-examples", "--corrupt", "9,1,1"]) == 2
         assert main(["paper-examples", "--corrupt", "2,5,1"]) == 2
+
+
+BAD_VALUES = (None, 0, -1, 5, "x", [], [1], {}, True, 2.5)
+ELEMENT_LISTS = {"alpha", "v", "eta", "v_head", "v_tail_signs"}
+BOUNDARY_INPUTS = {
+    "check": (["check"], lambda: tgrs_spec_to_json(GOLDEN_CODES[1].spec())),
+    "build": (["build"], lambda: tgrs_spec_to_json(GOLDEN_CODES[1].spec())),
+    "construct1": (["construct1"], lambda: recipe_params(GOLDEN_CODES[1])),
+    "construct2": (["construct2"], lambda: recipe_params(GOLDEN_CODES[3])),
+    "search1": (["search", "--budget", "5"], lambda: search_template(GOLDEN_CODES[1])),
+    "search2": (["search", "--budget", "5"], lambda: search_template(GOLDEN_CODES[3])),
+}
+
+
+class TestBoundaryFuzz:
+    """Every field of every CLI input, replaced by each bad value or deleted."""
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_INPUTS))
+    def test_one_bad_field_never_raises(self, tmp_path, capsys, name):
+        command, make = BOUNDARY_INPUTS[name]
+        base = make()
+        path = tmp_path / "input.json"
+        raised, cases = [], 0
+        for key in base:
+            for value in (*BAD_VALUES, DELETED):
+                path.write_text(json.dumps(edited(base, key, value)))
+                cases += 1
+                try:
+                    code = main([command[0], "--input", str(path), *command[1:]])
+                except Exception as exc:  # what the test is looking for
+                    raised.append((key, value, f"{type(exc).__name__}: {exc}"))
+                    continue
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (key, value, code)
+                if code == 2:
+                    assert err.startswith("error: ") and out == "", (key, value, err)
+                if key in ELEMENT_LISTS and value != DELETED and not isinstance(value, list):
+                    assert code == 2 and f"field '{key}' must be a list" in err, (key, value)
+        assert cases == 11 * len(base)
+        assert raised == []
 
 
 class TestExtensionFieldInput:

@@ -3,11 +3,12 @@
 import functools
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from tgrs import (Class1Params, Class2Params, PhiWorkspace, Poly, SearchTemplate,
-                  SymContext, ValidationError, build_class1, build_class2, classify,
+from tgrs import (Class1Params, Class2Params, PhiWorkspace, Poly, SymContext,
+                  ValidationError, build_class1, build_class2, classify,
                   generator_matrix, hull_dimension, is_mds_minors,
                   parity_check_matrix, quadratic_twist_sum, r_coefficient,
                   report_to_json, search_eta)
@@ -42,8 +43,8 @@ def golden_r(gc):
 
 def toy_template(f7):
     """GF(7), n = 6, k = 2, single twist: the whole multiplicative group."""
-    return SearchTemplate(
-        klass=1, field=f7, n=6, h=1, l=0, lam=f7.one(), k=2,
+    return Class1Params(
+        field=f7, n=6, h=1, l=0, lam=f7.one(), k=2, eta=(f7.zero(),),
         v_head=(f7.element(3),),
         v_tail_signs=tuple(f7.element(s) for s in (1, -1, 1, 1, -1)),
     )
@@ -51,16 +52,16 @@ def toy_template(f7):
 
 def gf9_template(f9):
     """GF(9), n = 8, k = 2, two twist coefficients: the extension-field search."""
-    return SearchTemplate(
-        klass=1, field=f9, n=8, h=1, l=1, lam=f9.one(), k=2,
+    return Class1Params(
+        field=f9, n=8, h=1, l=1, lam=f9.one(), k=2, eta=(f9.zero(),) * 2,
         v_head=(f9.element([0, 1]),),
         v_tail_signs=tuple(f9.element(s) for s in (1, -1, 1, 1, -1, 1, -1)))
 
 
 def fifth_roots_template(f31):
     """GF(31), n = 5, k = 2: small space with genuinely MDS twists."""
-    return SearchTemplate(
-        klass=1, field=f31, n=5, h=1, l=0, lam=f31.one(), k=2,
+    return Class1Params(
+        field=f31, n=5, h=1, l=0, lam=f31.one(), k=2, eta=(f31.zero(),),
         v_head=(f31.element(2),),
         v_tail_signs=tuple(f31.element(s) for s in (1, -1, 1, -1)),
     )
@@ -69,8 +70,8 @@ def fifth_roots_template(f31):
 def demo_template(h=1):
     """The [9,3] GF(37) template of the twist-search demo: 1,369 candidates."""
     f = get_field(37)
-    return SearchTemplate(
-        klass=1, field=f, n=9, k=3, h=h, l=1, lam=f.one(),
+    return Class1Params(
+        field=f, n=9, k=3, h=h, l=1, lam=f.one(), eta=(f.zero(),) * 2,
         v_head=tuple(f.element(x) for x in (21, 30)),
         v_tail_signs=tuple(f.element(s) for s in (1, 1, -1, 1, 1, 1, -1)))
 
@@ -78,17 +79,15 @@ def demo_template(h=1):
 def gf16_template():
     """GF(16) with x^4+x+1, n = 5, k = 2: a characteristic-2 search."""
     f = get_field(*GF16)
-    return SearchTemplate(
-        klass=1, field=f, n=5, k=2, h=1, l=0, lam=f.one(),
+    return Class1Params(
+        field=f, n=5, k=2, h=1, l=0, lam=f.one(), eta=(f.zero(),),
         v_head=(f.element([0, 1]),), v_tail_signs=(f.one(),) * 4)
 
 
 def recipe2_template():
     """The [10,3,8] GF(31) reference code with its twist vector left free."""
     p = GOLDEN_CODES[3].params()
-    return SearchTemplate(
-        klass=2, field=p.field, n=p.n, k=p.k, h=p.h, l=p.l, m_gap=p.m_gap,
-        lam=p.lam, v_head=p.v_head, v_tail_signs=p.v_tail_signs, alpha=p.alpha)
+    return replace(p, eta=(p.field.zero(),) * (p.l + 1))
 
 
 TEMPLATES = {
@@ -110,13 +109,12 @@ def oracle_hits(name):
     """
     template = TEMPLATES[name]()
     f, l = template.field, template.l
-    params = template.params_for((f.zero(),) * (l + 1))
-    k, h, head = params.k, params.h, params.alpha[: params.k - 1]
+    k, h, head = template.k, template.h, template.alpha[: template.k - 1]
     base = r_coefficient(k, h, (f.zero(),) * (l + 1), head)
     lin = [r_coefficient(k, h, tuple(f.one() if i == t else f.zero() for i in range(l + 1)),
                          head) - base for t in range(l + 1)]
-    table = PhiWorkspace(params.alpha, k, h, l)
-    rows = [table.row(I) for I in itertools.combinations(range(params.n), k)]
+    table = PhiWorkspace(template.alpha, k, h, l)
+    rows = [table.row(I) for I in itertools.combinations(range(template.n), k)]
     hits = {}
     for idx, digits in enumerate(itertools.product(range(f.q), repeat=l + 1)):
         eta = tuple(f.from_index(d) for d in digits)
@@ -127,7 +125,7 @@ def oracle_hits(name):
             r = r + e * c
         if r.is_zero():
             continue
-        if template.klass == 2:
+        if isinstance(template, Class2Params):
             m, quad = template.m_gap, f.zero()
             for t in range(m, l + 1):
                 quad = quad + eta[t] * eta[l + m - t]
@@ -143,8 +141,9 @@ def oracle_hits(name):
                 break
         if singular:
             continue
-        params_eta = template.params_for(eta)
-        build = build_class1(params_eta) if template.klass == 1 else build_class2(params_eta)
+        params_eta = replace(template, eta=eta)
+        build = (build_class2(params_eta) if isinstance(template, Class2Params)
+                 else build_class1(params_eta))
         hits[idx] = ([element_to_json(e) for e in eta], element_to_json(r),
                      report_to_json(classify(build.spec)))
     return hits
@@ -259,6 +258,7 @@ class TestClass1Builder:
         (dict(n=7), "n | q-1"),
         (dict(lam_rep=3, n=5, tail=11), "ord"),
         (dict(k=5, head=4, tail=11 - 3), "(n-2l-1)/2"),
+        (dict(n=0), "n >= 1"),  # before the clause n | q-1 divides by n
     ])
     def test_rejections_name_the_clause(self, kwargs, clause):
         f = get_field(31)
@@ -417,8 +417,8 @@ class TestSearch:
     def test_published_twist_among_hits(self, gf37):
         gc = GOLDEN_CODES[1]
         f = gf37
-        template = SearchTemplate(
-            klass=1, field=f, n=9, h=1, l=1, lam=f.one(), k=3,
+        template = Class1Params(
+            field=f, n=9, h=1, l=1, lam=f.one(), k=3, eta=(f.zero(),) * 2,
             v_head=tuple(f.element(x) for x in gc.v[:2]),
             v_tail_signs=tuple(f.element(x) for x in gc.v[2:]),
             alpha=tuple(f.element(a) for a in gc.alpha))
@@ -427,6 +427,12 @@ class TestSearch:
         assert (22, 24) in etas
         assert etas == sorted(etas)  # lexicographic order
         assert all(h.report.is_mds and h.report.is_lcd for h in hits)
+
+    def test_template_eta_is_ignored(self):
+        template = fifth_roots_template(get_field(31))
+        with_eta = replace(template, eta=(template.field.element(7),))
+        assert hits_json(search_eta(with_eta, budget=31)) == hits_json(
+            search_eta(template, budget=31))
 
     def test_zero_twist_never_hits(self):
         hits = search_eta(fifth_roots_template(get_field(31)), budget=31)
@@ -438,8 +444,7 @@ class TestSearch:
         hits = search_eta(template, budget=31)
         assert hits
         for h in hits:
-            params = template.params_for(h.eta)
-            spec = build_class1(params).spec
+            spec = build_class1(replace(template, eta=h.eta)).spec
             ok, _ = is_mds_minors(generator_matrix(spec))
             assert ok == h.report.is_mds
             assert ok
@@ -450,8 +455,7 @@ class TestSearch:
         template = toy_template(gf7)
         assert search_eta(template, budget=7) == []
         for e in range(1, 7):
-            params = template.params_for((gf7.element(e),))
-            spec = build_class1(params).spec
+            spec = build_class1(replace(template, eta=(gf7.element(e),))).spec
             ok, _ = is_mds_minors(generator_matrix(spec))
             assert not ok
 
@@ -486,35 +490,21 @@ class TestSearch:
         assert len(hits) == 4
         assert all(h.report.is_lcd and h.report.is_mds for h in hits)
         for h in hits:
-            spec = build_class1(template.params_for(h.eta)).spec
+            spec = build_class1(replace(template, eta=h.eta)).spec
             G = generator_matrix(spec)
             H = parity_check_matrix(spec)
             assert hull_dimension(G, H) == 0
 
-    def test_shared_table_reports_match_fresh_classification(self, gf37):
+    def test_shared_table_reports_match_fresh_classification(self):
         # hits are classified through the search's criterion table; a fresh
         # classification without it must give the same report
-        demo = SearchTemplate(
-            klass=1, field=gf37, n=9, k=3, h=1, l=1, lam=gf37.one(),
-            v_head=tuple(gf37.element(x) for x in (21, 30)),
-            v_tail_signs=tuple(gf37.element(s) for s in (1, 1, -1, 1, 1, 1, -1)))
-        for template, space, expected in ((demo, 37**2, 117),
+        for template, space, expected in ((demo_template(), 37**2, 117),
                                           (gf9_template(get_field(3, 2, [1, 0, 1])), 81, 4)):
             hits = search_eta(template, budget=space)
             assert len(hits) == expected
             for h in hits:
-                spec = build_class1(template.params_for(h.eta)).spec
+                spec = build_class1(replace(template, eta=h.eta)).spec
                 assert report_to_json(h.report) == report_to_json(classify(spec))
-
-    def test_template_validates_structure_up_front(self, gf7):
-        with pytest.raises(ValidationError):
-            SearchTemplate(klass=1, field=gf7, n=6, h=1, l=0, lam=gf7.one(), k=4,
-                           v_head=(gf7.element(3),) * 3,
-                           v_tail_signs=(gf7.one(),) * 3)
-        with pytest.raises(ValidationError, match="m_gap"):
-            SearchTemplate(klass=2, field=gf7, n=6, h=1, l=0, lam=gf7.one(),
-                           v_head=(gf7.element(3),),
-                           v_tail_signs=(gf7.one(),) * 5)
 
 
 class TestSearchOracle:
@@ -561,19 +551,19 @@ class TestSharedContext:
         rng = random.Random(41)
         f9 = get_field(3, 2, [1, 0, 1])
         f16 = get_field(*GF16)
-        gf9_recipe2 = SearchTemplate(
-            klass=2, field=f9, n=8, h=2, l=2, m_gap=0, lam=f9.one(),
+        gf9_recipe2 = Class2Params(
+            field=f9, n=8, h=2, l=2, m_gap=0, lam=f9.one(), eta=(f9.zero(),) * 3,
             v_head=(f9.element([0, 1]), f9.element([1, 1])),
             v_tail_signs=tuple(f9.element(s) for s in (1, -1, -1, 1, 1, -1)))
-        gf16_recipe2 = SearchTemplate(
-            klass=2, field=f16, n=5, h=1, l=1, m_gap=0, lam=f16.one(),
+        gf16_recipe2 = Class2Params(
+            field=f16, n=5, h=1, l=1, m_gap=0, lam=f16.one(), eta=(f16.zero(),) * 2,
             v_head=(f16.element([1, 1]),), v_tail_signs=(f16.one(),) * 4)
         for template in (recipe2_template(), gf9_recipe2, gf16_recipe2):
             f = template.field
             ctx = None
             for _ in range(12):
                 eta = tuple(f.from_index(rng.randrange(f.q)) for _ in range(template.l + 1))
-                params = template.params_for(eta)
+                params = replace(template, eta=eta)
                 ctx = ctx or SymContext(params.alpha)
                 shared = build_class2(params, context=ctx)
                 assert shared.to_json() == build_class2(params).to_json()

@@ -13,12 +13,12 @@ hyperplanes spanned by columns of a generator G of ker H: d is n minus the
 most columns of G in one hyperplane, and the last level of the walk counts
 columns by their ratio on a projective line.  Any other code walks column
 subsets of H, extending the reduced basis of each prefix by one column per
-node, and d is the smallest dependent set.  The two walks share the node
-count, the budget and its refusal; either witness is re-checked by the rank
-of its own columns of H, a square parity check (no dependent set) raises
-VerificationError, and a walk past its fixed node budget raises
-ResourceLimitError.  LCD status comes from the rank of the generator stacked
-on the parity check.
+node, and d is the smallest dependent set.  The two walks share one
+column-clearing step, the node count, the budget and its refusal; either
+witness is re-checked by the rank of its own columns of H, a square parity
+check (no dependent set) raises VerificationError, and a walk past its
+fixed node budget raises ResourceLimitError.  LCD status comes from the
+rank of the generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -58,9 +58,10 @@ class PhiWorkspace:
     Rows depend on the points, k, h and l only, never on eta or v, so one
     table serves every twist vector and column scaling on the point set.
     A row is computed the first time its subset is asked for and kept as
-    canonical reps; verdicts stop at their first witness, so tables stay
-    partial.  The table also holds the SymContext of its points, built on
-    first use, so one object caches everything a point set needs.
+    canonical reps; the verdicts ``is_mds_phi`` and ``is_amds`` stop at
+    their first witness, so tables stay partial.  The table also holds the
+    SymContext of its points, built on first use, which ``classify`` lends
+    to the parity check.
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
@@ -98,39 +99,16 @@ class PhiWorkspace:
                 self.field, [self.alpha[i].rep for i in subset], self.h, self.l + 1)
         return row
 
-    def _eta_reps(self, eta: Sequence[FieldElement]) -> tuple:
-        if len(eta) != self.l + 1:
-            raise ValidationError(f"eta must have length l+1 = {self.l + 1}")
-        return tuple(self.field.element(e).rep for e in eta)
-
     def _singular(self, eta: tuple, subset: tuple[int, ...]) -> bool:
         """Whether the subset's columns are dependent, for eta given as reps."""
         return self.field._dot(eta, self._rep_row(subset)) == 1
 
     def _first_singular(self, eta: tuple) -> Optional[tuple[int, ...]]:
+        """The lexicographically first dependent k-subset, for eta given as reps."""
         for subset in itertools.combinations(range(self.n), self.k):
             if self._singular(eta, subset):
                 return subset
         return None
-
-    def first_singular(self, eta: Sequence[FieldElement]) -> Optional[tuple[int, ...]]:
-        """The lexicographically first k-subset whose columns are dependent."""
-        return self._first_singular(self._eta_reps(eta))
-
-    def amds_verdict(self, eta: Sequence[FieldElement]) -> tuple[bool, dict]:
-        """Distance exactly n-k: some k-subset is singular, no (k+1)-set is deficient."""
-        eta = self._eta_reps(eta)
-        dependent = self._first_singular(eta)
-        if dependent is None:
-            return False, {"reason": "code is MDS", "dependent_subset": None}
-        for sup in itertools.combinations(range(self.n), self.k + 1):
-            if all(self._singular(eta, I) for I in itertools.combinations(sup, self.k)):
-                return False, {
-                    "reason": "a k+1 column set has rank below k",
-                    "dependent_subset": dependent,
-                    "deficient_superset": sup,
-                }
-        return True, {"dependent_subset": dependent, "deficient_superset": None}
 
 
 def _table_for(spec: TgrsSpec, workspace: Optional[PhiWorkspace]) -> PhiWorkspace:
@@ -145,7 +123,7 @@ def _table_for(spec: TgrsSpec, workspace: Optional[PhiWorkspace]) -> PhiWorkspac
 def is_mds_phi(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None
                ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Twist-criterion MDS test; on failure returns the first bad k-subset."""
-    bad = _table_for(spec, workspace).first_singular(spec.eta)
+    bad = _table_for(spec, workspace)._first_singular(tuple(e.rep for e in spec.eta))
     return bad is None, bad
 
 
@@ -167,7 +145,19 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     Needs (a) some singular k-subset and (b) every (k+1)-subset containing a
     nonsingular k-subset; certificates carry the discovered witnesses.
     """
-    return _table_for(spec, workspace).amds_verdict(spec.eta)
+    table = _table_for(spec, workspace)
+    eta = tuple(e.rep for e in spec.eta)
+    dependent = table._first_singular(eta)
+    if dependent is None:
+        return False, {"reason": "code is MDS", "dependent_subset": None}
+    for sup in itertools.combinations(range(table.n), table.k + 1):
+        if all(table._singular(eta, I) for I in itertools.combinations(sup, table.k)):
+            return False, {
+                "reason": "a k+1 column set has rank below k",
+                "dependent_subset": dependent,
+                "deficient_superset": sup,
+            }
+    return True, {"dependent_subset": dependent, "deficient_superset": None}
 
 
 class _Walk:
@@ -188,6 +178,22 @@ class _Walk:
         self.nodes += 1
 
 
+def _cleared(field, columns: list, u: list, piv: int) -> list:
+    """The columns with entry piv cleared against the pivot column u.
+
+    u must be zero before piv.  A column is copied only when it changes, so
+    the caller's columns are left as they were.
+    """
+    pinv = field._inv(u[piv])
+    out = []
+    for v in columns:
+        if v[piv]:
+            v = list(v)
+            field._eliminate(v, u, piv, pinv)
+        out.append(v)
+    return out
+
+
 def _column_walk(H: MatGF, walk: _Walk) -> None:
     """Smallest dependent set of columns of H, by a walk over column subsets.
 
@@ -202,25 +208,19 @@ def _column_walk(H: MatGF, walk: _Walk) -> None:
     """
     field = H.field
 
-    def visit(prefix: tuple[int, ...], carried: list) -> None:
+    def visit(prefix: tuple[int, ...], start: int, carried: list) -> None:
+        # carried[i] is column start + i reduced against the prefix
         walk.step()
         size = len(prefix) + 1  # of each extension checked here, always < best
-        for at, (j, u) in enumerate(carried):
+        for j, u in enumerate(carried, start):
             if not any(u):
                 walk.best, walk.witness = size, prefix + (j,)
                 return
             if size + 1 < walk.best:
                 piv = next(i for i, x in enumerate(u) if x)
-                pinv = field._inv(u[piv])
-                rest = []
-                for jj, v in carried[at + 1:]:
-                    if v[piv]:
-                        v = list(v)
-                        field._eliminate(v, u, piv, pinv)
-                    rest.append((jj, v))
-                visit(prefix + (j,), rest)
+                visit(prefix + (j,), j + 1, _cleared(field, carried[j + 1 - start:], u, piv))
 
-    visit((), [(j, [row[j] for row in H._data]) for j in range(H.cols)])
+    visit((), 0, [list(col) for col in zip(*H._data)])
 
 
 def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
@@ -271,14 +271,7 @@ def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
             piv = next((i for i in free if u[i]), None)
             if piv is None:  # column j lies in the span of the prefix
                 continue
-            pinv = inv(u[piv])
-            rest = []
-            for v in carried:
-                if v[piv]:
-                    v = list(v)
-                    field._eliminate(v, u, piv, pinv)
-                rest.append(v)
-            visit(j + 1, rest, tuple(i for i in free if i != piv))
+            visit(j + 1, _cleared(field, carried, u, piv), tuple(i for i in free if i != piv))
 
     visit(0, [list(col) for col in zip(*G._data)], tuple(range(k)))
 

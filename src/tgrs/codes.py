@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .errors import ValidationError
 from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json, field_to_json
 from .linalg import MatGF
-from .symm import SymContext, context_for, distinct_points
+from .symm import SymContext, distinct_points
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,13 @@ def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) ->
     SymContext when given.
     """
     f, n, k, l = spec.field, spec.n, spec.k, spec.l
-    ctx = context_for(spec.alpha, context)
-    wt = [x.rep for x in ctx.hook_weights(spec.h)[1]]
-    psi = [x.rep for x in ctx.psi_values(spec.eta)]
-    scale = [(u / v).rep for u, v in zip(ctx.dual_coeffs(), spec.v)]
+    if context is None:
+        context = SymContext(spec.alpha)
+    elif context.points != spec.alpha:
+        raise ValidationError("symmetric-function context was built for other points")
+    wt = [x.rep for x in context.hook_weights(spec.h)[1]]
+    psi = [x.rep for x in context.psi_values(spec.eta)]
+    scale = [(u / v).rep for u, v in zip(context.dual_coeffs(), spec.v)]
     rows = []
     for j, row in enumerate(MatGF.vandermonde(spec.alpha, n - k)._data):
         if j >= n - k - l - 1:

@@ -65,36 +65,20 @@ def _gfp_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list
     return quot, rem
 
 
-def _gfp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _validate_modulus(p: int, m: int, modulus: Sequence[int]) -> tuple[int, ...]:
     mod = [c % p for c in modulus]
     if len(mod) != m + 1 or mod[-1] != 1:
         raise ValidationError(f"modulus must be monic of degree {m} over GF({p})")
-    # linear factors: exhaustive root check
-    for x in range(p):
-        acc = 0
-        for c in reversed(mod):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            raise ValidationError(f"modulus is reducible: root {x} in GF({p})")
-    # higher factors: trial division by every monic polynomial of degree <= m//2
-    # (at most p^(m//2) <= sqrt(q) candidates, always affordable under the cap)
-    for d in range(2, m // 2 + 1):
+    # trial division by every monic polynomial of degree 1..m//2, the low
+    # coefficients the negated base-p digits of idx: degree 1 tries x - r in
+    # ascending r, so a root found is the smallest (at most p^(m//2) <= sqrt(q)
+    # candidates per degree, always affordable under the cap)
+    for d in range(1, m // 2 + 1):
         for idx in range(p**d):
-            cand = []
-            t = idx
-            for _ in range(d):
-                cand.append(t % p)
-                t //= p
-            cand.append(1)
-            _, rem = _gfp_divmod(mod[:], cand, p)
-            if not _gfp_trim(rem):
+            cand = [-(idx // p**i) % p for i in range(d)] + [1]
+            if not any(_gfp_divmod(mod, cand, p)[1]):
                 raise ValidationError(
+                    f"modulus is reducible: root {idx} in GF({p})" if d == 1 else
                     f"modulus is reducible: degree-{d} factor found by trial division")
     return tuple(mod)
 

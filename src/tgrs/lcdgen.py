@@ -14,8 +14,9 @@ status independently.
 
 A recipe's parameters are also the template of the twist search, which
 varies eta alone: each hit is the template with its eta replaced, so it
-passes the same validation.  One JSON reader serves both recipes and, with
-the zero twist vector, the search templates.
+passes the same validation, which checks a given root arrangement by
+membership alone.  One JSON reader serves both recipes and, with the zero
+twist vector, the search templates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .classify import CodeReport, PhiWorkspace, classify
 from .codes import TgrsSpec, check_int_fields, element_list
 from .errors import ValidationError, VerificationError
 from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json
-from .symm import SymContext, context_for, criterion_row, distinct_points
+from .symm import SymContext, criterion_row, distinct_points
 
 
 def _head_row(field: Field, h: int, width: int, alpha_head: Sequence[FieldElement]) -> tuple:
@@ -113,11 +114,11 @@ def _check_head(field: Field, head: Sequence, k: int) -> tuple[FieldElement, ...
 def _arrange_roots(field: Field, n: int, lam: FieldElement,
                    alpha: Optional[Sequence[FieldElement]]) -> tuple[FieldElement, ...]:
     """Roots of x^n - lambda, in caller order when given, ascending otherwise."""
-    roots = field.roots_of_xn_minus_lambda(n, lam)
     if alpha is None:
-        return tuple(roots)
+        return tuple(field.roots_of_xn_minus_lambda(n, lam))
     given = tuple(field.element(a) for a in alpha)
-    if sorted(e.index() for e in given) != [e.index() for e in roots]:
+    # x^n - lambda has at most n roots, so n distinct ones are all of them
+    if len(given) != n or len(set(given)) != n or any(a ** n != lam for a in given):
         raise ValidationError("alpha must be a permutation of the roots of x^n - lambda")
     return given
 
@@ -272,12 +273,8 @@ def quadratic_twist_sum(eta: Sequence[FieldElement], m_gap: int) -> FieldElement
     return FieldElement(field, _quadratic_rep(field, [field.element(e).rep for e in eta], m_gap))
 
 
-def build_class2(params: Class2Params, context: Optional[SymContext] = None) -> BuildResult:
-    """Second recipe; needs the r gate and the quadratic twist sum to vanish.
-
-    ``context`` (built for params.alpha, in order) serves the tail-sum
-    cross-check instead of a fresh SymContext when given.
-    """
+def build_class2(params: Class2Params) -> BuildResult:
+    """Second recipe; needs the r gate and the quadratic twist sum to vanish."""
     record = _base_record(params, klass=2)
     r = r_coefficient(params.k, params.h, params.eta, params.alpha[: params.k - 1])
     r_gate = not r.is_zero()
@@ -285,7 +282,7 @@ def build_class2(params: Class2Params, context: Optional[SymContext] = None) -> 
     qsum = quadratic_twist_sum(params.eta, params.m_gap)
     # cross-check against the tail-sum form, which collapses to the same
     # quadratic on a full root set of x^n - lambda
-    psi = context_for(params.alpha, context).psi_values(params.eta)
+    psi = SymContext(params.alpha).psi_values(params.eta)
     l, m = params.l, params.m_gap
     psum = params.field.zero()
     for t in range(m, l + 1):
@@ -316,23 +313,27 @@ class SearchHit:
 
 
 def search_eta(template: Class1Params | Class2Params, budget: int,
-               seed: Optional[int] = None) -> list[SearchHit]:
+               seed: int = 0) -> list[SearchHit]:
     """Enumerate twist vectors passing all gates plus the MDS criterion.
 
     ``template`` is a recipe's parameters; its own eta is ignored, and each
     hit replaces it, so the hit's build re-runs the recipe's validation.
     The budget alone picks the candidates: all q^(l+1) of them when they fit,
-    otherwise the distinct values of ``budget`` seeded random draws.  Either
+    otherwise the distinct values of ``budget`` random draws seeded by the
+    integer ``seed``, so a search without one reruns the same.  Either
     set is evaluated in ascending index order, which is lexicographic twist
     order, so hits come back sorted.
 
     Candidates are rep tuples and every gate runs on reps, cheapest first:
     zero twist, r, the quadratic gate of the second recipe, the criterion.
-    FieldElements, builds and classification are made only for hits, all
-    through one criterion table and its point-set context.
+    FieldElements, builds and classification are made only for hits; every
+    classification goes through the search's one criterion table and its
+    point-set context.
     """
     if not _is_int(budget) or budget <= 0:
         raise ValidationError(f"search budget must be a positive integer, got {budget!r}")
+    if not _is_int(seed):
+        raise ValidationError(f"search seed must be an integer, got {seed!r}")
     f, q, l = template.field, template.field.q, template.l
     space = q ** (l + 1)
     if space <= budget:
@@ -357,7 +358,7 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
                 or table._first_singular(eta) is not None):
             continue
         params = replace(template, eta=tuple(FieldElement(f, e) for e in eta))
-        build = build_class2(params, context=table.context) if second else build_class1(params)
+        build = build_class2(params) if second else build_class1(params)
         report = classify(build.spec, workspace=table)
         hits.append(SearchHit(eta=params.eta, r_value=FieldElement(f, r), report=report))
     return hits

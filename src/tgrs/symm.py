@@ -17,7 +17,7 @@ prod_i 1/(1 - x_i z).  All positions are 0-based.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ValidationError, VerificationError
 from .gf import Field, FieldElement
@@ -65,16 +65,6 @@ def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tu
     e = series_inverse(field, c, length)
     window = c[len(roots) - h:]
     return tuple(field._dot(e[t::-1], window) for t in range(length))  # e read back from t
-
-
-def context_for(points: Sequence[FieldElement], context: Optional["SymContext"] = None
-                ) -> "SymContext":
-    """``context`` checked to be built for exactly these points, or a fresh one."""
-    if context is None:
-        return SymContext(points)
-    if context.points != tuple(points):
-        raise ValidationError("symmetric-function context was built for other points")
-    return context
 
 
 class SymContext:

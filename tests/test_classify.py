@@ -186,8 +186,6 @@ class TestFtrCoefficient:
         for bad in ((0,), (1, 0), (2, 2), (0, 4), (-1, 0), (0, 1, 2)):
             with pytest.raises(ValidationError):
                 ws.row(bad)
-        with pytest.raises(ValidationError):
-            ws.first_singular([gf7.one()])
 
     def test_two_internal_routes_agree(self):
         # forward substitution (the oracle) and the power-series rows of the

@@ -1,11 +1,12 @@
 """Field arithmetic: axioms, inverses, orders, and n-th root extraction."""
 
+import itertools
 import random
 
 import pytest
 
 from tgrs import Field, FieldElement, ValidationError, field_from_json, field_to_json
-from tgrs.gf import element_from_json, element_to_json, is_prime
+from tgrs.gf import element_from_json, element_to_json, factorize, is_prime
 
 from conftest import EXTENSION_FIELDS, get_field
 
@@ -89,6 +90,30 @@ class TestConstruction:
         # (x^2+1)^2 = x^4 + 2x^2 + 1 has no root mod 3 but factors
         with pytest.raises(ValidationError, match="factor"):
             Field(3, 4, [1, 0, 2, 0, 1])
+
+    def test_accepts_exactly_the_irreducible_moduli(self):
+        # every monic modulus of each small degree: the accepted ones number
+        # Gauss's count of monic irreducibles, (1/m) sum_{d | m} mu(d) p^(m/d)
+        from tgrs.gf import _validate_modulus
+
+        def mobius(d):
+            factors = factorize(d)
+            return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+
+        for p, degrees in ((2, range(2, 7)), (3, range(2, 5)), (5, range(2, 4)), (7, (2,))):
+            for m in degrees:
+                accepted = 0
+                for low in itertools.product(range(p), repeat=m):
+                    try:
+                        _validate_modulus(p, m, [*low, 1])
+                        accepted += 1
+                    except ValidationError:
+                        pass
+                gauss = sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+                assert accepted * m == gauss, (p, m)
+        # x^2 - 1 has the roots 1 and 2 mod 3; the smaller is named
+        with pytest.raises(ValidationError, match=r"root 1 in GF\(3\)"):
+            Field(3, 2, [2, 0, 1])
 
     @pytest.mark.parametrize("args", [(True,), (7.0,), (3, True, [1, 0, 1]),
                                       (3, 2.0, [1, 0, 1]), (3, 2, [1.0, 0, 1]),

@@ -300,12 +300,19 @@ class TestClass1Builder:
 
     def test_alpha_must_be_root_permutation(self, gf31):
         f = gf31
-        with pytest.raises(ValidationError, match="permutation"):
-            Class1Params(field=f, n=15, k=4, h=1, l=3, lam=f.one(),
-                         eta=(f.one(),) * 4,
-                         v_head=(f.element(5), f.element(2), f.element(3)),
-                         v_tail_signs=(f.one(),) * 12,
-                         alpha=tuple(f.element(a) for a in range(1, 16)))
+        make = functools.partial(Class1Params, field=f, n=15, k=4, h=1, l=3, lam=f.one(),
+                                 eta=(f.one(),) * 4,
+                                 v_head=(f.element(5), f.element(2), f.element(3)),
+                                 v_tail_signs=(f.one(),) * 12)
+        roots = tuple(f.roots_of_xn_minus_lambda(15, f.one()))
+        non_root = next(a for a in f.nonzero_elements() if a not in roots)
+        for alpha in (tuple(f.element(a) for a in range(1, 16)),
+                      roots[:14] + roots[:1],  # a repeated root
+                      roots[:14],  # n - 1 roots
+                      roots[:14] + (non_root,)):  # one non-root among n elements
+            with pytest.raises(ValidationError, match="permutation"):
+                make(alpha=alpha)
+        assert make(alpha=roots[::-1]).alpha == roots[::-1]  # any order is kept
 
     def test_applicable_builds_are_lcd_randomized(self):
         # the recipe's conclusion is re-checked, never assumed
@@ -474,6 +481,14 @@ class TestSearch:
         b = search_eta(template, budget=12, seed=99)
         assert a and [h.to_json() for h in a] == [h.to_json() for h in b]
 
+    def test_unseeded_search_is_seed_zero(self):
+        template = fifth_roots_template(get_field(31))
+        assert [h.to_json() for h in search_eta(template, budget=12)] == \
+            [h.to_json() for h in search_eta(template, budget=12, seed=0)]
+        for seed in (None, 1.5):
+            with pytest.raises(ValidationError, match="seed"):
+                search_eta(template, budget=12, seed=seed)
+
     def test_randomized_hits_sorted_and_subset_of_exhaustive(self):
         template = fifth_roots_template(get_field(31))
         hits = search_eta(template, budget=15, seed=5)
@@ -538,32 +553,21 @@ class TestSearchOracle:
         assert all(h.report.is_lcd and h.report.is_mds for h in hits)
         assert hits_json(hits) == list(oracle_hits("recipe2").values())
 
+    def test_one_table_per_search(self, monkeypatch):
+        # every hit is classified through the search's one criterion table and
+        # its context; each recipe-2 build adds one context for its cross-check
+        template = recipe2_template()
+        built = {"table": 0, "context": 0}
+        table_init, context_init = PhiWorkspace.__init__, SymContext.__init__
 
-class TestSharedContext:
-    def test_other_points_rejected(self):
-        params = GOLDEN_CODES[3].params()
-        for other in (params.alpha[::-1], params.alpha[:-1]):
-            with pytest.raises(ValidationError, match="other points"):
-                build_class2(params, context=SymContext(other))
+        def counted(name, init):
+            def wrapper(self, *args):
+                built[name] += 1
+                init(self, *args)
+            return wrapper
 
-    def test_build_record_identical_with_shared_context(self):
-        # one context per template serves every twist vector on its points
-        rng = random.Random(41)
-        f9 = get_field(3, 2, [1, 0, 1])
-        f16 = get_field(*GF16)
-        gf9_recipe2 = Class2Params(
-            field=f9, n=8, h=2, l=2, m_gap=0, lam=f9.one(), eta=(f9.zero(),) * 3,
-            v_head=(f9.element([0, 1]), f9.element([1, 1])),
-            v_tail_signs=tuple(f9.element(s) for s in (1, -1, -1, 1, 1, -1)))
-        gf16_recipe2 = Class2Params(
-            field=f16, n=5, h=1, l=1, m_gap=0, lam=f16.one(), eta=(f16.zero(),) * 2,
-            v_head=(f16.element([1, 1]),), v_tail_signs=(f16.one(),) * 4)
-        for template in (recipe2_template(), gf9_recipe2, gf16_recipe2):
-            f = template.field
-            ctx = None
-            for _ in range(12):
-                eta = tuple(f.from_index(rng.randrange(f.q)) for _ in range(template.l + 1))
-                params = replace(template, eta=eta)
-                ctx = ctx or SymContext(params.alpha)
-                shared = build_class2(params, context=ctx)
-                assert shared.to_json() == build_class2(params).to_json()
+        monkeypatch.setattr(PhiWorkspace, "__init__", counted("table", table_init))
+        monkeypatch.setattr(SymContext, "__init__", counted("context", context_init))
+        hits = search_eta(template, budget=31**3)
+        assert len(hits) == 40
+        assert built == {"table": 1, "context": 1 + 40}

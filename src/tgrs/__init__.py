@@ -8,9 +8,8 @@ constructive recipes for LCD (and LCD MDS) codes on cyclic point sets.
 from .classify import (CodeReport, PhiWorkspace, classify, hull_dimension, is_amds,
                        is_mds_minors, is_mds_phi, min_distance, report_from_json,
                        report_to_json)
-from .codes import (GeneralTwistSpec, TgrsSpec, encode, encode_general,
-                    generator_matrix, parity_check_matrix, tgrs_spec_from_json,
-                    tgrs_spec_to_json)
+from .codes import (TgrsSpec, encode, generator_matrix, parity_check_matrix,
+                    tgrs_spec_from_json, tgrs_spec_to_json)
 from .errors import (ResourceLimitError, SingularMatrixError, TgrsError, ValidationError,
                      VerificationError)
 from .gf import Field, FieldElement, field_from_json, field_to_json
@@ -27,12 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "FieldElement", "Poly", "NEG_INF", "MatGF", "SymContext",
-    "TgrsSpec", "GeneralTwistSpec", "CodeReport", "PhiWorkspace",
+    "TgrsSpec", "CodeReport", "PhiWorkspace",
     "Class1Params", "Class2Params", "SearchHit",
     "BuildResult", "HypothesisCheck", "GoldenCode", "GOLDEN_CODES",
     "TgrsError", "ValidationError", "ResourceLimitError", "SingularMatrixError",
     "VerificationError",
-    "generator_matrix", "parity_check_matrix", "encode", "encode_general",
+    "generator_matrix", "parity_check_matrix", "encode",
     "classify", "is_mds_phi", "is_mds_minors", "is_amds", "min_distance",
     "hull_dimension", "rank", "det", "null_space", "rref",
     "solve", "solve_vandermonde", "row_space_equal",

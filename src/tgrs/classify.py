@@ -143,13 +143,15 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     """Distance-exactly-n-k test via the two subset conditions.
 
     Needs (a) some singular k-subset and (b) every (k+1)-subset containing a
-    nonsingular k-subset; certificates carry the discovered witnesses.
+    nonsingular k-subset; certificates carry the discovered witnesses.  The
+    dependent subset of (a) is the certificate of ``is_mds_phi`` on the same
+    table, so one walk decides both MDS and (a).
     """
     table = _table_for(spec, workspace)
-    eta = tuple(e.rep for e in spec.eta)
-    dependent = table._first_singular(eta)
-    if dependent is None:
+    mds, dependent = is_mds_phi(spec, workspace=table)
+    if mds:
         return False, {"reason": "code is MDS", "dependent_subset": None}
+    eta = tuple(e.rep for e in spec.eta)
     for sup in itertools.combinations(range(table.n), table.k + 1):
         if all(table._singular(eta, I) for I in itertools.combinations(sup, table.k)):
             return False, {
@@ -401,22 +403,20 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
 
     With ``want_distance`` the report carries the minimum distance, checked
     against the MDS/AMDS verdicts, or min_distance's ResourceLimitError.  Both
-    verdicts read one criterion table: ``workspace`` when given (it must be
-    built for the spec's points, k, h and l), a fresh one otherwise.
+    verdicts come from one ``is_amds`` call, whose criterion walk gives the
+    MDS certificate too, on one criterion table: ``workspace`` when given (it
+    must be built for the spec's points, k, h and l), a fresh one otherwise.
     """
     table = _table_for(spec, workspace)
     G = generator_matrix(spec)
     H = parity_check_matrix(spec, context=table.context)
-    mds, mds_cert = is_mds_phi(spec, workspace=table)
+    amds, amds_cert = is_amds(spec, workspace=table)
+    dependent = amds_cert["dependent_subset"]
+    mds = dependent is None
     certificates: dict = {}
-    if mds_cert is not None:
-        certificates["mds_violating_subset"] = mds_cert
-    if mds:
-        amds, amds_cert = False, {"reason": "code is MDS"}
-    else:
-        amds, amds_cert = is_amds(spec, workspace=table)
-    if amds_cert.get("dependent_subset") is not None:
-        certificates["amds_dependent_subset"] = amds_cert["dependent_subset"]
+    if not mds:
+        certificates["mds_violating_subset"] = dependent
+        certificates["amds_dependent_subset"] = dependent
     if amds_cert.get("deficient_superset") is not None:
         certificates["amds_deficient_superset"] = amds_cert["deficient_superset"]
     hull = hull_dimension(G, H)

@@ -3,8 +3,7 @@
 A TgrsSpec pins down the single-hook code family: length n, dimension k,
 twist exponents k+0..k+l fed by hook coefficient h, evaluation points alpha,
 column multipliers v, and twist vector eta.  From it we build the generator
-matrix, the closed-form parity-check matrix, and evaluation encoders.  The
-fully general multi-hook encoder is available through GeneralTwistSpec.
+matrix, the closed-form parity-check matrix, and the evaluation encoder.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ class TgrsSpec:
 
     Constraints: 2 <= k <= n, 0 <= l <= n-k-1, 1 <= h <= k-1, alpha pairwise
     distinct, v nonzero, eta of length l+1.  The hook h = 0 is excluded from
-    this family; use GeneralTwistSpec for it.
+    this family.
     """
 
     field: Field
@@ -106,88 +105,25 @@ def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) ->
 
 
 def encode(spec: TgrsSpec, message: Sequence) -> tuple[FieldElement, ...]:
-    """Evaluation encoding of a length-k message; equals message @ generator."""
-    return encode_general(GeneralTwistSpec.from_single_hook(spec), message)
+    """Evaluation encoding of a length-k message; equals message @ generator.
 
-
-@dataclass(frozen=True)
-class GeneralTwistSpec:
-    """Fully general multi-hook twisted evaluation code.
-
-    Twist exponents are a subset of {0..n-k-1} (may be empty), hooks a
-    subset of {0..k-1}, and coeffs a k x (n-k) matrix whose support must
-    lie inside hooks x twist_exponents.  With an all-zero matrix this is a
-    plain GRS encoder.
+    One Horner pass per point over the k + l + 1 coefficients of
+    f(x) = sum_i m_i x^i + m_h sum_t eta_t x^(k+t), scaled by v; the
+    generator matrix is never built.
     """
-
-    field: Field
-    n: int
-    k: int
-    twist_exponents: tuple[int, ...]
-    hooks: tuple[int, ...]
-    coeffs: tuple[tuple[FieldElement, ...], ...]
-    alpha: tuple[FieldElement, ...]
-    v: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        f = self.field
-        object.__setattr__(self, "twist_exponents", tuple(sorted(set(self.twist_exponents))))
-        object.__setattr__(self, "hooks", tuple(sorted(set(self.hooks))))
-        object.__setattr__(self, "coeffs",
-                           tuple(tuple(f.element(c) for c in row) for row in self.coeffs))
-        object.__setattr__(self, "alpha", tuple(f.element(a) for a in self.alpha))
-        object.__setattr__(self, "v", tuple(f.element(x) for x in self.v))
-        n, k = self.n, self.k
-        if not 0 <= k <= n:
-            raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
-        if any(not 0 <= j <= n - k - 1 for j in self.twist_exponents):
-            raise ValidationError(f"twist exponents must lie in 0..n-k-1 = {n - k - 1}")
-        if any(not 0 <= i <= k - 1 for i in self.hooks):
-            raise ValidationError(f"hooks must lie in 0..k-1 = {k - 1}")
-        if len(self.coeffs) != k or any(len(r) != n - k for r in self.coeffs):
-            raise ValidationError(f"coefficient matrix must be {k} x {n - k}")
-        lset, pset = set(self.twist_exponents), set(self.hooks)
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if not c.is_zero() and (i not in pset or j not in lset):
-                    raise ValidationError(
-                        f"coefficient ({i},{j}) outside the hook x twist support")
-        if len(self.alpha) != n:
-            raise ValidationError(f"alpha must have length n={n}")
-        if n:  # the empty code has no points to compare
-            distinct_points(self.alpha)
-        if len(self.v) != n or any(x.is_zero() for x in self.v):
-            raise ValidationError("v must be n nonzero multipliers")
-
-    @classmethod
-    def from_single_hook(cls, spec: TgrsSpec) -> "GeneralTwistSpec":
-        rows = []
-        for i in range(spec.k):
-            row = [spec.field.zero()] * (spec.n - spec.k)
-            if i == spec.h:
-                for t, e in enumerate(spec.eta):
-                    row[t] = e
-            rows.append(tuple(row))
-        return cls(spec.field, spec.n, spec.k, tuple(range(spec.l + 1)), (spec.h,),
-                   tuple(rows), spec.alpha, spec.v)
-
-
-def encode_general(spec: GeneralTwistSpec, message: Sequence) -> tuple[FieldElement, ...]:
-    """Evaluate the twisted message polynomial at all points, scaled by v."""
     f = spec.field
-    msg = [f.element(x) for x in message]
+    msg = [f.element(x).rep for x in message]
     if len(msg) != spec.k:
         raise ValidationError(f"message must have length k={spec.k}")
-    coeffs = list(msg) + [f.zero()] * (spec.n - spec.k)
-    for i in spec.hooks:
-        for j in spec.twist_exponents:
-            coeffs[spec.k + j] = coeffs[spec.k + j] + msg[i] * spec.coeffs[i][j]
+    add, mul = f._add, f._mul
+    coeffs = msg + [mul(msg[spec.h], e.rep) for e in spec.eta]
+    coeffs.reverse()
     out = []
     for a, vi in zip(spec.alpha, spec.v):
-        acc = f.zero()
-        for c in reversed(coeffs):
-            acc = acc * a + c
-        out.append(vi * acc)
+        a, acc = a.rep, 0
+        for c in coeffs:
+            acc = add(mul(acc, a), c)
+        out.append(FieldElement(f, mul(vi.rep, acc)))
     return tuple(out)
 
 

@@ -536,6 +536,23 @@ class TestClassify:
         assert report.is_mds and report.is_lcd
         assert calls == [9]
 
+    def test_one_criterion_walk_per_classification(self, monkeypatch):
+        # the MDS certificate and the AMDS dependent subset come from one walk
+        walks = []
+        first_singular = PhiWorkspace._first_singular
+        monkeypatch.setattr(PhiWorkspace, "_first_singular",
+                            lambda self, eta: walks.append(1) or first_singular(self, eta))
+        rng = random.Random(25)
+        specs = [gc.spec() for gc in GOLDEN_CODES] + [random_spec(rng, n_max=8)
+                                                       for _ in range(20)]
+        reports = [classify(spec) for spec in specs]
+        assert {r.is_mds for r in reports} == {True, False}
+        assert len(walks) == len(specs)
+        for report in reports:
+            certs = report.certificates
+            assert certs.get("mds_violating_subset") == certs.get("amds_dependent_subset")
+            assert report.is_mds == ("mds_violating_subset" not in certs)
+
     def test_mismatched_table_rejected(self):
         spec = GOLDEN_CODES[1].spec()  # [9,3] with h = 1, l = 1
         n, k, h, l = spec.n, spec.k, spec.h, spec.l

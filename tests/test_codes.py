@@ -1,12 +1,12 @@
-"""Generator/parity-check construction and the evaluation encoders."""
+"""Generator/parity-check construction and the evaluation encoder."""
 
 import random
 
 import pytest
 
-from tgrs import (GeneralTwistSpec, MatGF, SymContext, TgrsSpec, ValidationError, encode,
-                  encode_general, generator_matrix, null_space,
-                  parity_check_matrix, rank, row_space_equal,
+import tgrs.codes
+from tgrs import (MatGF, SymContext, TgrsSpec, ValidationError, encode, generator_matrix,
+                  null_space, parity_check_matrix, rank, row_space_equal,
                   tgrs_spec_from_json, tgrs_spec_to_json)
 from tgrs.golden import GOLDEN_CODES
 
@@ -166,6 +166,23 @@ class TestSharedContext:
                     assert parity_check_matrix(spec, context=ctx) == parity_check_matrix(spec)
 
 
+def encoder_specs():
+    """Named encoder inputs: a boundary hook h = k-1 over GF(31), and an
+    explicit characteristic-2 spec over GF(16) written as coefficient lists."""
+    f = get_field(31)
+    boundary = TgrsSpec(field=f, n=8, k=4, l=2, h=3,
+                        alpha=tuple(f.element(a) for a in (0, 1, 3, 5, 8, 13, 21, 30)),
+                        v=tuple(f.element(x) for x in (1, 2, 3, 4, 5, 6, 7, 8)),
+                        eta=tuple(f.element(e) for e in (4, 0, 17)))
+    f = get_field(*GF16)
+    char2 = TgrsSpec(field=f, n=7, k=3, l=2, h=1,
+                     alpha=tuple(f.from_index(i) for i in (1, 2, 3, 5, 8, 11, 15)),
+                     v=tuple(f.from_index(i) for i in (1, 3, 7, 2, 9, 4, 12)),
+                     eta=(f.element([1, 0, 1]), f.element([0, 1]), f.element([1, 1, 1, 1])))
+    return [(boundary, [boundary.field.element(m) for m in (7, 0, 30, 2)]),
+            (char2, [f.element(m) for m in ([1, 1], [0, 0, 1, 1], [1, 0, 0, 1])])]
+
+
 class TestEncode:
     def test_basis_message_reads_generator_row(self):
         spec = GOLDEN_CODES[1].spec()
@@ -179,66 +196,43 @@ class TestEncode:
 
     def test_matches_matrix_product(self):
         rng = random.Random(18)
+        inputs = []
         for _ in range(10):
             spec = random_spec(rng)
             f = spec.field
-            msg = [f.element(rng.randrange(f.q)) for _ in range(spec.k)]
-            G = generator_matrix(spec)
-            prod = MatGF(f, [msg]) @ G
+            inputs.append((spec, [f.from_index(rng.randrange(f.q)) for _ in range(spec.k)]))
+        for spec, msg in inputs + encoder_specs():
+            prod = MatGF(spec.field, [msg]) @ generator_matrix(spec)
             assert encode(spec, msg) == prod.row(0)
+
+    def test_zero_twist_is_scaled_grs(self, gf7):
+        f = gf7
+        spec = TgrsSpec(field=f, n=6, k=3, l=2, h=1,
+                        alpha=tuple(f.element(a) for a in (1, 2, 3, 4, 5, 6)),
+                        v=tuple(f.element(x) for x in (1, 2, 1, 2, 1, 2)),
+                        eta=(f.zero(),) * 3)
+        msg = [f.element(3), f.element(4), f.element(6)]
+        got = encode(spec, msg)
+        for x, a, vi in zip(got, spec.alpha, spec.v):
+            assert x == vi * (msg[0] + msg[1] * a + msg[2] * a * a)
+
+    def test_unit_messages_give_published_rows_without_generator(self, monkeypatch):
+        # the oracle is the printed generator, so encode must not build G itself
+        def refuse(*args, **kwargs):
+            raise AssertionError("encode built a generator or Vandermonde matrix")
+        monkeypatch.setattr(tgrs.codes, "generator_matrix", refuse)
+        monkeypatch.setattr(MatGF, "vandermonde", refuse)
+        for gc in GOLDEN_CODES:
+            spec = gc.spec()
+            f = spec.field
+            for i, row in enumerate(gc.normalized_generator()):
+                msg = [f.one() if j == i else f.zero() for j in range(spec.k)]
+                assert [x.rep for x in encode(spec, msg)] == row, (gc.name, i)
 
     def test_wrong_length_rejected(self):
         spec = GOLDEN_CODES[1].spec()
         with pytest.raises(ValidationError, match="length"):
             encode(spec, [0, 0])
-
-
-class TestGeneralEncoder:
-    def test_zero_coefficients_reduce_to_grs(self, gf7):
-        f = gf7
-        alpha = tuple(f.element(a) for a in (1, 2, 3, 4, 5))
-        v = tuple(f.element(x) for x in (1, 2, 1, 2, 1))
-        gspec = GeneralTwistSpec(field=f, n=5, k=2, twist_exponents=(0, 1),
-                                 hooks=(0,), coeffs=((0, 0, 0), (0, 0, 0)),
-                                 alpha=alpha, v=v)
-        msg = [f.element(3), f.element(4)]
-        got = encode_general(gspec, msg)
-        for x, a, vi in zip(got, alpha, v):
-            assert x == vi * (msg[0] + msg[1] * a)
-
-    def test_specializes_to_single_hook_encoder(self):
-        rng = random.Random(19)
-        for _ in range(8):
-            spec = random_spec(rng)
-            gspec = GeneralTwistSpec.from_single_hook(spec)
-            msg = [spec.field.element(rng.randrange(spec.field.q))
-                   for _ in range(spec.k)]
-            assert encode_general(gspec, msg) == encode(spec, msg)
-
-    def test_single_point_code(self, gf7):
-        gspec = GeneralTwistSpec(field=gf7, n=1, k=1, twist_exponents=(),
-                                 hooks=(0,), coeffs=((),),
-                                 alpha=(gf7.element(4),), v=(gf7.element(3),))
-        assert encode_general(gspec, [gf7.element(5)]) == (gf7.element(15 % 7),)
-
-    def test_support_violation_rejected(self, gf7):
-        alpha = tuple(gf7.element(a) for a in (1, 2, 3, 4))
-        v = (gf7.one(),) * 4
-        with pytest.raises(ValidationError, match="support"):
-            GeneralTwistSpec(field=gf7, n=4, k=2, twist_exponents=(0,),
-                             hooks=(1,), coeffs=((1, 0), (0, 0)),
-                             alpha=alpha, v=v)
-
-    def test_duplicate_alpha_names_positions(self, gf7):
-        alpha = tuple(gf7.element(a) for a in (1, 2, 1, 4))
-        with pytest.raises(ValidationError, match="positions 0 and 2 coincide"):
-            GeneralTwistSpec(field=gf7, n=4, k=2, twist_exponents=(), hooks=(),
-                             coeffs=((0, 0), (0, 0)), alpha=alpha, v=(gf7.one(),) * 4)
-
-    def test_hook_zero_allowed_here(self, gf7):
-        alpha = tuple(gf7.element(a) for a in (1, 2, 3, 4))
-        GeneralTwistSpec(field=gf7, n=4, k=2, twist_exponents=(0,), hooks=(0,),
-                         coeffs=((3, 0), (0, 0)), alpha=alpha, v=(gf7.one(),) * 4)
 
 
 class TestExtensionField:

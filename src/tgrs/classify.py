@@ -4,8 +4,9 @@ Two independent routes decide MDS-ness: the per-subset twist criterion and
 exhaustive k x k minors of the generator matrix; the test suite keeps them
 in agreement.  The criterion reads rows from PhiWorkspace, one lazily filled
 table per point set and (k, h, l), which the MDS and AMDS verdicts and the
-twist search share; a row is one ``symm.criterion_row`` on reps, which also
-gives the LCD recipes' r gate, so no ``Poly`` is built per subset.
+twist search share.  It holds rows only, at most CRITERION_ROW_BUDGET, each
+one ``symm.criterion_row`` on reps (also the LCD recipes' r gate), so no
+``Poly`` is built per subset; the parity check builds its own context.
 
 Minimum distance takes one of two depth-first walks, chosen by the shape of
 the parity check H alone, k = n - rows.  A low-rate code, 2k < n, walks the
@@ -35,15 +36,19 @@ from typing import Optional, Sequence
 
 from .codes import TgrsSpec, generator_matrix, parity_check_matrix
 from .errors import ResourceLimitError, ValidationError, VerificationError
-from .gf import FieldElement, element_to_json
+from .gf import FieldElement, _is_int
 from .linalg import MatGF, det, null_space, rank
-from .symm import SymContext, criterion_row, distinct_points
+from .symm import criterion_row, distinct_points
 
 # Nodes either distance walk may visit.  A column-walk node costs ~5 us, so the
 # budget is ~10 s there; a hyperplane node reduces all n columns, ~30-65 us at
 # n = 24-36, so one to two minutes there.  The four reference codes need 121,
 # 10, 1,941 and 11 hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
 DISTANCE_NODE_BUDGET = 2_000_000
+
+# Rows one criterion table may hold, ~40 us each at k = 5-8, so ~10 s; a [30,5]
+# code needs at most C(30,5) = 142,506.  A search's one table counts them all.
+CRITERION_ROW_BUDGET = 250_000
 
 
 class PhiWorkspace:
@@ -59,9 +64,9 @@ class PhiWorkspace:
     table serves every twist vector and column scaling on the point set.
     A row is computed the first time its subset is asked for and kept as
     canonical reps; the verdicts ``is_mds_phi`` and ``is_amds`` stop at
-    their first witness, so tables stay partial.  The table also holds the
-    SymContext of its points, built on first use, which ``classify`` lends
-    to the parity check.
+    their first witness, so tables stay partial.  A row past
+    CRITERION_ROW_BUDGET raises ResourceLimitError.  The last walk's eta and
+    result are kept, so a search hit's classification reuses its gate's walk.
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
@@ -75,26 +80,25 @@ class PhiWorkspace:
         self.field = pts[0].field
         self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
         self._rows: dict[tuple[int, ...], tuple] = {}
-        self._context: Optional[SymContext] = None
-
-    @property
-    def context(self) -> SymContext:
-        """The symmetric-function values of the table's points."""
-        if self._context is None:
-            self._context = SymContext(self.alpha)
-        return self._context
+        self._last: Optional[tuple] = None  # (eta, first dependent subset) of the last walk
 
     def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
         """d_0(I)..d_l(I) for an ascending tuple I of k positions."""
+        if (len(subset) != self.k or list(subset) != sorted(set(subset))
+                or subset[0] < 0 or subset[-1] >= self.n):
+            raise ValidationError(
+                f"need an ascending subset of {self.k} positions in 0..{self.n - 1}")
         return tuple(FieldElement(self.field, d) for d in self._rep_row(subset))
 
     def _rep_row(self, subset: tuple[int, ...]) -> tuple:
         row = self._rows.get(subset)
         if row is None:
-            if (len(subset) != self.k or list(subset) != sorted(set(subset))
-                    or subset[0] < 0 or subset[-1] >= self.n):
-                raise ValidationError(
-                    f"need an ascending subset of {self.k} positions in 0..{self.n - 1}")
+            if len(self._rows) >= CRITERION_ROW_BUDGET:
+                known = self._last and self._last[1]  # the current walk's, once found
+                raise ResourceLimitError(
+                    f"twist criterion stopped at its budget of {len(self._rows)} rows "
+                    f"(n={self.n}, k={self.k}); dependent columns (1-based): "
+                    f"{[i + 1 for i in known] if known else 'none found yet'}")
             row = self._rows[subset] = criterion_row(
                 self.field, [self.alpha[i].rep for i in subset], self.h, self.l + 1)
         return row
@@ -105,10 +109,11 @@ class PhiWorkspace:
 
     def _first_singular(self, eta: tuple) -> Optional[tuple[int, ...]]:
         """The lexicographically first dependent k-subset, for eta given as reps."""
-        for subset in itertools.combinations(range(self.n), self.k):
-            if self._singular(eta, subset):
-                return subset
-        return None
+        if self._last is None or self._last[0] != eta:
+            self._last = None  # a walk in progress knows no dependent subset yet
+            subsets = itertools.combinations(range(self.n), self.k)
+            self._last = (eta, next((I for I in subsets if self._singular(eta, I)), None))
+        return self._last[1]
 
 
 def _table_for(spec: TgrsSpec, workspace: Optional[PhiWorkspace]) -> PhiWorkspace:
@@ -358,21 +363,8 @@ class CodeReport:
         return f"[{self.n},{self.k}]"
 
 
-def _subset_json(subset) -> Optional[list[int]]:
-    if subset is None:
-        return None
-    return [i + 1 for i in subset]  # serialized certificates are 1-based
-
-
 def report_to_json(report: CodeReport) -> dict:
-    certs = {}
-    for key, val in report.certificates.items():
-        if isinstance(val, tuple) and all(isinstance(x, int) for x in val):
-            certs[key] = _subset_json(val)
-        elif isinstance(val, FieldElement):
-            certs[key] = element_to_json(val)
-        else:
-            certs[key] = val
+    certs = {key: [i + 1 for i in subset] for key, subset in report.certificates.items()}
     return {
         "n": report.n,
         "k": report.k,
@@ -388,11 +380,16 @@ def report_to_json(report: CodeReport) -> dict:
 
 
 def report_from_json(obj: dict) -> CodeReport:
+    """The report of ``report_to_json``, with its certificates 0-based again."""
+    certs = {}
+    for key, val in obj.get("certificates", {}).items():
+        if not (isinstance(val, list) and all(_is_int(i) and i > 0 for i in val)):
+            raise ValidationError(f"certificate '{key}' must be a list of positive integers")
+        certs[key] = tuple(i - 1 for i in val)
     return CodeReport(
         n=obj["n"], k=obj["k"], is_mds=obj["is_mds"], is_amds=obj["is_amds"],
         is_lcd=obj["is_lcd"], hull_dim=obj["hull_dim"],
-        min_distance=obj.get("min_distance"),
-        certificates=dict(obj.get("certificates", {})),
+        min_distance=obj.get("min_distance"), certificates=certs,
         notes=list(obj.get("notes", [])),
     )
 
@@ -409,16 +406,13 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     """
     table = _table_for(spec, workspace)
     G = generator_matrix(spec)
-    H = parity_check_matrix(spec, context=table.context)
+    H = parity_check_matrix(spec)
     amds, amds_cert = is_amds(spec, workspace=table)
     dependent = amds_cert["dependent_subset"]
     mds = dependent is None
-    certificates: dict = {}
-    if not mds:
-        certificates["mds_violating_subset"] = dependent
-        certificates["amds_dependent_subset"] = dependent
-    if amds_cert.get("deficient_superset") is not None:
-        certificates["amds_deficient_superset"] = amds_cert["deficient_superset"]
+    certificates = {key: subset for key, subset in (
+        ("mds_violating_subset", dependent), ("amds_dependent_subset", dependent),
+        ("amds_deficient_superset", amds_cert.get("deficient_superset"))) if subset is not None}
     hull = hull_dimension(G, H)
     report = CodeReport(
         n=spec.n, k=spec.k, is_mds=mds, is_amds=amds,

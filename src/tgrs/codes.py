@@ -9,7 +9,7 @@ matrix, the closed-form parity-check matrix, and the evaluation encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json, field_to_json
@@ -79,22 +79,19 @@ def generator_matrix(spec: TgrsSpec) -> MatGF:
     return MatGF._from_reps(f, tuple(tuple(map(f._mul, v, row)) for row in rows))
 
 
-def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) -> MatGF:
+def parity_check_matrix(spec: TgrsSpec) -> MatGF:
     """Closed-form (n-k) x n parity-check matrix.
 
     Row j carries (u_i / v_i) alpha_i^j; the last l+1 rows are corrected by
     w_tilde_i Psi_{n-k-1-j} so that every generator row is annihilated.
-    ``context`` (built for spec.alpha, in order) is used instead of a fresh
-    SymContext when given.
+    u, w_tilde and Psi are reps read from a SymContext of spec.alpha built
+    here, through the code its public getters wrap.
     """
     f, n, k, l = spec.field, spec.n, spec.k, spec.l
-    if context is None:
-        context = SymContext(spec.alpha)
-    elif context.points != spec.alpha:
-        raise ValidationError("symmetric-function context was built for other points")
-    wt = [x.rep for x in context.hook_weights(spec.h)[1]]
-    psi = [x.rep for x in context.psi_values(spec.eta)]
-    scale = [(u / v).rep for u, v in zip(context.dual_coeffs(), spec.v)]
+    context = SymContext(spec.alpha)
+    wt = context._hook_reps(spec.h)
+    psi = context._psi_reps([e.rep for e in spec.eta])
+    scale = [f._mul(u, f._inv(v.rep)) for u, v in zip(context._u, spec.v)]
     rows = []
     for j, row in enumerate(MatGF.vandermonde(spec.alpha, n - k)._data):
         if j >= n - k - l - 1:

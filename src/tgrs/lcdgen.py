@@ -327,8 +327,8 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     Candidates are rep tuples and every gate runs on reps, cheapest first:
     zero twist, r, the quadratic gate of the second recipe, the criterion.
     FieldElements, builds and classification are made only for hits; every
-    classification goes through the search's one criterion table and its
-    point-set context.
+    classification goes through the search's one criterion table, whose row
+    budget counts per search, and reuses the walk of its criterion gate.
     """
     if not _is_int(budget) or budget <= 0:
         raise ValidationError(f"search budget must be a positive integer, got {budget!r}")

@@ -7,9 +7,11 @@ quotients q_i = P / (x - x_i) give the elementary symmetric values
 sigma_r(i), the Lagrange dual coefficients u_i = 1 / q_i(x_i) and the hook
 weights w-tilde; the twist tail sums Psi_s combine S_t with a twist vector.
 All of it runs on reps from the context's one ``Poly.from_roots``, with
-FieldElements only in the public getters.  ``criterion_row`` takes the same
-series on reps, with no ``Poly``: the classifier's rows, and the LCD recipes'
-r gate, the row of the k-1 head points with hook h-1.
+FieldElements only in the public getters; ``parity_check_matrix`` reads u,
+w-tilde and Psi as reps through the code those getters wrap.
+``criterion_row`` takes the same series on reps, with no ``Poly``: the
+classifier's rows, and the LCD recipes' r gate, the row of the k-1 head
+points with hook h-1.
 
 Convention: S_0 = 1 and S_t = 0 for t < 0, matching the generating function
 prod_i 1/(1 - x_i z).  All positions are 0-based.
@@ -103,6 +105,15 @@ class SymContext:
             self._s = series_inverse(self.field, self._reversed, length)
         return self._s
 
+    def _hook_reps(self, h: int) -> list[int]:
+        """Reps of w_tilde_i = [x^h] q_i, for 0 <= h <= n-1."""
+        return [q[h] for q in self._q]
+
+    def _psi_reps(self, eta: Sequence[int]) -> list[int]:
+        """Reps of Psi_0..Psi_{len(eta)-1}, for eta given as reps."""
+        s_vals = self._series(len(eta))
+        return [self.field._dot(eta[s:], s_vals) for s in range(len(eta))]
+
     # -- queries ---------------------------------------------------------------
 
     def complete_symmetric(self, t: int) -> FieldElement:
@@ -137,13 +148,11 @@ class SymContext:
         if not 0 <= h <= self.n - 1:
             raise ValidationError(f"unit index {h} out of range 0..{self.n - 1}")
         f = self.field
-        wt = [q[h] for q in self._q]
+        wt = self._hook_reps(h)
         return (tuple(FieldElement(f, f._mul(u, t)) for u, t in zip(self._u, wt)),
                 tuple(FieldElement(f, t) for t in wt))
 
     def psi_values(self, eta: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Tail sums Psi_s = sum_{t >= s} eta_t S_{t-s}, s = 0..len(eta)-1."""
         f = self.field
-        eta = [f.element(e).rep for e in eta]
-        s_vals = self._series(len(eta))
-        return tuple(FieldElement(f, f._dot(eta[s:], s_vals)) for s in range(len(eta)))
+        return tuple(FieldElement(f, x) for x in self._psi_reps([f.element(e).rep for e in eta]))

@@ -410,6 +410,41 @@ class TestMinDistance:
             min_distance(MatGF(gf7, [[1, 2, 3], [2, 4, 6]]))
 
 
+class TestCriterionRowBudget:
+    def test_budget_enforced(self, monkeypatch):
+        spec = GOLDEN_CODES[0].spec()  # [15,4]: 6 rows to (0,1,2,8), 66 in all
+        report = classify(spec)
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 66)
+        assert classify(spec) == report
+        messages = []
+        for budget in (65, 65, 5):
+            monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", budget)
+            with pytest.raises(ResourceLimitError) as info:
+                classify(spec)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("budget of 65 rows (n=15, k=4); "
+                                    "dependent columns (1-based): [1, 2, 3, 9]")
+        # a refusal inside the first walk knows no dependent subset yet
+        assert messages[2].endswith("budget of 5 rows (n=15, k=4); "
+                                    "dependent columns (1-based): none found yet")
+
+    def test_budget_counts_rows_of_one_table(self, monkeypatch):
+        # rows a shared table already holds are free, every verdict on it counts
+        # toward one budget, and a refusal names only its own walk's dependent set
+        spec = GOLDEN_CODES[0].spec()  # [15,4]: 66 rows
+        table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
+        report = classify(spec, workspace=table)
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 66)
+        assert classify(spec, workspace=table) == report
+        other = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l, h=spec.h,
+                         alpha=spec.alpha, v=spec.v, eta=(1, 1, 1, 1))
+        with pytest.raises(ResourceLimitError) as info:
+            classify(other, workspace=table)
+        assert str(info.value).endswith("budget of 66 rows (n=15, k=4); "
+                                        "dependent columns (1-based): none found yet")
+
+
 class TestAmds:
     def test_mds_code_is_not_amds(self):
         ok, cert = is_amds(GOLDEN_CODES[1].spec())
@@ -507,8 +542,8 @@ class TestClassify:
             assert is_amds(spec, workspace=table) == is_amds(spec)
 
     def test_one_context_per_table(self, monkeypatch):
-        # classify builds one table and one point-set context; a shared table
-        # lends its context to every later classification on its points
+        # each classification builds one point-set context, for its parity
+        # check; a criterion table builds none, shared or not
         built = []
         init = SymContext.__init__
         monkeypatch.setattr(SymContext, "__init__",
@@ -517,13 +552,13 @@ class TestClassify:
         classify(spec)
         assert len(built) == 1
         table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
-        assert table.context is table.context and table.context.points == spec.alpha
+        assert not hasattr(table, "context") and len(built) == 1
         for eta in ((1, 2), (22, 24), (5, 0)):
             other = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l, h=spec.h,
                              alpha=spec.alpha, v=spec.v, eta=eta)
             assert report_to_json(classify(other, workspace=table)) == \
                 report_to_json(classify(other))
-        assert len(built) == 1 + 1 + 3
+        assert len(built) == 1 + 3 + 3
 
     def test_one_polynomial_product_per_classification(self, monkeypatch):
         # the point-set context multiplies out its points once; the criterion
@@ -604,6 +639,22 @@ class TestClassify:
         blob = json.dumps(report_to_json(report), sort_keys=True)
         again = report_from_json(json.loads(blob))
         assert json.dumps(report_to_json(again), sort_keys=True) == blob
+
+    def test_report_json_round_trip_in_process(self):
+        rng = random.Random(28)
+        specs = [gc.spec() for gc in GOLDEN_CODES] + [random_spec(rng, n_max=8)
+                                                       for _ in range(20)]
+        reports = [classify(spec, want_distance=spec.n <= 10) for spec in specs]
+        assert {bool(r.certificates) for r in reports} == {True, False}
+        for report in reports:
+            assert report_from_json(report_to_json(report)) == report
+
+    @pytest.mark.parametrize("cert", [[0, 2], [1, 2.0], [1, True], "1,2", None, [-1]])
+    def test_report_json_bad_certificate_rejected(self, cert):
+        blob = report_to_json(classify(GOLDEN_CODES[0].spec()))
+        blob["certificates"]["mds_violating_subset"] = cert
+        with pytest.raises(ValidationError, match="mds_violating_subset"):
+            report_from_json(blob)
 
     def test_certificates_one_based_in_json(self):
         rng = random.Random(26)

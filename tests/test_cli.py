@@ -148,8 +148,17 @@ class TestCheck:
         err = refused_check(tmp_path, capsys, monkeypatch, k=8, budget=1000)  # 1,946 nodes
         assert "budget of 1000 nodes" in err and "d <= 6" in err
 
+    def test_criterion_row_budget_refusal_exits_2(self, golden_spec_file, capsys,
+                                                  monkeypatch):
+        # the [9,3,7] code is MDS, so its criterion walk needs all C(9,3) = 84 rows
+        monkeypatch.setattr(sys.modules["tgrs.classify"], "CRITERION_ROW_BUDGET", 83)
+        assert main(["check", "--input", golden_spec_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "budget of 83 rows" in captured.err
+        assert captured.out == ""
+
     def test_builds_one_symmetric_context(self, golden_spec_file, capsys, monkeypatch):
-        # the parity check and the classification share one point-set context
+        # one point-set context per check, built for the parity check
         built = []
         init = SymContext.__init__
         monkeypatch.setattr(SymContext, "__init__",

@@ -142,28 +142,31 @@ class TestParityCheckMatrix:
             same = Ht.row(j) == Hp.row(j)
             assert same == (j != 3)
 
-
-class TestSharedContext:
-    def test_other_points_rejected(self):
-        spec = GOLDEN_CODES[1].spec()
-        for other in (spec.alpha[::-1], spec.alpha[:-1], GOLDEN_CODES[3].spec().alpha):
-            with pytest.raises(ValidationError, match="other points"):
-                parity_check_matrix(spec, context=SymContext(other))
-
-    def test_shared_context_gives_identical_h(self):
-        # one context serves specs with other h, l, v and eta on the same points,
-        # asked in an order that grows its cached series
+    def test_matches_closed_form_from_public_getters(self):
+        # H_ji = (u_i / v_i) (alpha_i^j - w_tilde_i Psi_{n-k-1-j}), the correction
+        # on the last l+1 rows only, from one context per point set serving specs
+        # with other h, l, v and eta, asked in an order that grows its cached series
         rng = random.Random(43)
         for q in (31, GF9, GF16):
             for _ in range(6):
                 first = random_spec(rng, qs=(q,), n_max=9)
                 ctx = SymContext(first.alpha)
+                u = ctx.dual_coeffs()
                 specs = [first] + [random_spec(rng, qs=(q,), n_min=first.n, n_max=first.n)
                                    for _ in range(3)]
                 for spec in specs:
                     spec = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l,
                                     h=spec.h, alpha=first.alpha, v=spec.v, eta=spec.eta)
-                    assert parity_check_matrix(spec, context=ctx) == parity_check_matrix(spec)
+                    n, k, l = spec.n, spec.k, spec.l
+                    wt = ctx.hook_weights(spec.h)[1]
+                    psi = ctx.psi_values(spec.eta)
+                    H = parity_check_matrix(spec)
+                    for j in range(n - k):
+                        for i, a in enumerate(spec.alpha):
+                            entry = a ** j
+                            if j >= n - k - l - 1:
+                                entry = entry - wt[i] * psi[n - k - 1 - j]
+                            assert H[j, i] == u[i] / spec.v[i] * entry
 
 
 def encoder_specs():

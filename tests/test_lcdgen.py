@@ -553,9 +553,21 @@ class TestSearchOracle:
         assert all(h.report.is_lcd and h.report.is_mds for h in hits)
         assert hits_json(hits) == list(oracle_hits("recipe2").values())
 
+    def test_hits_reuse_the_gate_walk(self, monkeypatch):
+        # each hit's classification takes its MDS walk over all C(10,3) = 120
+        # subsets from the gate's, so it adds no criterion check (a second walk
+        # per hit made 33,843 + 40 * 120 = 38,643)
+        checks = []
+        singular = PhiWorkspace._singular
+        monkeypatch.setattr(PhiWorkspace, "_singular", lambda self, eta, subset:
+                            checks.append(1) or singular(self, eta, subset))
+        hits = search_eta(recipe2_template(), budget=31**3)
+        assert len(hits) == 40 and all(h.report.is_mds for h in hits)
+        assert len(checks) == 33_843
+
     def test_one_table_per_search(self, monkeypatch):
-        # every hit is classified through the search's one criterion table and
-        # its context; each recipe-2 build adds one context for its cross-check
+        # every hit is classified through the search's one criterion table; each
+        # hit builds one context for its cross-check and one for its parity check
         template = recipe2_template()
         built = {"table": 0, "context": 0}
         table_init, context_init = PhiWorkspace.__init__, SymContext.__init__
@@ -570,4 +582,4 @@ class TestSearchOracle:
         monkeypatch.setattr(SymContext, "__init__", counted("context", context_init))
         hits = search_eta(template, budget=31**3)
         assert len(hits) == 40
-        assert built == {"table": 1, "context": 1 + 40}
+        assert built == {"table": 1, "context": 40 + 40}

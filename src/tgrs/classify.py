@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .codes import TgrsSpec, generator_matrix, parity_check_matrix
+from .codes import TgrsSpec, check_int_fields, generator_matrix, parity_check_matrix
 from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, _is_int
 from .linalg import MatGF, det, null_space, rank
@@ -156,14 +156,16 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     mds, dependent = is_mds_phi(spec, workspace=table)
     if mds:
         return False, {"reason": "code is MDS", "dependent_subset": None}
-    eta = tuple(e.rep for e in spec.eta)
-    for sup in itertools.combinations(range(table.n), table.k + 1):
-        if all(table._singular(eta, I) for I in itertools.combinations(sup, table.k)):
-            return False, {
-                "reason": "a k+1 column set has rank below k",
-                "dependent_subset": dependent,
-                "deficient_superset": sup,
-            }
+    eta, n, k = tuple(e.rep for e in spec.eta), table.n, table.k
+    # supersets in lexicographic order, which is that of (sup[:k], sup[k]):
+    # only a singular first k-subset I can make sup = I + (j,) deficient
+    for I in itertools.combinations(range(n - 1), k):
+        if table._singular(eta, I):
+            for j in range(I[-1] + 1, n):
+                sup = I + (j,)
+                if all(table._singular(eta, S) for S in itertools.combinations(sup, k)):
+                    return False, {"reason": "a k+1 column set has rank below k",
+                                   "dependent_subset": dependent, "deficient_superset": sup}
     return True, {"dependent_subset": dependent, "deficient_superset": None}
 
 
@@ -379,18 +381,32 @@ def report_to_json(report: CodeReport) -> dict:
     }
 
 
-def report_from_json(obj: dict) -> CodeReport:
+def report_from_json(obj) -> CodeReport:
     """The report of ``report_to_json``, with its certificates 0-based again."""
+    if not isinstance(obj, dict):
+        raise ValidationError("code report must be a JSON object")
+    verdicts = ("is_mds", "is_amds", "is_lcd")
+    missing = [key for key in ("n", "k", *verdicts, "hull_dim") if key not in obj]
+    if missing:
+        raise ValidationError(f"code report missing fields: {', '.join(missing)}")
+    check_int_fields(obj, ("n", "k", "hull_dim"), optional=("min_distance",))
+    for key in verdicts:
+        if not isinstance(obj[key], bool):
+            raise ValidationError(f"field '{key}' must be a boolean, got {obj[key]!r}")
+    raw_certs, notes = obj.get("certificates", {}), obj.get("notes", [])
+    if not isinstance(raw_certs, dict):
+        raise ValidationError(f"field 'certificates' must be an object, got {raw_certs!r}")
+    if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
+        raise ValidationError(f"field 'notes' must be a list of strings, got {notes!r}")
     certs = {}
-    for key, val in obj.get("certificates", {}).items():
+    for key, val in raw_certs.items():
         if not (isinstance(val, list) and all(_is_int(i) and i > 0 for i in val)):
             raise ValidationError(f"certificate '{key}' must be a list of positive integers")
         certs[key] = tuple(i - 1 for i in val)
     return CodeReport(
         n=obj["n"], k=obj["k"], is_mds=obj["is_mds"], is_amds=obj["is_amds"],
         is_lcd=obj["is_lcd"], hull_dim=obj["hull_dim"],
-        min_distance=obj.get("min_distance"), certificates=certs,
-        notes=list(obj.get("notes", [])),
+        min_distance=obj.get("min_distance"), certificates=certs, notes=list(notes),
     )
 
 

@@ -86,9 +86,9 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _cmd_construct(args, klass: int) -> int:
-    params = params_from_json(_load_json(args.input), klass)
-    result = build_class1(params) if klass == 1 else build_class2(params)
+def cmd_construct(args) -> int:
+    params = params_from_json(_load_json(args.input), args.klass)
+    result = (build_class1 if args.klass == 1 else build_class2)(params)
     if args.output == "json":
         _emit_json(result.to_json())
     else:
@@ -97,17 +97,9 @@ def _cmd_construct(args, klass: int) -> int:
             print(f"{'ok ' if chk.holds else 'FAIL'} {chk.condition}"
                   + (f"  [{ev}]" if ev is not None else ""))
         status = "applicable" if result.applicable else "inapplicable"
-        print(f"recipe {klass} {status}; spec:")
+        print(f"recipe {args.klass} {status}; spec:")
         print(json.dumps(tgrs_spec_to_json(result.spec), sort_keys=True))
     return 0 if result.applicable else 1
-
-
-def cmd_construct1(args) -> int:
-    return _cmd_construct(args, 1)
-
-
-def cmd_construct2(args) -> int:
-    return _cmd_construct(args, 2)
 
 
 def cmd_search(args) -> int:
@@ -143,24 +135,18 @@ def cmd_paper_examples(args) -> int:
     results = []
     first_mismatch: Optional[str] = None
     for pos, gc in enumerate(GOLDEN_CODES, start=1):
-        spec = gc.spec()
+        build = (build_class1 if gc.klass == 1 else build_class2)(gc.params())
         want_d = gc.expected_distance is not None
-        report = classify(spec, want_distance=want_d)
-        G = report.generator
-        got = [[x.rep for x in row] for row in (G.row(i) for i in range(G.rows))]
+        report = classify(build.spec, want_distance=want_d)
         want = gc.normalized_generator()
         if corrupt is not None and corrupt[0] == pos:
             _, r, c = corrupt
             want[r - 1][c - 1] = (want[r - 1][c - 1] + 1) % gc.q
-        mismatch = None
-        for i in range(gc.k):
-            for j in range(gc.n):
-                if got[i][j] != want[i][j]:
-                    mismatch = (i + 1, j + 1, got[i][j], want[i][j])
-                    break
-            if mismatch:
-                break
-        build = build_class1(gc.params()) if gc.klass == 1 else build_class2(gc.params())
+        mismatch = next(((i, j, got, wanted)
+                         for i, (got_row, want_row) in enumerate(
+                             zip(report.generator.to_lists(), want), start=1)
+                         for j, (got, wanted) in enumerate(zip(got_row, want_row), start=1)
+                         if got != wanted), None)
         r_got = next(c for c in build.record if c.condition == "r coefficient is nonzero").evidence
         r_ok = r_got.rep == gc.expected_r and build.applicable
         verdict_ok = report.is_lcd and report.is_mds == gc.expect_mds
@@ -225,13 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute minimum distance when n is at most this")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("construct1", help="run the first LCD recipe from params JSON")
-    common(p)
-    p.set_defaults(func=cmd_construct1)
-
-    p = sub.add_parser("construct2", help="run the second LCD recipe from params JSON")
-    common(p)
-    p.set_defaults(func=cmd_construct2)
+    for klass, which in ((1, "first"), (2, "second")):
+        p = sub.add_parser(f"construct{klass}", help=f"run the {which} LCD recipe from params JSON")
+        common(p)
+        p.set_defaults(func=cmd_construct, klass=klass)
 
     p = sub.add_parser("search", help="enumerate twist vectors for a recipe template")
     common(p)

@@ -15,8 +15,8 @@ status independently.
 A recipe's parameters are also the template of the twist search, which
 varies eta alone: each hit is the template with its eta replaced, so it
 passes the same validation, which checks a given root arrangement by
-membership alone.  One JSON reader serves both recipes and, with the zero
-twist vector, the search templates.
+membership alone.  One parameter base, one build body and one JSON reader
+serve both recipes and, with the zero twist vector, the search templates.
 """
 
 from __future__ import annotations
@@ -123,83 +123,77 @@ def _arrange_roots(field: Field, n: int, lam: FieldElement,
     return given
 
 
-def _check_cyclic_clauses(p) -> None:
-    """The clauses placing n points on the roots of x^n - lambda."""
-    q, n = p.field.q, p.n
-    if n < 1:
-        raise ValidationError(f"clause 'n >= 1' fails: n={n}")
-    if (q - 1) % n != 0:
-        raise ValidationError(f"clause 'n | q-1' fails: {n} does not divide {q - 1}")
-    d = p.lam.order()
-    if ((q - 1) // n) % d != 0:
-        raise ValidationError(
-            f"clause 'ord(lambda) | (q-1)/n' fails: ord={d}, (q-1)/n={(q - 1) // n}")
+@dataclass(frozen=True, kw_only=True)
+class _RecipeParams:
+    """The inputs both recipes share: points on the n-th roots of lambda, a
+    head and a sign tail of multipliers, hook h and twist vector eta.
+
+    Validation runs the cyclic clauses, then the recipe's ``_dimension_rule``,
+    which checks the recipe's k and returns its record line, then the hook,
+    twist, multiplier and point clauses.
+    """
+
+    field: Field
+    n: int
+    h: int
+    l: int
+    lam: FieldElement
+    eta: tuple[FieldElement, ...]
+    v_head: tuple[FieldElement, ...]
+    v_tail_signs: tuple[FieldElement, ...]
+    alpha: Optional[tuple[FieldElement, ...]] = None
+
+    def __post_init__(self):
+        f, q, n, h, l = self.field, self.field.q, self.n, self.h, self.l
+        lam = f.element(self.lam)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "eta", tuple(f.element(e) for e in self.eta))
+        # the cyclic clauses, placing n points on the roots of x^n - lambda
+        if n < 1:
+            raise ValidationError(f"clause 'n >= 1' fails: n={n}")
+        if (q - 1) % n != 0:
+            raise ValidationError(f"clause 'n | q-1' fails: {n} does not divide {q - 1}")
+        if ((q - 1) // n) % lam.order() != 0:
+            raise ValidationError(f"clause 'ord(lambda) | (q-1)/n' fails: "
+                                  f"ord={lam.order()}, (q-1)/n={(q - 1) // n}")
+        self._dimension_rule()
+        k = self.k
+        if not 1 <= h <= k - 1:
+            raise ValidationError(f"clause '1 <= h <= k-1' fails: h={h}, k={k}")
+        if not 0 <= l <= n - k - 1:
+            raise ValidationError(f"clause '0 <= l <= n-k-1' fails: l={l}")
+        if len(self.eta) != l + 1:
+            raise ValidationError(f"eta must have length l+1 = {l + 1}")
+        object.__setattr__(self, "v_head", _check_head(f, self.v_head, k))
+        signs = _check_signs(f, self.v_tail_signs)
+        if len(signs) != n - k + 1:
+            raise ValidationError(f"need n-k+1 = {n - k + 1} tail multipliers, got {len(signs)}")
+        object.__setattr__(self, "v_tail_signs", signs)
+        object.__setattr__(self, "alpha", _arrange_roots(f, n, lam, self.alpha))
 
 
-def _check_shared_clauses(p) -> None:
-    """Hook, twist, multiplier and point clauses; normalizes v and alpha on p."""
-    f, n, k, h, l = p.field, p.n, p.k, p.h, p.l
-    if not 1 <= h <= k - 1:
-        raise ValidationError(f"clause '1 <= h <= k-1' fails: h={h}, k={k}")
-    if not 0 <= l <= n - k - 1:
-        raise ValidationError(f"clause '0 <= l <= n-k-1' fails: l={l}")
-    if len(p.eta) != l + 1:
-        raise ValidationError(f"eta must have length l+1 = {l + 1}")
-    object.__setattr__(p, "v_head", _check_head(f, p.v_head, k))
-    signs = _check_signs(f, p.v_tail_signs)
-    if len(signs) != n - k + 1:
-        raise ValidationError(f"need n-k+1 = {n - k + 1} tail multipliers, got {len(signs)}")
-    object.__setattr__(p, "v_tail_signs", signs)
-    object.__setattr__(p, "alpha", _arrange_roots(f, n, p.lam, p.alpha))
-
-
-@dataclass(frozen=True)
-class Class1Params:
+@dataclass(frozen=True, kw_only=True)
+class Class1Params(_RecipeParams):
     """Inputs for the first recipe: 2 <= k <= (n-2l-1)/2 on n-th roots of lambda."""
 
-    field: Field
-    n: int
     k: int
-    h: int
-    l: int
-    lam: FieldElement
-    eta: tuple[FieldElement, ...]
-    v_head: tuple[FieldElement, ...]
-    v_tail_signs: tuple[FieldElement, ...]
-    alpha: Optional[tuple[FieldElement, ...]] = None
 
-    def __post_init__(self):
-        f = self.field
-        object.__setattr__(self, "lam", f.element(self.lam))
-        object.__setattr__(self, "eta", tuple(f.element(e) for e in self.eta))
-        n, k, l = self.n, self.k, self.l
-        _check_cyclic_clauses(self)
-        if not (2 <= k and 2 * k <= n - 2 * l - 1):
+    def _dimension_rule(self) -> HypothesisCheck:
+        bound = (self.n - 2 * self.l - 1) // 2
+        if not 2 <= self.k <= bound:
             raise ValidationError(
-                f"clause '2 <= k <= (n-2l-1)/2' fails: k={k}, bound={(n - 2 * l - 1) // 2}")
-        _check_shared_clauses(self)
+                f"clause '2 <= k <= (n-2l-1)/2' fails: k={self.k}, bound={bound}")
+        return HypothesisCheck("2 <= k <= (n-2l-1)/2", True, {"k": self.k, "bound": bound})
 
 
-@dataclass(frozen=True)
-class Class2Params:
+@dataclass(frozen=True, kw_only=True)
+class Class2Params(_RecipeParams):
     """Inputs for the second recipe: k = (n-l-m)/2 with a quadratic twist gate."""
 
-    field: Field
-    n: int
-    h: int
-    l: int
     m_gap: int
-    lam: FieldElement
-    eta: tuple[FieldElement, ...]
-    v_head: tuple[FieldElement, ...]
-    v_tail_signs: tuple[FieldElement, ...]
-    alpha: Optional[tuple[FieldElement, ...]] = None
     k: Optional[int] = None
 
-    def __post_init__(self):
-        f = self.field
-        object.__setattr__(self, "lam", f.element(self.lam))
-        object.__setattr__(self, "eta", tuple(f.element(e) for e in self.eta))
+    def _dimension_rule(self) -> HypothesisCheck:
         n, l, m = self.n, self.l, self.m_gap
         if not 0 <= m <= l:
             raise ValidationError(f"clause '0 <= m <= l' fails: m={m}, l={l}")
@@ -211,24 +205,16 @@ class Class2Params:
         object.__setattr__(self, "k", k)
         if k < 2:
             raise ValidationError(f"clause 'k = (n-l-m)/2 >= 2' fails: k={k}")
-        _check_cyclic_clauses(self)
-        _check_shared_clauses(self)
+        return HypothesisCheck("k = (n-l-m)/2 >= 2", True, {"k": k, "m": m})
 
 
-def _base_record(p, klass: int) -> list[HypothesisCheck]:
-    f = p.field
-    rec = [
-        HypothesisCheck("n divides q-1", True, {"n": p.n, "q": f.q}),
+def _base_record(p: _RecipeParams) -> list[HypothesisCheck]:
+    q = p.field.q
+    return [
+        HypothesisCheck("n divides q-1", True, {"n": p.n, "q": q}),
         HypothesisCheck("ord(lambda) divides (q-1)/n", True,
-                        {"ord": p.lam.order(), "quotient": (f.q - 1) // p.n}),
-    ]
-    if klass == 1:
-        rec.append(HypothesisCheck("2 <= k <= (n-2l-1)/2", True,
-                                   {"k": p.k, "bound": (p.n - 2 * p.l - 1) // 2}))
-    else:
-        rec.append(HypothesisCheck("k = (n-l-m)/2 >= 2", True,
-                                   {"k": p.k, "m": p.m_gap}))
-    rec.extend([
+                        {"ord": p.lam.order(), "quotient": (q - 1) // p.n}),
+        p._dimension_rule(),
         HypothesisCheck("1 <= h <= k-1", True, {"h": p.h}),
         HypothesisCheck("0 <= l <= n-k-1", True, {"l": p.l}),
         HypothesisCheck("head multipliers avoid {0,1,-1}", True,
@@ -237,24 +223,29 @@ def _base_record(p, klass: int) -> list[HypothesisCheck]:
                         [element_to_json(x) for x in p.v_tail_signs]),
         HypothesisCheck("alpha is the full root set of x^n - lambda", True,
                         {"n": p.n, "lambda": element_to_json(p.lam)}),
-    ])
-    return rec
+    ]
 
 
-def _assemble_spec(p) -> TgrsSpec:
-    v = p.v_head + p.v_tail_signs
-    return TgrsSpec(field=p.field, n=p.n, k=p.k, l=p.l, h=p.h,
-                    alpha=p.alpha, v=v, eta=p.eta)
+def _expect(params, cls: type) -> None:
+    if not isinstance(params, cls):
+        raise ValidationError(f"this recipe takes {cls.__name__}, got {type(params).__name__}")
+
+
+def _build(p: _RecipeParams, *gates: HypothesisCheck) -> BuildResult:
+    """The record with the r gate before the recipe's own ``gates``, and the
+    spec; applicable exactly when every line of the record holds."""
+    r = r_coefficient(p.k, p.h, p.eta, p.alpha[: p.k - 1])
+    record = [*_base_record(p), HypothesisCheck("r coefficient is nonzero", not r.is_zero(), r),
+              *gates]
+    spec = TgrsSpec(field=p.field, n=p.n, k=p.k, l=p.l, h=p.h,
+                    alpha=p.alpha, v=p.v_head + p.v_tail_signs, eta=p.eta)
+    return BuildResult(spec=spec, record=record, applicable=all(c.holds for c in record))
 
 
 def build_class1(params: Class1Params) -> BuildResult:
     """First recipe; applicable (hence LCD) exactly when the r gate is nonzero."""
-    record = _base_record(params, klass=1)
-    r = r_coefficient(params.k, params.h, params.eta, params.alpha[: params.k - 1])
-    gate = not r.is_zero()
-    record.append(HypothesisCheck("r coefficient is nonzero", gate, r))
-    spec = _assemble_spec(params)
-    return BuildResult(spec=spec, record=record, applicable=gate)
+    _expect(params, Class1Params)
+    return _build(params)
 
 
 def _quadratic_rep(field: Field, eta: Sequence, m_gap: int):
@@ -275,24 +266,16 @@ def quadratic_twist_sum(eta: Sequence[FieldElement], m_gap: int) -> FieldElement
 
 def build_class2(params: Class2Params) -> BuildResult:
     """Second recipe; needs the r gate and the quadratic twist sum to vanish."""
-    record = _base_record(params, klass=2)
-    r = r_coefficient(params.k, params.h, params.eta, params.alpha[: params.k - 1])
-    r_gate = not r.is_zero()
-    record.append(HypothesisCheck("r coefficient is nonzero", r_gate, r))
+    _expect(params, Class2Params)
     qsum = quadratic_twist_sum(params.eta, params.m_gap)
     # cross-check against the tail-sum form, which collapses to the same
     # quadratic on a full root set of x^n - lambda
     psi = SymContext(params.alpha).psi_values(params.eta)
     l, m = params.l, params.m_gap
-    psum = params.field.zero()
-    for t in range(m, l + 1):
-        psum = psum + params.eta[t] * psi[l + m - t]
+    psum = sum((params.eta[t] * psi[l + m - t] for t in range(m, l + 1)), params.field.zero())
     if psum != qsum:
         raise VerificationError("tail-sum form disagrees with the quadratic twist sum")
-    q_gate = qsum.is_zero()
-    record.append(HypothesisCheck("quadratic twist sum vanishes", q_gate, qsum))
-    spec = _assemble_spec(params)
-    return BuildResult(spec=spec, record=record, applicable=r_gate and q_gate)
+    return _build(params, HypothesisCheck("quadratic twist sum vanishes", qsum.is_zero(), qsum))
 
 
 # -- twist vector search ---------------------------------------------------------
@@ -328,7 +311,9 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     zero twist, r, the quadratic gate of the second recipe, the criterion.
     FieldElements, builds and classification are made only for hits; every
     classification goes through the search's one criterion table, whose row
-    budget counts per search, and reuses the walk of its criterion gate.
+    budget counts per search, and reuses the walk of its criterion gate.  A
+    hit whose recipe build is inapplicable, so that the search's gates and
+    the recipe's record disagree, raises VerificationError.
     """
     if not _is_int(budget) or budget <= 0:
         raise ValidationError(f"search budget must be a positive integer, got {budget!r}")
@@ -359,6 +344,9 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
             continue
         params = replace(template, eta=tuple(FieldElement(f, e) for e in eta))
         build = build_class2(params) if second else build_class1(params)
+        if not build.applicable:
+            raise VerificationError(f"eta {[element_to_json(e) for e in params.eta]} passes "
+                                    f"the search's gates but its recipe build is inapplicable")
         report = classify(build.spec, workspace=table)
         hits.append(SearchHit(eta=params.eta, r_value=FieldElement(f, r), report=report))
     return hits
@@ -387,11 +375,8 @@ def params_from_json(obj, klass: int) -> Class1Params | Class2Params:
                if key not in obj]
     if missing:
         raise ValidationError(f"parameters missing fields: {', '.join(missing)}")
-    kwargs = {key: obj[key] for key in ints}
-    if klass == 2:
-        kwargs["k"] = obj.get("k")
-    cls = Class1Params if klass == 1 else Class2Params
-    return cls(
+    kwargs = {key: obj.get(key) for key in (*ints, "k")}  # k is optional for recipe 2
+    return (Class1Params if klass == 1 else Class2Params)(
         field=f, lam=f.element(obj["lambda"]), eta=element_list(f, obj, "eta"),
         v_head=element_list(f, obj, "v_head"), v_tail_signs=element_list(f, obj, "v_tail_signs"),
         alpha=element_list(f, obj, "alpha") if "alpha" in obj else None, **kwargs)

@@ -656,6 +656,32 @@ class TestClassify:
         with pytest.raises(ValidationError, match="mds_violating_subset"):
             report_from_json(blob)
 
+    @pytest.mark.parametrize("key,value,message", [
+        (None, 5, "JSON object"), (None, [], "JSON object"),
+        *[(key, ..., f"missing fields: {key}")
+          for key in ("n", "k", "is_mds", "is_amds", "is_lcd", "hull_dim")],
+        ("n", "x", "'n' must be an integer"), ("k", 2.0, "'k' must be an integer"),
+        ("hull_dim", True, "'hull_dim' must be an integer"),
+        ("min_distance", "3", "'min_distance' must be an integer"),
+        ("is_mds", 1, "'is_mds' must be a boolean"), ("is_lcd", None, "'is_lcd' must be a boolean"),
+        ("certificates", 5, "'certificates' must be an object"),
+        ("certificates", [], "'certificates' must be an object"),
+        ("notes", "x", "'notes' must be a list of strings"),
+        ("notes", [1], "'notes' must be a list of strings"),
+    ])
+    def test_report_json_bad_field_rejected(self, key, value, message):
+        """Every field is checked, not only the certificates: key None replaces
+        the whole object, value ... removes the field."""
+        blob = report_to_json(classify(GOLDEN_CODES[0].spec()))
+        if key is None:
+            blob = value
+        elif value is ...:
+            del blob[key]
+        else:
+            blob[key] = value
+        with pytest.raises(ValidationError, match=message):
+            report_from_json(blob)
+
     def test_certificates_one_based_in_json(self):
         rng = random.Random(26)
         for _ in range(100):  # the first draw is non-MDS at this seed

@@ -446,6 +446,15 @@ class TestVerificationFailure:
         assert captured.err.startswith("error: ") and message in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    def test_search_hit_with_inapplicable_build_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys.modules["tgrs.lcdgen"], "r_coefficient",
+                            lambda k, h, eta, head: head[0].field.zero())
+        path = write_json(tmp_path / "tpl.json", search_template(GOLDEN_CODES[1]))
+        assert main(["search", "--input", path, "--budget", "1369"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: eta ") and "inapplicable" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_exported_as_package_error(self):
         from tgrs import TgrsError, VerificationError
         assert issubclass(VerificationError, TgrsError)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from tgrs import (Class1Params, Class2Params, PhiWorkspace, Poly, SymContext,
-                  ValidationError, build_class1, build_class2, classify,
+                  ValidationError, VerificationError, build_class1, build_class2, classify,
                   generator_matrix, hull_dimension, is_mds_minors,
                   parity_check_matrix, quadratic_twist_sum, r_coefficient,
                   report_to_json, search_eta)
@@ -420,7 +420,47 @@ class TestClass2Builder:
             hits += 1
 
 
+class TestRecipePipeline:
+    def test_each_builder_refuses_the_other_recipe(self):
+        f = get_field(31)
+        # recipe-2 parameters that pass recipe 1's r gate and fail their own
+        # quadratic gate; read as recipe 1 they would build an applicable code
+        second = replace(GOLDEN_CODES[3].params(), eta=tuple(f.element(e) for e in (28, 6, 5)))
+        assert not build_class2(second).applicable
+        with pytest.raises(ValidationError, match="takes Class1Params, got Class2Params"):
+            build_class1(second)
+        with pytest.raises(ValidationError, match="takes Class2Params, got Class1Params"):
+            build_class2(GOLDEN_CODES[1].params())
+
+    @pytest.mark.parametrize("gc", GOLDEN_CODES, ids=lambda gc: gc.name)
+    def test_recipe_spec_is_the_reference_spec(self, gc):
+        build = build_class1 if gc.klass == 1 else build_class2
+        assert build(gc.params()).spec == gc.spec()
+
+    @pytest.mark.parametrize("klass", [Class1Params, Class2Params])
+    def test_cyclic_clauses_come_before_the_dimension_rule(self, gf31, klass):
+        # n = 7 breaks 'n | q-1' and, with l = 2, both recipes' dimension rules
+        f = gf31
+        extra = {"k": 3} if klass is Class1Params else {"m_gap": 0}
+        with pytest.raises(ValidationError, match=r"^clause 'n \| q-1' fails"):
+            klass(field=f, n=7, h=1, l=2, lam=f.one(), eta=(f.one(),) * 3,
+                  v_head=(f.element(2),) * 2, v_tail_signs=(f.one(),) * 5, **extra)
+
+    def test_construction_is_by_keyword_only(self, gf31):
+        with pytest.raises(TypeError):
+            Class1Params(gf31, 10, 1, 0, gf31.one(), (gf31.one(),), (gf31.element(2),) * 2,
+                         (gf31.one(),) * 8, None, 3)
+
+
 class TestSearch:
+    def test_hit_with_inapplicable_build_refused(self, monkeypatch):
+        # only the builds call r_coefficient (the search's r gate reads the head
+        # row), so a zero r there makes every hit's record disagree with the gates
+        monkeypatch.setattr("tgrs.lcdgen.r_coefficient",
+                            lambda k, h, eta, head: head[0].field.zero())
+        with pytest.raises(VerificationError, match="recipe build is inapplicable"):
+            search_eta(demo_template(), budget=37**2)
+
     def test_published_twist_among_hits(self, gf37):
         gc = GOLDEN_CODES[1]
         f = gf37

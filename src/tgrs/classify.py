@@ -14,12 +14,16 @@ hyperplanes spanned by columns of a generator G of ker H: d is n minus the
 most columns of G in one hyperplane, and the last level of the walk counts
 columns by their ratio on a projective line.  Any other code walks column
 subsets of H, extending the reduced basis of each prefix by one column per
-node, and d is the smallest dependent set.  The two walks share one
-column-clearing step, the node count, the budget and its refusal; either
-witness is re-checked by the rank of its own columns of H, a square parity
-check (no dependent set) raises VerificationError, and a walk past its
-fixed node budget raises ResourceLimitError.  LCD status comes from the
-rank of the generator stacked on the parity check.
+node, and d is the smallest dependent set.  The hyperplane walk prunes a
+subtree whose hyperplanes cannot hold enough columns to beat the best
+codeword so far, and either walk stops once its best bound meets a floor
+known in advance: ``classify`` passes n - k - l, certified by one rank as
+the distance of a GRS code holding C.  The two walks share one
+column-clearing step, the bounds, the node count, the budget and its
+refusal; either witness is re-checked by the rank of its own columns of H,
+a square parity check (no dependent set) raises VerificationError, and a
+walk past its fixed node budget raises ResourceLimitError.  LCD status
+comes from the rank of the generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -42,8 +46,8 @@ from .symm import criterion_row, distinct_points
 
 # Nodes either distance walk may visit.  A column-walk node costs ~5 us, so the
 # budget is ~10 s there; a hyperplane node reduces all n columns, ~30-65 us at
-# n = 24-36, so one to two minutes there.  The four reference codes need 121,
-# 10, 1,941 and 11 hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
+# n = 24-36, so one to two minutes there.  The four reference codes need 66, 8,
+# 497 and 9 hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
 DISTANCE_NODE_BUDGET = 2_000_000
 
 # Rows one criterion table may hold, ~40 us each at k = 5-8, so ~10 s; a [30,5]
@@ -170,20 +174,27 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
 
 
 class _Walk:
-    """The best distance bound, its witness and the nodes spent: what both walks share.
+    """The two distance bounds, the witness and the nodes spent: what both walks share.
 
-    The bound starts at rows + 1 = n - k + 1 with the first rows + 1 columns
-    as witness, since with full row rank any rows + 1 columns are dependent.
+    The upper bound ``best`` starts at rows + 1 = n - k + 1 with the first
+    rows + 1 columns as witness, since with full row rank any rows + 1
+    columns are dependent.  ``floor`` is a lower bound on d known in
+    advance; a walk stops once ``best`` reaches it.
     """
 
-    def __init__(self, bound: int):
+    def __init__(self, bound: int, floor: int = 1):
         self.best, self.witness, self.nodes = bound, tuple(range(bound)), 0
+        self.floor = floor
+
+    def settled(self) -> bool:
+        return self.best == self.floor
 
     def step(self) -> None:
-        """Count one node; past DISTANCE_NODE_BUDGET refuse with the bound so far."""
+        """Count one node; past DISTANCE_NODE_BUDGET refuse with the bounds so far."""
         if self.nodes >= DISTANCE_NODE_BUDGET:
-            raise ResourceLimitError(f"minimum-distance search stopped at its budget of "
-                                     f"{self.nodes} nodes; best bound so far d <= {self.best}")
+            raise ResourceLimitError(
+                f"minimum-distance search stopped at its budget of {self.nodes} nodes; "
+                f"best bounds so far {self.floor} <= d <= {self.best}")
         self.nodes += 1
 
 
@@ -213,7 +224,8 @@ def _column_walk(H: MatGF, walk: _Walk) -> None:
     cleared from the later carried columns: one column reduction per node.
     The walk records a dependent set only when it is smaller than the best
     so far and descends only while smaller sets are reachable, so the last
-    set recorded is the lexicographically first of minimum size.
+    set recorded is the lexicographically first of minimum size.  It stops
+    once the best reaches the walk's floor, when no smaller set is left.
     """
     field = H.field
 
@@ -228,6 +240,8 @@ def _column_walk(H: MatGF, walk: _Walk) -> None:
             if size + 1 < walk.best:
                 piv = next(i for i, x in enumerate(u) if x)
                 visit(prefix + (j,), j + 1, _cleared(field, carried[j + 1 - start:], u, piv))
+                if walk.settled():
+                    return
 
     visit((), 0, [list(col) for col in zip(*H._data)])
 
@@ -249,6 +263,16 @@ def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
     make the zero set of a codeword; its support is the witness.  k = 1 is
     the weight of the one row.  A lighter codeword replaces the best only
     when strictly lighter, so the first lightest one found is kept.
+
+    A hyperplane is first met at the leaf of its greedy basis: the first
+    k - 2 of its columns, in order, that are independent.  Below a child
+    at column j it then holds only columns the node kept (the prefix and
+    the earlier columns in its span), j and the columns after j.  A node
+    counts them, and returns before the first child whose count
+    kept + 1 + (n - 1 - j) is at most n - best: that child and every later
+    one meet only hyperplanes too small to beat the best, and the first
+    lightest codeword is still found at its own leaf.  The walk stops once
+    the best reaches the walk's floor.
     """
     field, k, n = G.field, G.rows, G.cols
     inv, mul = field._inv, field._mul
@@ -270,7 +294,8 @@ def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
             walk.witness = tuple(j for j, key in enumerate(keys)
                                  if key is not None and key != top)
 
-    def visit(start: int, carried: list, free: tuple[int, ...]) -> None:
+    def visit(start: int, carried: list, free: tuple[int, ...], kept: int) -> None:
+        # kept: the prefix columns and the earlier columns in their span
         walk.step()
         if len(free) == 2:  # depth k - 2
             leaf(carried, *free)
@@ -279,13 +304,21 @@ def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
             u = carried[j]
             piv = next((i for i in free if u[i]), None)
             if piv is None:  # column j lies in the span of the prefix
+                kept += 1
                 continue
-            visit(j + 1, _cleared(field, carried, u, piv), tuple(i for i in free if i != piv))
+            # a hyperplane first met below column j holds at most the kept
+            # columns, j and the later ones; this bound never grows with j
+            if kept + 1 + (n - 1 - j) <= n - walk.best:
+                return
+            visit(j + 1, _cleared(field, carried, u, piv),
+                  tuple(i for i in free if i != piv), kept + 1)
+            if walk.settled():
+                return
 
-    visit(0, [list(col) for col in zip(*G._data)], tuple(range(k)))
+    visit(0, [list(col) for col in zip(*G._data)], tuple(range(k)), 0)
 
 
-def min_distance(H: MatGF) -> int:
+def min_distance(H: MatGF, floor: int = 1) -> int:
     """Minimum distance of the code with full-row-rank parity check H.
 
     One elimination of H gives a k x n generator G of its kernel, and its
@@ -298,29 +331,56 @@ def min_distance(H: MatGF) -> int:
     the best bound, and its witness is the lexicographically first smallest
     dependent set.  Both start from the bound rows + 1 witnessed by the
     first rows + 1 columns, and either witness is re-checked by a rank of
-    its own columns of H before d is returned.  A square H has no dependent column set and raises
-    VerificationError.  The MDS/AMDS verdicts neither seed nor prune either
-    walk.
+    its own columns of H before d is returned.  A square H has no dependent
+    column set and raises VerificationError.
+
+    ``floor`` is a known lower bound on d, an int in 1..rows + 1 (else
+    ValidationError); either walk returns as soon as its best bound meets
+    it, with the witness the full walk would give.  ``classify`` passes
+    n - k - l once one rank has certified it (``_grs_floor``).  The MDS/AMDS
+    verdicts neither seed nor prune either walk.
 
     Each visited node of either walk counts once.  Past DISTANCE_NODE_BUDGET
     nodes the search raises ResourceLimitError with the nodes visited and
-    the best bound so far; the count depends on H alone, so a refusal
-    reproduces.
+    both bounds so far, "best bounds so far floor <= d <= best"; the count
+    depends on H and the floor alone, so a refusal reproduces.
     """
     n, nrows = H.cols, H.rows
+    if not (_is_int(floor) and 1 <= floor <= nrows + 1):
+        raise ValidationError(f"distance floor must be an integer in 1..{nrows + 1}, "
+                              f"got {floor!r}")
     G = null_space(H)
     if G.rows != n - nrows:
         raise ValidationError("parity-check matrix must have full row rank")
     if n <= nrows:
         raise VerificationError(f"a square {nrows}x{n} parity check has no dependent columns")
-    walk = _Walk(nrows + 1)
-    if 2 * G.rows < n:
-        _hyperplane_walk(G, walk)
-    else:
-        _column_walk(H, walk)
+    walk = _Walk(nrows + 1, floor)
+    if not walk.settled():
+        if 2 * G.rows < n:
+            _hyperplane_walk(G, walk)
+        else:
+            _column_walk(H, walk)
     if rank(H.submatrix(tuple(range(nrows)), walk.witness)) >= walk.best:
         raise VerificationError(f"distance witness {walk.witness} is not a dependent column set")
     return walk.best
+
+
+def _grs_floor(spec: TgrsSpec, G: MatGF) -> int:
+    """The floor d >= n - k - l, certified for the generator G by one rank.
+
+    Every row of G is v_i f(alpha_i) with deg f <= k + l, so the code is a
+    subcode of GRS_{k+l+1}(alpha, v), whose distance is n - k - l.  G stacked
+    on the v-scaled Vandermonde rows alpha_i^j, j <= k + l, must keep their
+    rank k + l + 1; otherwise VerificationError.
+    """
+    f, m = spec.field, spec.k + spec.l + 1
+    v = [x.rep for x in spec.v]
+    grs = MatGF._from_reps(f, tuple(tuple(map(f._mul, v, row))
+                                    for row in MatGF.vandermonde(spec.alpha, m)._data))
+    if rank(G.stack(grs)) != m:
+        raise VerificationError(f"generator is not a subcode of GRS_{m}, so the distance "
+                                f"floor n-k-l = {spec.n - m + 1} is not certified")
+    return spec.n - m + 1
 
 
 def hull_dimension(G: MatGF, H: MatGF) -> int:
@@ -382,7 +442,14 @@ def report_to_json(report: CodeReport) -> dict:
 
 
 def report_from_json(obj) -> CodeReport:
-    """The report of ``report_to_json``, with its certificates 0-based again."""
+    """The report of ``report_to_json``, with its certificates 0-based again.
+
+    Only a report that could be true is read: 1 <= k <= n, a hull of
+    dimension at most min(k, n - k) that is zero exactly for an LCD code,
+    not both MDS and AMDS, a distance in 1..n-k+1 that matches those
+    verdicts, and certificates that ``classify`` writes, each a strictly
+    ascending list of its size of positions in 1..n.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("code report must be a JSON object")
     verdicts = ("is_mds", "is_amds", "is_lcd")
@@ -393,15 +460,37 @@ def report_from_json(obj) -> CodeReport:
     for key in verdicts:
         if not isinstance(obj[key], bool):
             raise ValidationError(f"field '{key}' must be a boolean, got {obj[key]!r}")
+    n, k, hull, d = obj["n"], obj["k"], obj["hull_dim"], obj.get("min_distance")
+    mds, amds = obj["is_mds"], obj["is_amds"]
+    if not 1 <= k <= n:
+        raise ValidationError(f"code report needs 1 <= k <= n, got n={n}, k={k}")
+    if not 0 <= hull <= min(k, n - k):
+        raise ValidationError(f"field 'hull_dim' must be in 0..{min(k, n - k)}, got {hull}")
+    if obj["is_lcd"] != (hull == 0):
+        raise ValidationError(f"'is_lcd' is {obj['is_lcd']} with hull_dim {hull}")
+    if mds and amds:
+        raise ValidationError("a code report cannot be both MDS and AMDS")
+    if d is not None and not 1 <= d <= n - k + 1:
+        raise ValidationError(f"field 'min_distance' must be in 1..{n - k + 1}, got {d}")
+    if d is not None and (mds != (d == n - k + 1) or amds != (d == n - k)):
+        raise ValidationError(f"min_distance {d} contradicts is_mds={mds}, is_amds={amds}")
     raw_certs, notes = obj.get("certificates", {}), obj.get("notes", [])
     if not isinstance(raw_certs, dict):
         raise ValidationError(f"field 'certificates' must be an object, got {raw_certs!r}")
     if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
         raise ValidationError(f"field 'notes' must be a list of strings, got {notes!r}")
     certs = {}
+    sizes = {"mds_violating_subset": k, "amds_dependent_subset": k,
+             "amds_deficient_superset": k + 1}  # the certificates classify writes
     for key, val in raw_certs.items():
+        if key not in sizes:
+            raise ValidationError(f"unknown certificate '{key}'")
         if not (isinstance(val, list) and all(_is_int(i) and i > 0 for i in val)):
             raise ValidationError(f"certificate '{key}' must be a list of positive integers")
+        size = sizes[key]
+        if len(val) != size or val != sorted(set(val)) or val[-1] > n:
+            raise ValidationError(f"certificate '{key}' must be {size} ascending "
+                                  f"positions in 1..{n}, got {val}")
         certs[key] = tuple(i - 1 for i in val)
     return CodeReport(
         n=obj["n"], k=obj["k"], is_mds=obj["is_mds"], is_amds=obj["is_amds"],
@@ -415,9 +504,11 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     """Full classification of one code spec.
 
     With ``want_distance`` the report carries the minimum distance, checked
-    against the MDS/AMDS verdicts, or min_distance's ResourceLimitError.  Both
-    verdicts come from one ``is_amds`` call, whose criterion walk gives the
-    MDS certificate too, on one criterion table: ``workspace`` when given (it
+    against the MDS/AMDS verdicts, or min_distance's ResourceLimitError.  Its
+    walk stops at the floor n - k - l, and a G outside GRS_{k+l+1}, which
+    leaves that floor uncertified, raises VerificationError.  Both verdicts
+    come from one ``is_amds`` call, whose criterion walk gives the MDS
+    certificate too, on one criterion table: ``workspace`` when given (it
     must be built for the spec's points, k, h and l), a fresh one otherwise.
     """
     table = _table_for(spec, workspace)
@@ -438,7 +529,7 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     if spec.hook_is_boundary():
         report.notes.append("hook at the upper boundary h = k-1")
     if want_distance:
-        d = min_distance(H)
+        d = min_distance(H, floor=_grs_floor(spec, G))
         report.min_distance = d
         singleton = spec.n - spec.k + 1
         if d > singleton:

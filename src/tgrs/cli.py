@@ -180,7 +180,6 @@ def cmd_paper_examples(args) -> int:
     else:
         for r in results:
             tag = "PASS" if r["pass"] else "FAIL"
-            d = r["report"].get("min_distance")
             shape = r["report"]["params"]
             verdict = ("LCD MDS" if r["report"]["is_mds"] and r["report"]["is_lcd"]
                        else "LCD" if r["report"]["is_lcd"] else "not LCD")

@@ -11,8 +11,8 @@ import pytest
 from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError, SymContext,
                   TgrsSpec, ValidationError, VerificationError, classify, det,
                   encode, generator_matrix, hull_dimension, is_amds,
-                  is_mds_minors, is_mds_phi, min_distance, parity_check_matrix,
-                  rank, report_from_json, report_to_json, solve)
+                  is_mds_minors, is_mds_phi, min_distance, null_space,
+                  parity_check_matrix, rank, report_from_json, report_to_json, solve)
 from tgrs.golden import GOLDEN_CODES
 
 from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, get_field, random_spec
@@ -302,7 +302,7 @@ class TestMinDistance:
         assert {1, 2, 3, 4} <= seen_d
 
     def test_eighteenth_roots_code_matches_the_column_walk(self, gf37):
-        # [18,6] on the 18th roots of unity: 4,048 hyperplane nodes, and the
+        # [18,6] on the 18th roots of unity: 1,003 hyperplane nodes, and the
         # column walk, forced here, needs 149,409
         H = parity_check_matrix(eighteenth_roots_spec(gf37))
         assert min_distance(H) == 10
@@ -378,21 +378,94 @@ class TestMinDistance:
         assert calls["submatrix"] <= 1
 
     def test_node_budget_enforced(self, monkeypatch):
-        spec = GOLDEN_CODES[0].spec()  # [15,4,10]: 121 hyperplane nodes
+        spec = GOLDEN_CODES[0].spec()  # [15,4,10]: 66 hyperplane nodes, floor 8
         H = parity_check_matrix(spec)
-        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 121)
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 66)
         assert min_distance(H) == 10
-        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 120)
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 65)
         messages = []
         for _ in range(2):
             with pytest.raises(ResourceLimitError) as info:
                 min_distance(H)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert "budget of 120 nodes" in messages[0] and "d <= 10" in messages[0]
+        assert messages[0] == ("minimum-distance search stopped at its budget of 65 nodes; "
+                               "best bounds so far 1 <= d <= 10")
+        # classify passes the certified floor n - k - l, which is not tight here
         with pytest.raises(ResourceLimitError) as info:
             classify(spec, want_distance=True)
-        assert str(info.value) == messages[0]
+        assert str(info.value) == messages[0].replace("1 <= d", "8 <= d")
+
+    @pytest.mark.parametrize("index,nodes", [(0, 66), (1, 8), (2, 497), (3, 9)])
+    def test_reference_hyperplane_node_counts(self, index, nodes):
+        H = parity_check_matrix(GOLDEN_CODES[index].spec())
+        walk = CLASSIFY._Walk(H.rows + 1)
+        CLASSIFY._hyperplane_walk(null_space(H), walk)
+        assert walk.nodes == nodes
+
+    def test_count_bound_matches_subset_elimination_oracle(self):
+        # low-rate codes, so the hyperplane walk and its count bound: a
+        # pruned subtree that still held a lighter codeword shows here as a
+        # wrong d.  Planted multiples of a column (zero included) make
+        # columns that lie in the span of a prefix.
+        rng = random.Random(31)
+        fields = [get_field(2), get_field(3), get_field(2, 2, (1, 1, 1)), get_field(7),
+                  get_field(*GF8), get_field(*GF9)]
+        seen_d = set()
+        for i in range(400):
+            f = fields[i % len(fields)]
+            n = rng.randint(7, 10)
+            k = rng.randint(3, (n - 1) // 2)
+            for _ in range(50):  # one or two draws are the norm
+                cols = [[rng.randrange(f.q) for _ in range(k)] for _ in range(n)]
+                for _ in range(rng.randint(0, 3)):
+                    c, src = rng.randrange(f.q), rng.randrange(n)
+                    cols[rng.randrange(n)] = [f._mul(c, x) for x in cols[src]]
+                G = MatGF._from_reps(f, tuple(zip(*cols)))
+                if rank(G) == k:
+                    break
+            else:
+                raise AssertionError(f"no full-rank {k}x{n} draw over {f} in 50 tries")
+            H = null_space(G)
+            d = brute_min_distance(H)
+            assert min_distance(H) == d, (f, G.to_lists())
+            assert min_distance(H, floor=d) == d, (f, G.to_lists())
+            seen_d.add(d)
+        assert {1, 2, 3, 4} <= seen_d
+
+    @pytest.mark.parametrize("floor", [0, 8, True, 2.0, None])
+    def test_floor_outside_range_rejected(self, floor):
+        H = parity_check_matrix(GOLDEN_CODES[1].spec())  # 6 x 9: floors 1..7
+        with pytest.raises(ValidationError, match="floor"):
+            min_distance(H, floor=floor)
+
+    @pytest.mark.parametrize("q,n,k,d", [(73, 24, 12, 10), (73, 36, 12, 22)],
+                             ids=["24_12_columns", "36_12_hyperplane"])
+    def test_certified_floor_settles_former_slow_inputs(self, q, n, k, d, monkeypatch):
+        # on the n-th roots of unity with h = 2, l = 2, d = n - k - l: the walk
+        # stops at the floor after 30,661 and 377 nodes; without it [24,12]
+        # needs 1.29M nodes and [36,12] exceeds the default budget
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 50_000)
+        f = get_field(q)
+        spec = TgrsSpec(field=f, n=n, k=k, l=2, h=2,
+                        alpha=tuple(f.roots_of_xn_minus_lambda(n, f.one())),
+                        v=(f.element(2),) * n, eta=tuple(f.element(e) for e in (3, 5, 7)))
+        assert classify(spec, want_distance=True).min_distance == d
+
+    def test_generator_outside_grs_refused(self, monkeypatch):
+        # a generator row carrying alpha^(k+l+1) leaves GRS_{k+l+1}, so the
+        # floor n - k - l has no certificate; H is its kernel, so the hull
+        # check passes and the refusal is the certificate's
+        spec = GOLDEN_CODES[1].spec()  # [9,3] with l = 1
+        m = spec.k + spec.l + 1
+        G = generator_matrix(spec)
+        top = MatGF.vandermonde(spec.alpha, m + 1)._data[m]
+        bad = MatGF._from_reps(G.field, (top,) + G._data[1:])
+        monkeypatch.setattr(CLASSIFY, "generator_matrix", lambda s: bad)
+        monkeypatch.setattr(CLASSIFY, "parity_check_matrix", lambda s: null_space(bad))
+        classify(spec)  # the hull check passes without the distance
+        with pytest.raises(VerificationError, match="not a subcode of GRS_5"):
+            classify(spec, want_distance=True)
 
     def test_budget_counts_nodes_not_length(self, gf31, monkeypatch):
         # 3 x 30 Vandermonde: any 3 columns are independent, so d = 4; the
@@ -644,7 +717,7 @@ class TestClassify:
         rng = random.Random(28)
         specs = [gc.spec() for gc in GOLDEN_CODES] + [random_spec(rng, n_max=8)
                                                        for _ in range(20)]
-        reports = [classify(spec, want_distance=spec.n <= 10) for spec in specs]
+        reports = [classify(spec, want_distance=True) for spec in specs]
         assert {bool(r.certificates) for r in reports} == {True, False}
         for report in reports:
             assert report_from_json(report_to_json(report)) == report
@@ -679,6 +752,35 @@ class TestClassify:
             del blob[key]
         else:
             blob[key] = value
+        with pytest.raises(ValidationError, match=message):
+            report_from_json(blob)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"k": 16}, "1 <= k <= n"), ({"k": 0}, "1 <= k <= n"),
+        ({"hull_dim": -2}, "'hull_dim' must be in 0..4"),
+        ({"hull_dim": 5}, "'hull_dim' must be in 0..4"),
+        ({"hull_dim": 1}, "'is_lcd' is True with hull_dim 1"),
+        ({"is_lcd": False}, "'is_lcd' is False with hull_dim 0"),
+        ({"is_mds": True, "is_amds": True, "min_distance": None}, "both MDS and AMDS"),
+        ({"min_distance": 0}, "'min_distance' must be in 1..12"),
+        ({"min_distance": 13}, "'min_distance' must be in 1..12"),
+        ({"min_distance": 12}, "min_distance 12 contradicts"),
+        ({"min_distance": 11}, "min_distance 11 contradicts"),
+        ({"is_amds": True}, "min_distance 10 contradicts"),
+        ({"certificates": {"foo": [1, 2, 3, 4]}}, "unknown certificate 'foo'"),
+        ({"certificates": {"mds_violating_subset": [1, 2, 3, 16]}},
+         "'mds_violating_subset' must be 4 ascending positions in 1..15"),
+        ({"certificates": {"mds_violating_subset": [2, 1, 3, 9]}}, "4 ascending"),
+        ({"certificates": {"amds_dependent_subset": [1, 1, 3, 9]}}, "4 ascending"),
+        ({"certificates": {"amds_dependent_subset": [1, 2, 3]}}, "4 ascending"),
+        ({"certificates": {"amds_deficient_superset": [1, 2, 10, 11]}},
+         "'amds_deficient_superset' must be 5 ascending"),
+    ])
+    def test_report_json_impossible_report_rejected(self, changes, message):
+        # the [15,4,10] report: neither MDS nor AMDS, LCD, n - k + 1 = 12
+        blob = report_to_json(classify(GOLDEN_CODES[0].spec(), want_distance=True))
+        report_from_json(blob)
+        blob.update(changes)
         with pytest.raises(ValidationError, match=message):
             report_from_json(blob)
 

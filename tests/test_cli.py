@@ -141,8 +141,8 @@ class TestCheck:
         assert captured.out == ""
 
     def test_distance_budget_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
-        err = refused_check(tmp_path, capsys, monkeypatch, k=4, budget=120)  # 121 nodes
-        assert "budget of 120 nodes" in err and "d <= 10" in err
+        err = refused_check(tmp_path, capsys, monkeypatch, k=4, budget=65)  # 66 nodes
+        assert "budget of 65 nodes" in err and "8 <= d <= 10" in err
 
     def test_column_walk_budget_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
         err = refused_check(tmp_path, capsys, monkeypatch, k=8, budget=1000)  # 1,946 nodes
@@ -440,7 +440,7 @@ class TestVerificationFailure:
                                     wrong_d, message):
         # the [9,3,7] code is MDS, so any other distance contradicts the verdicts
         monkeypatch.setattr(sys.modules["tgrs.classify"], "min_distance",
-                            lambda H: wrong_d)
+                            lambda H, floor=1: wrong_d)
         assert main(["check", "--input", golden_spec_file]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err

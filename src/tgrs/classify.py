@@ -17,13 +17,14 @@ subsets of H, extending the reduced basis of each prefix by one column per
 node, and d is the smallest dependent set.  The hyperplane walk prunes a
 subtree whose hyperplanes cannot hold enough columns to beat the best
 codeword so far, and either walk stops once its best bound meets a floor
-known in advance: ``classify`` passes n - k - l, certified by one rank as
-the distance of a GRS code holding C.  The two walks share one
-column-clearing step, the bounds, the node count, the budget and its
-refusal; either witness is re-checked by the rank of its own columns of H,
-a square parity check (no dependent set) raises VerificationError, and a
-walk past its fixed node budget raises ResourceLimitError.  LCD status
-comes from the rank of the generator stacked on the parity check.
+known in advance: ``classify`` passes n - k - l, the distance of a GRS
+code holding C, and certifies it by one rank when d meets it.  The two
+walks share one column-clearing step, the bounds, the node count, the
+budget and its refusal; either witness is re-checked by the rank of its
+own columns of H, a square parity check (no dependent set) raises
+VerificationError, and a walk past its fixed node budget raises
+ResourceLimitError.  LCD status comes from the rank of the generator
+stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -337,8 +338,9 @@ def min_distance(H: MatGF, floor: int = 1) -> int:
     ``floor`` is a known lower bound on d, an int in 1..rows + 1 (else
     ValidationError); either walk returns as soon as its best bound meets
     it, with the witness the full walk would give.  ``classify`` passes
-    n - k - l once one rank has certified it (``_grs_floor``).  The MDS/AMDS
-    verdicts neither seed nor prune either walk.
+    n - k - l and certifies it by one rank when d meets it
+    (``_certify_grs_floor``).  The MDS/AMDS verdicts neither seed nor prune
+    either walk.
 
     Each visited node of either walk counts once.  Past DISTANCE_NODE_BUDGET
     nodes the search raises ResourceLimitError with the nodes visited and
@@ -365,8 +367,8 @@ def min_distance(H: MatGF, floor: int = 1) -> int:
     return walk.best
 
 
-def _grs_floor(spec: TgrsSpec, G: MatGF) -> int:
-    """The floor d >= n - k - l, certified for the generator G by one rank.
+def _certify_grs_floor(spec: TgrsSpec, G: MatGF) -> None:
+    """Certify the floor d >= n - k - l for the generator G by one rank.
 
     Every row of G is v_i f(alpha_i) with deg f <= k + l, so the code is a
     subcode of GRS_{k+l+1}(alpha, v), whose distance is n - k - l.  G stacked
@@ -380,7 +382,6 @@ def _grs_floor(spec: TgrsSpec, G: MatGF) -> int:
     if rank(G.stack(grs)) != m:
         raise VerificationError(f"generator is not a subcode of GRS_{m}, so the distance "
                                 f"floor n-k-l = {spec.n - m + 1} is not certified")
-    return spec.n - m + 1
 
 
 def hull_dimension(G: MatGF, H: MatGF) -> int:
@@ -505,8 +506,9 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
 
     With ``want_distance`` the report carries the minimum distance, checked
     against the MDS/AMDS verdicts, or min_distance's ResourceLimitError.  Its
-    walk stops at the floor n - k - l, and a G outside GRS_{k+l+1}, which
-    leaves that floor uncertified, raises VerificationError.  Both verdicts
+    walk stops at the floor n - k - l; a d equal to that floor is certified
+    by one rank, and a G outside GRS_{k+l+1} raises VerificationError there.
+    A d above the floor never needed it, so costs no rank.  Both verdicts
     come from one ``is_amds`` call, whose criterion walk gives the MDS
     certificate too, on one criterion table: ``workspace`` when given (it
     must be built for the spec's points, k, h and l), a fresh one otherwise.
@@ -529,7 +531,10 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     if spec.hook_is_boundary():
         report.notes.append("hook at the upper boundary h = k-1")
     if want_distance:
-        d = min_distance(H, floor=_grs_floor(spec, G))
+        floor = spec.n - spec.k - spec.l
+        d = min_distance(H, floor=floor)
+        if d == floor:  # the floor may have stopped the walk
+            _certify_grs_floor(spec, G)
         report.min_distance = d
         singleton = spec.n - spec.k + 1
         if d > singleton:

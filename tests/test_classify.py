@@ -453,19 +453,45 @@ class TestMinDistance:
         assert classify(spec, want_distance=True).min_distance == d
 
     def test_generator_outside_grs_refused(self, monkeypatch):
-        # a generator row carrying alpha^(k+l+1) leaves GRS_{k+l+1}, so the
-        # floor n - k - l has no certificate; H is its kernel, so the hull
-        # check passes and the refusal is the certificate's
-        spec = GOLDEN_CODES[1].spec()  # [9,3] with l = 1
-        m = spec.k + spec.l + 1
+        # a generator row v_i p(alpha_i) with p = x (x - alpha_1)...(x - alpha_{k+l})
+        # of degree k + l + 1 leaves GRS_{k+l+1}, so the floor n - k - l has
+        # no certificate; that row weighs n - k - l (no alpha_i is 0), so the
+        # walk stops at the floor and the certificate refuses.  H is the
+        # kernel of the bad G, so the hull check passes.
+        spec = GOLDEN_CODES[1].spec()  # [9,3] with l = 1: floor 5
+        f, m = spec.field, spec.k + spec.l + 1
         G = generator_matrix(spec)
-        top = MatGF.vandermonde(spec.alpha, m + 1)._data[m]
-        bad = MatGF._from_reps(G.field, (top,) + G._data[1:])
+        top = []
+        for a, v in zip(spec.alpha, spec.v):
+            value = f._mul(v.rep, a.rep)
+            for b in spec.alpha[:m - 1]:
+                value = f._mul(value, f._sub(a.rep, b.rep))
+            top.append(value)
+        bad = MatGF._from_reps(f, (tuple(top),) + G._data[1:])
+        assert min_distance(null_space(bad), floor=5) == 5
         monkeypatch.setattr(CLASSIFY, "generator_matrix", lambda s: bad)
         monkeypatch.setattr(CLASSIFY, "parity_check_matrix", lambda s: null_space(bad))
         classify(spec)  # the hull check passes without the distance
         with pytest.raises(VerificationError, match="not a subcode of GRS_5"):
             classify(spec, want_distance=True)
+
+    def test_floor_certified_only_when_met(self, monkeypatch):
+        # the certificate rank is spent only on a d equal to the floor; the
+        # reference codes sit above their floors (10, 7, 8, 8 against 8, 5,
+        # 6, 5), and [18,6] GF(37) on the 18th roots of unity meets its floor 10
+        calls = []
+        certify = CLASSIFY._certify_grs_floor
+        monkeypatch.setattr(CLASSIFY, "_certify_grs_floor",
+                            lambda spec, G: calls.append(spec.n) or certify(spec, G))
+        for gc in GOLDEN_CODES:
+            classify(gc.spec(), want_distance=True)
+        assert calls == []
+        f = get_field(37)
+        spec = TgrsSpec(field=f, n=18, k=6, l=2, h=2,
+                        alpha=tuple(f.roots_of_xn_minus_lambda(18, f.one())),
+                        v=(f.element(2),) * 18, eta=tuple(f.element(e) for e in (3, 5, 7)))
+        assert classify(spec, want_distance=True).min_distance == 10
+        assert calls == [18]
 
     def test_budget_counts_nodes_not_length(self, gf31, monkeypatch):
         # 3 x 30 Vandermonde: any 3 columns are independent, so d = 4; the
@@ -717,8 +743,9 @@ class TestClassify:
         rng = random.Random(28)
         specs = [gc.spec() for gc in GOLDEN_CODES] + [random_spec(rng, n_max=8)
                                                        for _ in range(20)]
-        reports = [classify(spec, want_distance=True) for spec in specs]
+        reports = [classify(spec, want_distance=w) for spec in specs for w in (False, True)]
         assert {bool(r.certificates) for r in reports} == {True, False}
+        assert {r.min_distance is None for r in reports} == {True, False}
         for report in reports:
             assert report_from_json(report_to_json(report)) == report
 

@@ -1,12 +1,18 @@
 """MDS / AMDS / LCD classification of twisted GRS codes.
 
 Two independent routes decide MDS-ness: the per-subset twist criterion and
-exhaustive k x k minors of the generator matrix; the test suite keeps them
-in agreement.  The criterion reads rows from PhiWorkspace, one lazily filled
-table per point set and (k, h, l), which the MDS and AMDS verdicts and the
-twist search share.  It holds rows only, at most CRITERION_ROW_BUDGET, each
-one ``symm.criterion_row`` on reps (also the LCD recipes' r gate), so no
+the k x k minors of the generator matrix G; the test suite keeps them in
+agreement.  The minors route reads G alone: a depth-first walk over column
+prefixes that carries the later columns reduced against each prefix, so one
+column reduction per node replaces a determinant per k-subset.  The
+criterion reads rows from PhiWorkspace, one lazily filled table per point
+set and (k, h, l), which the MDS and AMDS verdicts and the twist search
+share.  It holds rows only, at most CRITERION_ROW_BUDGET, each one
+``symm.criterion_row`` on reps (also the LCD recipes' r gate), so no
 ``Poly`` is built per subset; the parity check builds its own context.
+The AMDS scan tests only the (k+1)-supersets I + (j,) whose alpha_j is a
+root of P_I, a polynomial of degree at most l read off the same series, and
+needs no scan at all when eta_1..eta_l are zero.
 
 Minimum distance takes one of two depth-first walks, chosen by the shape of
 the parity check H alone, k = n - rows.  A low-rate code, 2k < n, walks the
@@ -42,8 +48,8 @@ from typing import Optional, Sequence
 from .codes import TgrsSpec, check_int_fields, generator_matrix, parity_check_matrix
 from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, _is_int
-from .linalg import MatGF, det, null_space, rank
-from .symm import criterion_row, distinct_points
+from .linalg import MatGF, null_space, rank
+from .symm import complete_series, criterion_row, distinct_points
 
 # Nodes either distance walk may visit.  A column-walk node costs ~5 us, so the
 # budget is ~10 s there; a hyperplane node reduces all n columns, ~30-65 us at
@@ -51,8 +57,9 @@ from .symm import criterion_row, distinct_points
 # 497 and 9 hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
 DISTANCE_NODE_BUDGET = 2_000_000
 
-# Rows one criterion table may hold, ~40 us each at k = 5-8, so ~10 s; a [30,5]
-# code needs at most C(30,5) = 142,506.  A search's one table counts them all.
+# Rows one criterion table may hold, ~16-20 us each at k = 6-8 on a 2-vCPU Xeon
+# VM, so 4-5 s; a [30,5] code needs at most C(30,5) = 142,506.  A search's one
+# table counts them all.
 CRITERION_ROW_BUDGET = 250_000
 
 
@@ -112,6 +119,27 @@ class PhiWorkspace:
         """Whether the subset's columns are dependent, for eta given as reps."""
         return self.field._dot(eta, self._rep_row(subset)) == 1
 
+    def _superset_roots(self, eta: tuple, subset: tuple[int, ...]) -> list[int]:
+        """The j > subset[-1] with P_I(alpha_j) = 0, for eta given as reps.
+
+        With h_0..h_l the complete symmetric values of the points of I,
+        P_I(a) = sum_i a^i sum_{t >= i} eta_t h_{t-i}, and P_I(alpha_j) is the
+        x^k coefficient of the twist sum_t eta_t x^(k+t) reduced mod the
+        product over I + (j,).  Only a root alpha_j can make I + (j,)
+        deficient: every k-subset of it singular.
+        """
+        f = self.field
+        _, hs = complete_series(f, [self.alpha[i].rep for i in subset], self.l + 1)
+        coeffs = [f._dot(eta[i:], hs) for i in range(self.l + 1)]  # low degree first
+        roots = []
+        for j in range(subset[-1] + 1, self.n):
+            a, value = self.alpha[j].rep, 0
+            for c in reversed(coeffs):  # Horner
+                value = f._add(f._mul(value, a), c)
+            if value == 0:
+                roots.append(j)
+        return roots
+
     def _first_singular(self, eta: tuple) -> Optional[tuple[int, ...]]:
         """The lexicographically first dependent k-subset, for eta given as reps."""
         if self._last is None or self._last[0] != eta:
@@ -137,16 +165,55 @@ def is_mds_phi(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None
     return bad is None, bad
 
 
+def _cleared(field, columns: list, u: list, piv: int) -> list:
+    """The columns with entry piv cleared against the pivot column u.
+
+    u must be zero before piv.  A column is copied only when it changes, so
+    the caller's columns are left as they were.
+    """
+    pinv = field._inv(u[piv])
+    out = []
+    for v in columns:
+        if v[piv]:
+            v = list(v)
+            field._eliminate(v, u, piv, pinv)
+        out.append(v)
+    return out
+
+
 def is_mds_minors(G: MatGF) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Exhaustive k x k minor check of a k x n generator matrix."""
+    """k x k minor check of a k x n generator; on failure the first zero minor.
+
+    A depth-first walk over column prefixes in lexicographic order.  A node
+    is an independent prefix P of s < k columns carrying every later column
+    reduced against P.  A carried column j that is zero makes every k-subset
+    through P + (j,) dependent, and P + (j, j+1, .., j+k-s-1) is the first
+    of them and of all k-subsets not yet passed, so it is returned; a
+    nonzero one is the pivot of the child P + (j,) while s + 1 < k.  Only
+    j <= n - (k - s) can still complete a k-subset.  The walk reads G alone,
+    never the twist criterion, so the two MDS routes stay independent.
+    """
     k, n = G.rows, G.cols
     if k > n:
         raise ValidationError("generator must have at least as many columns as rows")
-    row_idx = tuple(range(k))
-    for I in itertools.combinations(range(n), k):
-        if det(G.submatrix(row_idx, I)).is_zero():
-            return False, I
-    return True, None
+    field = G.field
+
+    def visit(prefix: tuple[int, ...], start: int, carried: list) -> Optional[tuple]:
+        # carried[i] is column start + i reduced against the prefix
+        s = len(prefix)
+        for j in range(start, n - (k - s) + 1):
+            u = carried[j - start]
+            if not any(u):
+                return prefix + tuple(range(j, j + k - s))
+            if s + 1 < k:
+                piv = next(i for i, x in enumerate(u) if x)
+                bad = visit(prefix + (j,), j + 1, _cleared(field, carried[j + 1 - start:], u, piv))
+                if bad:
+                    return bad
+        return None
+
+    bad = visit((), 0, [list(col) for col in zip(*G._data)]) if k else None
+    return bad is None, bad
 
 
 def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[bool, dict]:
@@ -156,17 +223,25 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     nonsingular k-subset; certificates carry the discovered witnesses.  The
     dependent subset of (a) is the certificate of ``is_mds_phi`` on the same
     table, so one walk decides both MDS and (a).
+
+    A (k+1)-subset I + (j,), with I its first k positions, is deficient only
+    when I is singular and alpha_j is a root of P_I
+    (``PhiWorkspace._superset_roots``), so (b) is scanned over those alone,
+    in the same lexicographic order, and finds the same first deficient
+    superset.  When eta_1..eta_l are zero the twist is eta_0 x^k, the code
+    lies in GRS_{k+1} and d >= n - k, so a non-MDS code is AMDS with no scan.
     """
     table = _table_for(spec, workspace)
     mds, dependent = is_mds_phi(spec, workspace=table)
     if mds:
         return False, {"reason": "code is MDS", "dependent_subset": None}
     eta, n, k = tuple(e.rep for e in spec.eta), table.n, table.k
-    # supersets in lexicographic order, which is that of (sup[:k], sup[k]):
-    # only a singular first k-subset I can make sup = I + (j,) deficient
-    for I in itertools.combinations(range(n - 1), k):
-        if table._singular(eta, I):
-            for j in range(I[-1] + 1, n):
+    if any(eta[1:]):
+        # supersets in lexicographic order, which is that of (sup[:k], sup[k])
+        for I in itertools.combinations(range(n - 1), k):
+            if not table._singular(eta, I):
+                continue
+            for j in table._superset_roots(eta, I):
                 sup = I + (j,)
                 if all(table._singular(eta, S) for S in itertools.combinations(sup, k)):
                     return False, {"reason": "a k+1 column set has rank below k",
@@ -197,22 +272,6 @@ class _Walk:
                 f"minimum-distance search stopped at its budget of {self.nodes} nodes; "
                 f"best bounds so far {self.floor} <= d <= {self.best}")
         self.nodes += 1
-
-
-def _cleared(field, columns: list, u: list, piv: int) -> list:
-    """The columns with entry piv cleared against the pivot column u.
-
-    u must be zero before piv.  A column is copied only when it changes, so
-    the caller's columns are left as they were.
-    """
-    pinv = field._inv(u[piv])
-    out = []
-    for v in columns:
-        if v[piv]:
-            v = list(v)
-            field._eliminate(v, u, piv, pinv)
-        out.append(v)
-    return out
 
 
 def _column_walk(H: MatGF, walk: _Walk) -> None:

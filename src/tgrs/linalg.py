@@ -132,9 +132,9 @@ class MatGF:
 # field supplies the arithmetic; its row operation ``Field._eliminate`` is
 # the only step of the elimination that tells prime fields from extension
 # fields, and it runs in place from the pivot column with one inverse per
-# pivot.  The exhaustive minor search calls the kernel once per determinant;
-# the distance search in ``classify`` applies the same row operation column
-# by column to a basis it keeps.  Neither builds a FieldElement.
+# pivot.  The minors walk and the distance search in ``classify`` apply the
+# same row operation column by column to the columns they carry, with no
+# call into the kernel.  Neither builds a FieldElement.
 
 def _echelon(rows: list[list], field: Field, reduced: bool) -> tuple[list[int], int]:
     """Row-reduce ``rows`` in place; return the pivot columns and the row swap count.

@@ -9,9 +9,10 @@ weights w-tilde; the twist tail sums Psi_s combine S_t with a twist vector.
 All of it runs on reps from the context's one ``Poly.from_roots``, with
 FieldElements only in the public getters; ``parity_check_matrix`` reads u,
 w-tilde and Psi as reps through the code those getters wrap.
-``criterion_row`` takes the same series on reps, with no ``Poly``: the
+``complete_series`` takes the same product and series on reps for any
+root set, with no ``Poly``.  ``criterion_row`` reads off it the
 classifier's rows, and the LCD recipes' r gate, the row of the k-1 head
-points with hook h-1.
+points with hook h-1; the AMDS scan reads its superset filter off it.
 
 Convention: S_0 = 1 and S_t = 0 for t < 0, matching the generating function
 prod_i 1/(1 - x_i z).  All positions are 0-based.
@@ -51,6 +52,18 @@ def series_inverse(field: Field, c: Sequence[int], length: int) -> list[int]:
     return e[:length]
 
 
+def complete_series(field: Field, roots: Sequence[int], length: int
+                    ) -> tuple[list[int], list[int]]:
+    """Reps c of g(x) = prod (x - root) = sum_j c_j x^(k-j), and h_0..h_{length-1}.
+
+    c runs from the leading coefficient c_0 = 1 down, k = len(roots); h is
+    the power series 1 / sum_j c_j z^j, whose terms are the complete
+    symmetric values of the roots.
+    """
+    c = root_product(field, roots)[::-1]
+    return c, series_inverse(field, c, length)
+
+
 def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tuple[int, ...]:
     """Reps d_0..d_{length-1} of the twist criterion of the root reps with hook h.
 
@@ -63,8 +76,7 @@ def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tu
     matrix of (c_0..c_t) and c_t^(h) the window (c_{k-h}, .., c_{k-h+t}),
     entries beyond c_k read as zero.
     """
-    c = root_product(field, roots)[::-1]
-    e = series_inverse(field, c, length)
+    c, e = complete_series(field, roots, length)
     window = c[len(roots) - h:]
     return tuple(field._dot(e[t::-1], window) for t in range(length))  # e read back from t
 

@@ -33,6 +33,49 @@ def brute_min_weight(spec: TgrsSpec) -> int:
     return best
 
 
+def brute_is_mds_minors(G: MatGF):
+    """Oracle: one determinant per k-subset of columns, in lexicographic order."""
+    row_idx = tuple(range(G.rows))
+    for I in itertools.combinations(range(G.cols), G.rows):
+        if det(G.submatrix(row_idx, I)).is_zero():
+            return False, I
+    return True, None
+
+
+def brute_is_amds(spec: TgrsSpec):
+    """Oracle: (verdict, dependent subset, deficient superset) from minors and ranks.
+
+    The deficient superset is the lexicographically first (k+1)-subset J
+    with rank(G_J) < k, found by eliminating every one from scratch.
+    """
+    G = generator_matrix(spec)
+    mds, dependent = brute_is_mds_minors(G)
+    if mds:
+        return False, None, None
+    row_idx = tuple(range(spec.k))
+    for J in itertools.combinations(range(spec.n), spec.k + 1):
+        if rank(G.submatrix(row_idx, J)) < spec.k:
+            return False, dependent, J
+    return True, dependent, None
+
+
+def random_generator(rng: random.Random, f, k: int, n: int) -> MatGF:
+    """A k x n matrix, k >= 1; some draws plant a zero column, a multiple of a
+    column or a row that is a multiple of the first, so G has rank below k."""
+    cols = [[rng.randrange(f.q) for _ in range(k)] for _ in range(n)]
+    plant, j = rng.randrange(5), rng.randrange(n)
+    if plant == 0:
+        cols[j] = [0] * k
+    elif plant == 1:
+        c, src = rng.randrange(f.q), rng.randrange(n)
+        cols[j] = [f._mul(c, x) for x in cols[src]]
+    elif plant == 2 and k > 1:
+        c = rng.randrange(f.q)
+        for col in cols:
+            col[k - 1] = f._mul(c, col[0])
+    return MatGF._from_reps(f, tuple(zip(*cols)))
+
+
 def brute_min_distance(H: MatGF) -> int:
     """Oracle: eliminate every column subset from scratch, in ascending size order."""
     row_idx = tuple(range(H.rows))
@@ -242,6 +285,59 @@ class TestMdsChecks:
         assert not ok
         assert 0 in cert
         assert cert == (0, 1)  # lexicographically first violating pair
+
+    def test_minors_match_determinant_oracle(self):
+        # every field draws k = 1, k = n and shapes between, with planted zero
+        # columns, multiples of columns and rank-deficient G; the certificate
+        # is the lexicographically first zero minor
+        rng = random.Random(32)
+        fields = [get_field(2), get_field(3), get_field(2, 2, (1, 1, 1)), get_field(7),
+                  get_field(*GF8), get_field(*GF9), get_field(*GF16)]
+        for f in fields:
+            verdicts, shapes = set(), set()
+            for i in range(80):
+                n = rng.randint(1, 8)
+                k = (1, n, rng.randint(1, n))[i % 3]
+                G = random_generator(rng, f, k, n)
+                got = is_mds_minors(G)
+                assert got == brute_is_mds_minors(G), (f, G.to_lists())
+                verdicts.add(got[0])
+                shapes.add((k == 1, k == n))
+            assert verdicts == {True, False}, f
+            assert {(True, False), (False, True), (False, False)} <= shapes, f
+
+    def test_minors_edge_shapes(self, gf7):
+        cases = [
+            (MatGF(gf7, []), (True, None)),  # no rows: the one empty minor is 1
+            (MatGF(gf7, [[1, 0, 2]]), (False, (1,))),  # k = 1: a zero entry
+            (MatGF(gf7, [[1, 2, 3]]), (True, None)),
+            (MatGF(gf7, [[1, 2], [3, 4]]), (True, None)),  # k = n
+            (MatGF(gf7, [[1, 2], [2, 4]]), (False, (0, 1))),
+            (MatGF(gf7, [[1, 0, 0], [0, 1, 0]]), (False, (0, 2))),  # last column zero
+            (MatGF(gf7, [[1, 1, 2, 0], [2, 3, 4, 1]]), (False, (0, 2))),  # column 2 = 2 col 0
+            (MatGF(gf7, [[1, 0, 1, 2], [0, 1, 1, 3], [1, 1, 2, 5]]), (False, (0, 1, 2))),
+        ]
+        for G, want in cases:
+            assert brute_is_mds_minors(G) == want
+            assert is_mds_minors(G) == want, G.to_lists()
+        with pytest.raises(ValidationError, match="at least as many columns"):
+            is_mds_minors(MatGF(gf7, [[1], [2]]))
+
+    def test_minors_make_no_per_subset_elimination(self, gf31, monkeypatch):
+        # a [10,5] GRS code is MDS, so the walk visits every prefix; it
+        # reduces carried columns and never takes a determinant or a rank
+        spec = TgrsSpec(field=gf31, n=10, k=5, l=0, h=2,
+                        alpha=tuple(gf31.element(a) for a in range(1, 11)),
+                        v=(gf31.one(),) * 10, eta=(gf31.zero(),))
+        G = generator_matrix(spec)
+        linalg = sys.modules["tgrs.linalg"]
+
+        def refuse(*args):
+            raise AssertionError("the minors walk eliminated a submatrix")
+
+        monkeypatch.setattr(linalg, "det", refuse)
+        monkeypatch.setattr(linalg, "_echelon", refuse)
+        assert is_mds_minors(G) == (True, None)
 
     def test_phi_agrees_with_minors_randomized(self):
         rng = random.Random(21)
@@ -511,18 +607,18 @@ class TestMinDistance:
 
 class TestCriterionRowBudget:
     def test_budget_enforced(self, monkeypatch):
-        spec = GOLDEN_CODES[0].spec()  # [15,4]: 6 rows to (0,1,2,8), 66 in all
+        spec = GOLDEN_CODES[0].spec()  # [15,4]: 6 rows to (0,1,2,8), 61 in all
         report = classify(spec)
-        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 66)
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 61)
         assert classify(spec) == report
         messages = []
-        for budget in (65, 65, 5):
+        for budget in (60, 60, 5):
             monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", budget)
             with pytest.raises(ResourceLimitError) as info:
                 classify(spec)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert messages[0].endswith("budget of 65 rows (n=15, k=4); "
+        assert messages[0].endswith("budget of 60 rows (n=15, k=4); "
                                     "dependent columns (1-based): [1, 2, 3, 9]")
         # a refusal inside the first walk knows no dependent subset yet
         assert messages[2].endswith("budget of 5 rows (n=15, k=4); "
@@ -531,16 +627,16 @@ class TestCriterionRowBudget:
     def test_budget_counts_rows_of_one_table(self, monkeypatch):
         # rows a shared table already holds are free, every verdict on it counts
         # toward one budget, and a refusal names only its own walk's dependent set
-        spec = GOLDEN_CODES[0].spec()  # [15,4]: 66 rows
+        spec = GOLDEN_CODES[0].spec()  # [15,4]: 61 rows
         table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
         report = classify(spec, workspace=table)
-        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 66)
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 61)
         assert classify(spec, workspace=table) == report
         other = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l, h=spec.h,
                          alpha=spec.alpha, v=spec.v, eta=(1, 1, 1, 1))
         with pytest.raises(ResourceLimitError) as info:
             classify(other, workspace=table)
-        assert str(info.value).endswith("budget of 66 rows (n=15, k=4); "
+        assert str(info.value).endswith("budget of 61 rows (n=15, k=4); "
                                         "dependent columns (1-based): none found yet")
 
 
@@ -560,6 +656,50 @@ class TestAmds:
             assert ok == (d == spec.n - spec.k)
             seen_true += int(ok)
         assert seen_true > 0
+        rng = random.Random(33)
+        for ext in EXTENSION_FIELDS:
+            seen = set()
+            for _ in range(15):
+                spec = random_spec(rng, qs=(ext,), n_max=7)
+                ok, _ = is_amds(spec)
+                d = min_distance(parity_check_matrix(spec))
+                assert ok == (d == spec.n - spec.k), spec
+                seen.add(ok)
+            assert True in seen, ext
+
+    def test_matches_superset_rank_oracle(self):
+        # draws kind 0: eta free, 1: eta_l = 0, 2: eta_1..eta_l = 0 with
+        # l >= 1; half of the point sets hold 0.  Verdict and certificates
+        # must match ranks of G on every (k+1)-subset.
+        rng = random.Random(34)
+        fields = [get_field(5), get_field(7), get_field(11), get_field(2, 2, (1, 1, 1)),
+                  get_field(*GF8), get_field(*GF9), get_field(*GF16)]
+        seen = {"scanned": 0, "deficient": 0, "no_scan": 0, "zero_point": 0}
+        for i in range(1200):
+            f, kind = fields[i % len(fields)], i % 3
+            n = rng.randint(4, min(8, f.q))
+            k = rng.randint(2, n - 1 - (kind == 2))
+            l = rng.randint(int(kind == 2), n - k - 1)
+            idx = rng.sample(range(f.q), n)
+            if rng.random() < 0.5 and 0 not in idx:
+                idx[rng.randrange(n)] = 0
+            eta = [rng.randrange(f.q) for _ in range(l + 1)]
+            if kind == 1:
+                eta[l] = 0
+            elif kind == 2:
+                eta[1:] = [0] * l
+            spec = TgrsSpec(field=f, n=n, k=k, l=l, h=rng.randint(1, k - 1),
+                            alpha=tuple(f.from_index(a) for a in idx),
+                            v=tuple(f.from_index(rng.randrange(1, f.q)) for _ in range(n)),
+                            eta=tuple(f.from_index(e) for e in eta))
+            ok, cert = is_amds(spec)
+            want = brute_is_amds(spec)
+            assert (ok, cert["dependent_subset"], cert.get("deficient_superset")) == want, spec
+            if want[1] is not None:
+                seen["no_scan" if not any(eta[1:]) else "scanned"] += 1
+                seen["deficient"] += want[2] is not None
+                seen["zero_point"] += 0 in idx
+        assert min(seen.values()) >= 30, seen
 
     def test_deficient_superset_certificate(self, gf7):
         # known instance whose columns 0,3,4 span fewer than k dimensions
@@ -576,6 +716,22 @@ class TestAmds:
         assert rank(G.submatrix((0, 1), cert["deficient_superset"])) < spec.k
         d = min_distance(parity_check_matrix(spec))
         assert d < spec.n - spec.k
+
+
+    def test_twist_of_degree_k_needs_no_superset_scan(self, monkeypatch):
+        # eta = (eta_0,): the code lies in GRS_{k+1}, so a non-MDS one is AMDS.
+        # A random [40,8] GF(101) code finds its dependent set at row 223; a
+        # scan of the C(39,8) first k-subsets would run into any budget
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 1_000)
+        f, rng = get_field(101), random.Random(0)
+        spec = TgrsSpec(field=f, n=40, k=8, l=0, h=2,
+                        alpha=tuple(f.element(a) for a in rng.sample(range(101), 40)),
+                        v=tuple(f.element(rng.randrange(1, 101)) for _ in range(40)),
+                        eta=(f.element(rng.randrange(1, 101)),))
+        report = classify(spec)
+        assert report.is_amds and not report.is_mds
+        assert report.certificates == {"mds_violating_subset": (0, 1, 2, 3, 4, 5, 13, 27),
+                                       "amds_dependent_subset": (0, 1, 2, 3, 4, 5, 13, 27)}
 
 
 class TestHull:

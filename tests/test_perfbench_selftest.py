@@ -1,13 +1,14 @@
 """Smoke tests: the benchmark harness's own self-test and all three of its
 workloads pass their gates against this tree.
 
-The harness wraps functions where tgrs modules bind them (``rank`` and
-``det`` in ``classify``, ``MatGF.submatrix`` on the class), and its search
-workload reads templates through ``tgrs.lcdgen.template_from_json``, so a
-refactor that renames or rebinds them shows up here rather than in a
-benchmark run.  The distance and mixed_fields gates compare reports with
-pinned certificates and a pinned digest of the seed-1 batch, so a change to
-any reported verdict, distance or certificate fails here too.
+The harness wraps functions where tgrs modules bind them (``rank`` in
+``classify``, ``det`` in ``linalg``, ``MatGF.submatrix`` on the class), and
+its search workload reads templates through
+``tgrs.lcdgen.template_from_json``, so a refactor that renames or rebinds
+them shows up here rather than in a benchmark run.  The distance and
+mixed_fields gates compare reports with pinned certificates and a pinned
+digest of the seed-1 batch, so a change to any reported verdict, distance
+or certificate fails here too.
 """
 
 import importlib

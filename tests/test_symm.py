@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from tgrs import MatGF, SymContext, ValidationError, solve_vandermonde
+from tgrs import FieldElement, MatGF, SymContext, ValidationError, solve_vandermonde
+from tgrs.symm import complete_series
 
 from conftest import GF8, GF9, GF16, get_field
 
@@ -47,11 +48,15 @@ def random_points(f, rng, n):
 
 
 def check_monomial_enumeration(f, rng):
+    # the context's series and ``complete_series`` on reps, the one the
+    # criterion rows and the AMDS superset filter read
     for n in range(1, 6):
         pts = random_points(f, rng, n)
         ctx = SymContext(pts)
+        _, hs = complete_series(f, [p.rep for p in pts], 5)
         for t in range(5):
             assert ctx.complete_symmetric(t) == brute_complete_symmetric(pts, t)
+            assert FieldElement(f, hs[t]) == brute_complete_symmetric(pts, t)
 
 
 def check_subset_sum_oracle(f, rng):

@@ -1,18 +1,18 @@
 """MDS / AMDS / LCD classification of twisted GRS codes.
 
 Two independent routes decide MDS-ness: the per-subset twist criterion and
-the k x k minors of the generator matrix G; the test suite keeps them in
-agreement.  The minors route reads G alone: a depth-first walk over column
-prefixes that carries the later columns reduced against each prefix, so one
-column reduction per node replaces a determinant per k-subset.  The
-criterion reads rows from PhiWorkspace, one lazily filled table per point
-set and (k, h, l), which the MDS and AMDS verdicts and the twist search
-share.  It holds rows only, at most CRITERION_ROW_BUDGET, each one
-``symm.criterion_row`` on reps (also the LCD recipes' r gate), so no
+the columns of the generator matrix G; the test suite keeps them in
+agreement.  The minors route is the distance's column walk over G,
+stopped at its first dependent set of at most k columns; it reads G alone.
+The criterion reads rows from PhiWorkspace, one lazily filled table per
+point set and (k, h, l), which the MDS and AMDS verdicts and the twist
+search share.  It holds rows only, at most CRITERION_ROW_BUDGET, each
+one ``symm.criterion_row`` on reps (also the LCD recipes' r gate), so no
 ``Poly`` is built per subset; the parity check builds its own context.
-The AMDS scan tests only the (k+1)-supersets I + (j,) whose alpha_j is a
-root of P_I, a polynomial of degree at most l read off the same series, and
-needs no scan at all when eta_1..eta_l are zero.
+For a singular k-subset I, the (k+1)-superset I + (j,) is deficient
+exactly when alpha_j is a root of P_I, a polynomial of degree at most l
+read off the same series, so the AMDS scan reads P_I alone; it needs no
+scan at all when eta_1..eta_l are zero.
 
 Minimum distance takes one of two depth-first walks, chosen by the shape of
 the parity check H alone, k = n - rows.  A low-rate code, 2k < n, walks the
@@ -22,15 +22,15 @@ columns by their ratio on a projective line.  Any other code walks column
 subsets of H, extending the reduced basis of each prefix by one column per
 node, and d is the smallest dependent set.  The hyperplane walk prunes a
 subtree whose hyperplanes cannot hold enough columns to beat the best
-codeword so far, and either walk stops once its best bound meets a floor
-known in advance: ``classify`` passes n - k - l, the distance of a GRS
-code holding C, and certifies it by one rank when d meets it.  The two
-walks share one column-clearing step, the bounds, the node count, the
-budget and its refusal; either witness is re-checked by the rank of its
-own columns of H, a square parity check (no dependent set) raises
-VerificationError, and a walk past its fixed node budget raises
-ResourceLimitError.  LCD status comes from the rank of the generator
-stacked on the parity check.
+codeword so far, and either walk stops once its best bound is at or below
+a floor known in advance: ``classify`` passes n - k - l, the distance of a
+GRS code holding C, and certifies it by one rank when d is at or below it.
+The three walks (minors and the two distance walks) share one
+column-clearing step, the bounds, the node count, the budget and its
+refusal; a distance witness is re-checked by the rank of its own columns
+of H, a square parity check (no dependent set) raises VerificationError,
+and a walk past its fixed node budget raises ResourceLimitError.  LCD
+status comes from the rank of the generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -49,12 +49,13 @@ from .codes import TgrsSpec, check_int_fields, generator_matrix, parity_check_ma
 from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, _is_int
 from .linalg import MatGF, null_space, rank
-from .symm import complete_series, criterion_row, distinct_points
+from .symm import complete_series, criterion_row, distinct_points, tail_sums
 
-# Nodes either distance walk may visit.  A column-walk node costs ~5 us, so the
-# budget is ~10 s there; a hyperplane node reduces all n columns, ~30-65 us at
-# n = 24-36, so one to two minutes there.  The four reference codes need 66, 8,
-# 497 and 9 hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
+# Nodes any one walk may visit: either distance walk, or the column walk of the
+# minors route.  A column-walk node costs ~5 us, so the budget is ~10 s there;
+# a hyperplane node reduces all n columns, ~30-65 us at n = 24-36, so one to
+# two minutes there.  The four reference codes need 66, 8, 497 and 9
+# hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
 DISTANCE_NODE_BUDGET = 2_000_000
 
 # Rows one criterion table may hold, ~16-20 us each at k = 6-8 on a 2-vCPU Xeon
@@ -119,26 +120,25 @@ class PhiWorkspace:
         """Whether the subset's columns are dependent, for eta given as reps."""
         return self.field._dot(eta, self._rep_row(subset)) == 1
 
-    def _superset_roots(self, eta: tuple, subset: tuple[int, ...]) -> list[int]:
-        """The j > subset[-1] with P_I(alpha_j) = 0, for eta given as reps.
+    def _superset_root(self, eta: tuple, subset: tuple[int, ...]) -> Optional[int]:
+        """The first j > subset[-1] with P_I(alpha_j) = 0, or None; eta given as reps.
 
-        With h_0..h_l the complete symmetric values of the points of I,
-        P_I(a) = sum_i a^i sum_{t >= i} eta_t h_{t-i}, and P_I(alpha_j) is the
-        x^k coefficient of the twist sum_t eta_t x^(k+t) reduced mod the
-        product over I + (j,).  Only a root alpha_j can make I + (j,)
-        deficient: every k-subset of it singular.
+        With S_0..S_l the complete symmetric values of the points of I,
+        P_I(a) = sum_i a^i Psi_i, Psi_i = sum_{t >= i} eta_t S_{t-i}, and
+        P_I(alpha_j) is the x^k coefficient of the twist sum_t eta_t x^(k+t)
+        reduced mod the product over J = I + (j,).  For a singular I, J is
+        deficient exactly when alpha_j is a root (see ``is_amds``).
         """
         f = self.field
-        _, hs = complete_series(f, [self.alpha[i].rep for i in subset], self.l + 1)
-        coeffs = [f._dot(eta[i:], hs) for i in range(self.l + 1)]  # low degree first
-        roots = []
+        _, series = complete_series(f, [self.alpha[i].rep for i in subset], self.l + 1)
+        coeffs = tail_sums(f, eta, series)  # low degree first
         for j in range(subset[-1] + 1, self.n):
             a, value = self.alpha[j].rep, 0
             for c in reversed(coeffs):  # Horner
                 value = f._add(f._mul(value, a), c)
             if value == 0:
-                roots.append(j)
-        return roots
+                return j
+        return None
 
     def _first_singular(self, eta: tuple) -> Optional[tuple[int, ...]]:
         """The lexicographically first dependent k-subset, for eta given as reps."""
@@ -184,35 +184,29 @@ def _cleared(field, columns: list, u: list, piv: int) -> list:
 def is_mds_minors(G: MatGF) -> tuple[bool, Optional[tuple[int, ...]]]:
     """k x k minor check of a k x n generator; on failure the first zero minor.
 
-    A depth-first walk over column prefixes in lexicographic order.  A node
-    is an independent prefix P of s < k columns carrying every later column
-    reduced against P.  A carried column j that is zero makes every k-subset
-    through P + (j,) dependent, and P + (j, j+1, .., j+k-s-1) is the first
-    of them and of all k-subsets not yet passed, so it is returned; a
-    nonzero one is the pivot of the child P + (j,) while s + 1 < k.  Only
-    j <= n - (k - s) can still complete a k-subset.  The walk reads G alone,
-    never the twist criterion, so the two MDS routes stay independent.
+    G is MDS exactly when no k or fewer columns are dependent, so this is
+    ``_column_walk`` over G with bound k + 1 and floor k, stopped at the
+    first dependent set P + (j,) it meets; it returns P + (j, j+1, ..,
+    j+k-|P|-1), the lexicographically first dependent k-subset S*.  For r
+    least with S*[:r] dependent, every k-subset through S*[:r] is, so S* is
+    S*[:r] and the columns right after S*[r-1]; the walk meets its sets in
+    lexicographic order, a prefix first, so a dependent set met earlier
+    would lie in a k-subset before S*.  It reads G alone, never the twist
+    criterion.  Its nodes count against DISTANCE_NODE_BUDGET; a refusal is
+    the distance walk's, on the smallest dependent column set of G (the
+    dual's distance), with its floor k, where the verdict settles but not a
+    proven lower bound, and k + 1.
     """
     k, n = G.rows, G.cols
     if k > n:
         raise ValidationError("generator must have at least as many columns as rows")
-    field = G.field
-
-    def visit(prefix: tuple[int, ...], start: int, carried: list) -> Optional[tuple]:
-        # carried[i] is column start + i reduced against the prefix
-        s = len(prefix)
-        for j in range(start, n - (k - s) + 1):
-            u = carried[j - start]
-            if not any(u):
-                return prefix + tuple(range(j, j + k - s))
-            if s + 1 < k:
-                piv = next(i for i, x in enumerate(u) if x)
-                bad = visit(prefix + (j,), j + 1, _cleared(field, carried[j + 1 - start:], u, piv))
-                if bad:
-                    return bad
-        return None
-
-    bad = visit((), 0, [list(col) for col in zip(*G._data)]) if k else None
+    bad = None
+    if k:
+        walk = _Walk(k + 1, floor=k)
+        _column_walk(G, walk)
+        if walk.settled():
+            *prefix, j = walk.witness
+            bad = (*prefix, *range(j, j + k - len(prefix)))
     return bad is None, bad
 
 
@@ -224,12 +218,14 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     dependent subset of (a) is the certificate of ``is_mds_phi`` on the same
     table, so one walk decides both MDS and (a).
 
-    A (k+1)-subset I + (j,), with I its first k positions, is deficient only
-    when I is singular and alpha_j is a root of P_I
-    (``PhiWorkspace._superset_roots``), so (b) is scanned over those alone,
-    in the same lexicographic order, and finds the same first deficient
-    superset.  When eta_1..eta_l are zero the twist is eta_0 x^k, the code
-    lies in GRS_{k+1} and d >= n - k, so a non-MDS code is AMDS with no scan.
+    For a singular I, J = I + (j,) is deficient exactly when P_I(alpha_j) = 0
+    (``PhiWorkspace._superset_root``): with R = (x^h + sum_t eta_t x^(k+t))
+    mod g_J, deg R <= k, J is deficient exactly when [x^k] R = P_I(alpha_j)
+    and [x^h] R are 0; if [x^k] R = 0, R is also the remainder mod g_I' for
+    every k-subset I' of J, so each I' is singular exactly when I is.  So
+    the first root of the first such I is the first deficient superset.
+    When eta_1..eta_l are zero the twist is eta_0 x^k, the code lies in
+    GRS_{k+1} and d >= n - k, so a non-MDS code is AMDS with no scan.
     """
     table = _table_for(spec, workspace)
     mds, dependent = is_mds_phi(spec, workspace=table)
@@ -237,25 +233,21 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
         return False, {"reason": "code is MDS", "dependent_subset": None}
     eta, n, k = tuple(e.rep for e in spec.eta), table.n, table.k
     if any(eta[1:]):
-        # supersets in lexicographic order, which is that of (sup[:k], sup[k])
         for I in itertools.combinations(range(n - 1), k):
-            if not table._singular(eta, I):
-                continue
-            for j in table._superset_roots(eta, I):
-                sup = I + (j,)
-                if all(table._singular(eta, S) for S in itertools.combinations(sup, k)):
-                    return False, {"reason": "a k+1 column set has rank below k",
-                                   "dependent_subset": dependent, "deficient_superset": sup}
+            j = table._superset_root(eta, I) if table._singular(eta, I) else None
+            if j is not None:
+                return False, {"reason": "a k+1 column set has rank below k",
+                               "dependent_subset": dependent, "deficient_superset": I + (j,)}
     return True, {"dependent_subset": dependent, "deficient_superset": None}
 
 
 class _Walk:
-    """The two distance bounds, the witness and the nodes spent: what both walks share.
+    """The two distance bounds, the witness and the nodes spent: what the walks share.
 
     The upper bound ``best`` starts at rows + 1 = n - k + 1 with the first
     rows + 1 columns as witness, since with full row rank any rows + 1
     columns are dependent.  ``floor`` is a lower bound on d known in
-    advance; a walk stops once ``best`` reaches it.
+    advance; a walk stops once ``best`` is at or below it.
     """
 
     def __init__(self, bound: int, floor: int = 1):
@@ -263,7 +255,7 @@ class _Walk:
         self.floor = floor
 
     def settled(self) -> bool:
-        return self.best == self.floor
+        return self.best <= self.floor
 
     def step(self) -> None:
         """Count one node; past DISTANCE_NODE_BUDGET refuse with the bounds so far."""
@@ -285,7 +277,7 @@ def _column_walk(H: MatGF, walk: _Walk) -> None:
     The walk records a dependent set only when it is smaller than the best
     so far and descends only while smaller sets are reachable, so the last
     set recorded is the lexicographically first of minimum size.  It stops
-    once the best reaches the walk's floor, when no smaller set is left.
+    once the best is at or below the walk's floor.
     """
     field = H.field
 
@@ -332,7 +324,7 @@ def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
     kept + 1 + (n - 1 - j) is at most n - best: that child and every later
     one meet only hyperplanes too small to beat the best, and the first
     lightest codeword is still found at its own leaf.  The walk stops once
-    the best reaches the walk's floor.
+    the best is at or below the walk's floor.
     """
     field, k, n = G.field, G.rows, G.cols
     inv, mul = field._inv, field._mul
@@ -395,11 +387,12 @@ def min_distance(H: MatGF, floor: int = 1) -> int:
     column set and raises VerificationError.
 
     ``floor`` is a known lower bound on d, an int in 1..rows + 1 (else
-    ValidationError); either walk returns as soon as its best bound meets
-    it, with the witness the full walk would give.  ``classify`` passes
-    n - k - l and certifies it by one rank when d meets it
-    (``_certify_grs_floor``).  The MDS/AMDS verdicts neither seed nor prune
-    either walk.
+    ValidationError); either walk returns as soon as its best bound is at
+    or below it, with the witness the full walk would give when the floor
+    holds.  ``classify`` passes n - k - l and certifies it by one rank for
+    any d at or below it (``_certify_grs_floor``), so a wrong floor is
+    refused, not returned as d.  The MDS/AMDS verdicts neither seed nor
+    prune either walk.
 
     Each visited node of either walk counts once.  Past DISTANCE_NODE_BUDGET
     nodes the search raises ResourceLimitError with the nodes visited and
@@ -565,12 +558,13 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
 
     With ``want_distance`` the report carries the minimum distance, checked
     against the MDS/AMDS verdicts, or min_distance's ResourceLimitError.  Its
-    walk stops at the floor n - k - l; a d equal to that floor is certified
-    by one rank, and a G outside GRS_{k+l+1} raises VerificationError there.
-    A d above the floor never needed it, so costs no rank.  Both verdicts
-    come from one ``is_amds`` call, whose criterion walk gives the MDS
-    certificate too, on one criterion table: ``workspace`` when given (it
-    must be built for the spec's points, k, h and l), a fresh one otherwise.
+    walk stops at the floor n - k - l; a d at or below that floor is
+    certified by one rank, and a G outside GRS_{k+l+1} raises
+    VerificationError there.  A d above the floor never needed it, so costs
+    no rank.  Both verdicts come from one ``is_amds`` call, whose criterion
+    walk gives the MDS certificate too, on one criterion table:
+    ``workspace`` when given (it must be built for the spec's points, k, h
+    and l), a fresh one otherwise.
     """
     table = _table_for(spec, workspace)
     G = generator_matrix(spec)
@@ -592,7 +586,7 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     if want_distance:
         floor = spec.n - spec.k - spec.l
         d = min_distance(H, floor=floor)
-        if d == floor:  # the floor may have stopped the walk
+        if d <= floor:  # the floor may have stopped the walk
             _certify_grs_floor(spec, G)
         report.min_distance = d
         singleton = spec.n - spec.k + 1

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .classify import CodeReport, PhiWorkspace, classify
-from .codes import TgrsSpec, check_int_fields, element_list
+from .classify import CodeReport, PhiWorkspace, classify, report_to_json
+from .codes import TgrsSpec, check_int_fields, element_list, tgrs_spec_to_json
 from .errors import ValidationError, VerificationError
 from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json
 from .symm import SymContext, criterion_row, distinct_points
@@ -77,7 +77,6 @@ class BuildResult:
     applicable: bool
 
     def to_json(self) -> dict:
-        from .codes import tgrs_spec_to_json
         return {
             "spec": tgrs_spec_to_json(self.spec),
             "record": [c.to_json() for c in self.record],
@@ -287,7 +286,6 @@ class SearchHit:
     report: CodeReport
 
     def to_json(self) -> dict:
-        from .classify import report_to_json
         return {
             "eta": [element_to_json(e) for e in self.eta],
             "r": element_to_json(self.r_value),

@@ -12,7 +12,7 @@ w-tilde and Psi as reps through the code those getters wrap.
 ``complete_series`` takes the same product and series on reps for any
 root set, with no ``Poly``.  ``criterion_row`` reads off it the
 classifier's rows, and the LCD recipes' r gate, the row of the k-1 head
-points with hook h-1; the AMDS scan reads its superset filter off it.
+points with hook h-1; the AMDS scan reads P_I off it with ``tail_sums``.
 
 Convention: S_0 = 1 and S_t = 0 for t < 0, matching the generating function
 prod_i 1/(1 - x_i z).  All positions are 0-based.
@@ -62,6 +62,11 @@ def complete_series(field: Field, roots: Sequence[int], length: int
     """
     c = root_product(field, roots)[::-1]
     return c, series_inverse(field, c, length)
+
+
+def tail_sums(field: Field, eta: Sequence[int], series: Sequence[int]) -> list[int]:
+    """Reps of Psi_s = sum_{t >= s} eta_t S_{t-s}, s = 0..len(eta)-1, for reps eta and S."""
+    return [field._dot(eta[s:], series) for s in range(len(eta))]
 
 
 def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tuple[int, ...]:
@@ -123,8 +128,7 @@ class SymContext:
 
     def _psi_reps(self, eta: Sequence[int]) -> list[int]:
         """Reps of Psi_0..Psi_{len(eta)-1}, for eta given as reps."""
-        s_vals = self._series(len(eta))
-        return [self.field._dot(eta[s:], s_vals) for s in range(len(eta))]
+        return tail_sums(self.field, eta, self._series(len(eta)))
 
     # -- queries ---------------------------------------------------------------
 

@@ -122,6 +122,61 @@ def draw_shape(rng: random.Random, kind: int) -> tuple[int, int]:
     return n, rng.randint(n // 2 + 1, n - 1)
 
 
+def amds_specs():
+    """1,200 seeded (spec, point indices, eta reps) over seven small fields.
+
+    Draws kind 0: eta free, 1: eta_l = 0, 2: eta_1..eta_l = 0 with l >= 1;
+    half of the point sets hold 0.
+    """
+    rng = random.Random(34)
+    fields = [get_field(5), get_field(7), get_field(11), get_field(2, 2, (1, 1, 1)),
+              get_field(*GF8), get_field(*GF9), get_field(*GF16)]
+    for i in range(1200):
+        f, kind = fields[i % len(fields)], i % 3
+        n = rng.randint(4, min(8, f.q))
+        k = rng.randint(2, n - 1 - (kind == 2))
+        l = rng.randint(int(kind == 2), n - k - 1)
+        idx = rng.sample(range(f.q), n)
+        if rng.random() < 0.5 and 0 not in idx:
+            idx[rng.randrange(n)] = 0
+        eta = [rng.randrange(f.q) for _ in range(l + 1)]
+        if kind == 1:
+            eta[l] = 0
+        elif kind == 2:
+            eta[1:] = [0] * l
+        spec = TgrsSpec(field=f, n=n, k=k, l=l, h=rng.randint(1, k - 1),
+                        alpha=tuple(f.from_index(a) for a in idx),
+                        v=tuple(f.from_index(rng.randrange(1, f.q)) for _ in range(n)),
+                        eta=tuple(f.from_index(e) for e in eta))
+        yield spec, idx, tuple(e.rep for e in spec.eta)
+
+
+def refused_outside_grs(monkeypatch, roots: int) -> MatGF:
+    """A generator outside GRS_{k+l+1} for the [9,3] reference code, and its refusal.
+
+    Row 1 becomes v_i p(alpha_i) with p = x^(5 - roots) (x - alpha_1)..
+    (x - alpha_roots) of degree k + l + 1 = 5, so the floor n - k - l = 5 has
+    no certificate; no alpha_i is 0, so the row weighs 9 - roots.  H is the
+    kernel of the bad G, so the hull check passes and ``classify`` refuses
+    only with the distance.  Returns the bad generator.
+    """
+    spec = GOLDEN_CODES[1].spec()
+    f, m = spec.field, spec.k + spec.l + 1
+    top = []
+    for a, v in zip(spec.alpha, spec.v):
+        value = (v * a ** (m - roots)).rep
+        for b in spec.alpha[:roots]:
+            value = f._mul(value, f._sub(a.rep, b.rep))
+        top.append(value)
+    bad = MatGF._from_reps(f, (tuple(top),) + generator_matrix(spec)._data[1:])
+    monkeypatch.setattr(CLASSIFY, "generator_matrix", lambda s: bad)
+    monkeypatch.setattr(CLASSIFY, "parity_check_matrix", lambda s: null_space(bad))
+    classify(spec)  # the hull check passes without the distance
+    with pytest.raises(VerificationError, match="not a subcode of GRS_5"):
+        classify(spec, want_distance=True)
+    return bad
+
+
 def eighteenth_roots_spec(gf37) -> TgrsSpec:
     """[18,6] over GF(37) on the 18th roots of unity, h = 2, l = 2, d = 10."""
     return TgrsSpec(field=gf37, n=18, k=6, l=2, h=2,
@@ -287,9 +342,15 @@ class TestMdsChecks:
         assert cert == (0, 1)  # lexicographically first violating pair
 
     def test_minors_match_determinant_oracle(self):
-        # every field draws k = 1, k = n and shapes between, with planted zero
-        # columns, multiples of columns and rank-deficient G; the certificate
-        # is the lexicographically first zero minor
+        # every generator of three small classes, then every field draws k = 1,
+        # k = n and shapes between, with planted zero columns, multiples of
+        # columns and rank-deficient G; the certificate is the
+        # lexicographically first zero minor
+        for q, k, n in ((2, 2, 6), (2, 3, 4), (3, 2, 4)):
+            f = get_field(q)
+            for flat in itertools.product(range(q), repeat=k * n):
+                G = MatGF._from_reps(f, tuple(flat[i * n:(i + 1) * n] for i in range(k)))
+                assert is_mds_minors(G) == brute_is_mds_minors(G), (q, G.to_lists())
         rng = random.Random(32)
         fields = [get_field(2), get_field(3), get_field(2, 2, (1, 1, 1)), get_field(7),
                   get_field(*GF8), get_field(*GF9), get_field(*GF16)]
@@ -338,6 +399,19 @@ class TestMdsChecks:
         monkeypatch.setattr(linalg, "det", refuse)
         monkeypatch.setattr(linalg, "_echelon", refuse)
         assert is_mds_minors(G) == (True, None)
+
+    def test_minors_walk_node_budget(self, monkeypatch):
+        # the [9,3,7] generator is MDS, so the walk visits all 46 of its nodes;
+        # a refusal is the distance walk's, on the smallest dependent column
+        # set of G, with the floor k where the verdict settles
+        G = generator_matrix(GOLDEN_CODES[1].spec())
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 46)
+        assert is_mds_minors(G) == (True, None)
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 45)
+        with pytest.raises(ResourceLimitError) as info:
+            is_mds_minors(G)
+        assert str(info.value) == ("minimum-distance search stopped at its budget of 45 nodes; "
+                                   "best bounds so far 3 <= d <= 4")
 
     def test_phi_agrees_with_minors_randomized(self):
         rng = random.Random(21)
@@ -549,30 +623,19 @@ class TestMinDistance:
         assert classify(spec, want_distance=True).min_distance == d
 
     def test_generator_outside_grs_refused(self, monkeypatch):
-        # a generator row v_i p(alpha_i) with p = x (x - alpha_1)...(x - alpha_{k+l})
-        # of degree k + l + 1 leaves GRS_{k+l+1}, so the floor n - k - l has
-        # no certificate; that row weighs n - k - l (no alpha_i is 0), so the
-        # walk stops at the floor and the certificate refuses.  H is the
-        # kernel of the bad G, so the hull check passes.
-        spec = GOLDEN_CODES[1].spec()  # [9,3] with l = 1: floor 5
-        f, m = spec.field, spec.k + spec.l + 1
-        G = generator_matrix(spec)
-        top = []
-        for a, v in zip(spec.alpha, spec.v):
-            value = f._mul(v.rep, a.rep)
-            for b in spec.alpha[:m - 1]:
-                value = f._mul(value, f._sub(a.rep, b.rep))
-            top.append(value)
-        bad = MatGF._from_reps(f, (tuple(top),) + G._data[1:])
+        # the bad row weighs n - k - l = 5, so the walk stops at the floor
+        bad = refused_outside_grs(monkeypatch, roots=4)
         assert min_distance(null_space(bad), floor=5) == 5
-        monkeypatch.setattr(CLASSIFY, "generator_matrix", lambda s: bad)
-        monkeypatch.setattr(CLASSIFY, "parity_check_matrix", lambda s: null_space(bad))
-        classify(spec)  # the hull check passes without the distance
-        with pytest.raises(VerificationError, match="not a subcode of GRS_5"):
-            classify(spec, want_distance=True)
+
+    def test_distance_below_a_wrong_floor_refused(self, monkeypatch):
+        # the bad row vanishes on k + l + 1 points, so it weighs one below the
+        # floor the code no longer meets; any d at or below the floor meets
+        # the GRS certificate, which refuses it
+        bad = refused_outside_grs(monkeypatch, roots=5)
+        assert min_distance(null_space(bad)) == 4
 
     def test_floor_certified_only_when_met(self, monkeypatch):
-        # the certificate rank is spent only on a d equal to the floor; the
+        # the certificate rank is spent only on a d at or below the floor; the
         # reference codes sit above their floors (10, 7, 8, 8 against 8, 5,
         # 6, 5), and [18,6] GF(37) on the 18th roots of unity meets its floor 10
         calls = []
@@ -607,18 +670,18 @@ class TestMinDistance:
 
 class TestCriterionRowBudget:
     def test_budget_enforced(self, monkeypatch):
-        spec = GOLDEN_CODES[0].spec()  # [15,4]: 6 rows to (0,1,2,8), 61 in all
+        spec = GOLDEN_CODES[0].spec()  # [15,4]: 6 rows to (0,1,2,8), 57 in all
         report = classify(spec)
-        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 61)
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 57)
         assert classify(spec) == report
         messages = []
-        for budget in (60, 60, 5):
+        for budget in (56, 56, 5):
             monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", budget)
             with pytest.raises(ResourceLimitError) as info:
                 classify(spec)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert messages[0].endswith("budget of 60 rows (n=15, k=4); "
+        assert messages[0].endswith("budget of 56 rows (n=15, k=4); "
                                     "dependent columns (1-based): [1, 2, 3, 9]")
         # a refusal inside the first walk knows no dependent subset yet
         assert messages[2].endswith("budget of 5 rows (n=15, k=4); "
@@ -627,16 +690,16 @@ class TestCriterionRowBudget:
     def test_budget_counts_rows_of_one_table(self, monkeypatch):
         # rows a shared table already holds are free, every verdict on it counts
         # toward one budget, and a refusal names only its own walk's dependent set
-        spec = GOLDEN_CODES[0].spec()  # [15,4]: 61 rows
+        spec = GOLDEN_CODES[0].spec()  # [15,4]: 57 rows
         table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
         report = classify(spec, workspace=table)
-        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 61)
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 57)
         assert classify(spec, workspace=table) == report
         other = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l, h=spec.h,
                          alpha=spec.alpha, v=spec.v, eta=(1, 1, 1, 1))
         with pytest.raises(ResourceLimitError) as info:
             classify(other, workspace=table)
-        assert str(info.value).endswith("budget of 61 rows (n=15, k=4); "
+        assert str(info.value).endswith("budget of 57 rows (n=15, k=4); "
                                         "dependent columns (1-based): none found yet")
 
 
@@ -668,30 +731,9 @@ class TestAmds:
             assert True in seen, ext
 
     def test_matches_superset_rank_oracle(self):
-        # draws kind 0: eta free, 1: eta_l = 0, 2: eta_1..eta_l = 0 with
-        # l >= 1; half of the point sets hold 0.  Verdict and certificates
-        # must match ranks of G on every (k+1)-subset.
-        rng = random.Random(34)
-        fields = [get_field(5), get_field(7), get_field(11), get_field(2, 2, (1, 1, 1)),
-                  get_field(*GF8), get_field(*GF9), get_field(*GF16)]
+        # verdict and certificates must match ranks of G on every (k+1)-subset
         seen = {"scanned": 0, "deficient": 0, "no_scan": 0, "zero_point": 0}
-        for i in range(1200):
-            f, kind = fields[i % len(fields)], i % 3
-            n = rng.randint(4, min(8, f.q))
-            k = rng.randint(2, n - 1 - (kind == 2))
-            l = rng.randint(int(kind == 2), n - k - 1)
-            idx = rng.sample(range(f.q), n)
-            if rng.random() < 0.5 and 0 not in idx:
-                idx[rng.randrange(n)] = 0
-            eta = [rng.randrange(f.q) for _ in range(l + 1)]
-            if kind == 1:
-                eta[l] = 0
-            elif kind == 2:
-                eta[1:] = [0] * l
-            spec = TgrsSpec(field=f, n=n, k=k, l=l, h=rng.randint(1, k - 1),
-                            alpha=tuple(f.from_index(a) for a in idx),
-                            v=tuple(f.from_index(rng.randrange(1, f.q)) for _ in range(n)),
-                            eta=tuple(f.from_index(e) for e in eta))
+        for spec, idx, eta in amds_specs():
             ok, cert = is_amds(spec)
             want = brute_is_amds(spec)
             assert (ok, cert["dependent_subset"], cert.get("deficient_superset")) == want, spec
@@ -700,6 +742,24 @@ class TestAmds:
                 seen["deficient"] += want[2] is not None
                 seen["zero_point"] += 0 in idx
         assert min(seen.values()) >= 30, seen
+
+    def test_superset_root_is_the_first_deficient_superset(self):
+        # the superset re-check the scan no longer runs, as an oracle: for a
+        # singular I, the first root of P_I is the first j whose I + (j,) has
+        # every k-subset singular; a few I have two such j
+        seen = {"deficient": 0, "two_or_more": 0}
+        for spec, _, eta in amds_specs():
+            table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
+            for I in itertools.combinations(range(spec.n - 1), spec.k):
+                if not table._singular(eta, I):
+                    continue
+                deficient = [j for j in range(I[-1] + 1, spec.n)
+                             if all(table._singular(eta, S)
+                                    for S in itertools.combinations(I + (j,), spec.k))]
+                assert table._superset_root(eta, I) == (deficient or [None])[0], (spec, I)
+                seen["deficient"] += bool(deficient)
+                seen["two_or_more"] += len(deficient) > 1
+        assert seen == {"deficient": 54, "two_or_more": 2}, seen
 
     def test_deficient_superset_certificate(self, gf7):
         # known instance whose columns 0,3,4 span fewer than k dimensions
@@ -783,6 +843,11 @@ class TestHull:
             hull_dimension(MatGF(gf7, [[1, 1, 1], [2, 2, 2]]), MatGF(gf7, [[1, 2, 3]]))
         with pytest.raises(ValidationError, match="share the length"):
             hull_dimension(G, MatGF(gf7, [[1, 2]]))
+        with pytest.raises(ValidationError,
+                           match=r"^parity-check matrix must have full row rank n-k$"):
+            hull_dimension(G, MatGF(gf7, [[0, 0, 1], [0, 0, 2]]))
+        with pytest.raises(ValidationError, match=r"^row counts must satisfy k \+ \(n-k\) = n$"):
+            hull_dimension(MatGF(gf7, [[1, 0, 0]]), MatGF(gf7, [[0, 1, 0]]))
 
 
 class TestClassify:

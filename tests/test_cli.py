@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, embedded examples."""
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -98,6 +99,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "[9,3,7]" in out
         assert "lcd True" in out and "mds True" in out
+
+    def test_text_notes_boundary_hook(self, tmp_path, capsys):
+        obj = tgrs_spec_to_json(GOLDEN_CODES[1].spec())
+        obj["h"] = obj["k"] - 1
+        assert main(["check", "--input", write_json(tmp_path / "spec.json", obj)]) == 0
+        assert "\nnote: hook at the upper boundary h = k-1\n" in capsys.readouterr().out
 
     def test_json_output_parses(self, golden_spec_file, capsys):
         assert main(["check", "--input", golden_spec_file, "--output", "json"]) == 0
@@ -338,6 +345,20 @@ class TestPaperExamples:
         bad = blob["results"][0]
         assert bad["pass"] is False
         assert bad["mismatch"]["row"] == 1 and bad["mismatch"]["col"] == 1
+
+    @pytest.mark.parametrize("index,change,message", [
+        (0, {"expected_r": 15}, "example 1 r coefficient: got 14, want 15"),
+        (1, {"expected_distance": 8}, "example 2 classification verdict mismatch"),
+        (3, {"expect_mds": False}, "example 4 classification verdict mismatch"),
+    ])
+    def test_expectation_mismatch_named(self, capsys, monkeypatch, index, change, message):
+        codes = list(GOLDEN_CODES)
+        codes[index] = dataclasses.replace(codes[index], **change)
+        monkeypatch.setattr(sys.modules["tgrs.cli"], "GOLDEN_CODES", codes)
+        assert main(["paper-examples"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"first failure: {message}\n"
+        assert captured.out.count("PASS") == 3 and captured.out.count("FAIL") == 1
 
     def test_builds_one_generator_per_code(self, capsys, monkeypatch):
         calls = count_matrix_builds(monkeypatch)

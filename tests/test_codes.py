@@ -65,6 +65,10 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="eta"):
             self.make(gf7, eta=(gf7.one(),))
 
+    def test_more_points_than_field_elements_rejected(self, gf7):
+        with pytest.raises(ValidationError, match=r"^cannot place 8 distinct points in GF\(7\)$"):
+            self.make(gf7, n=8)
+
     def test_boundary_hook_flag(self, gf7):
         assert self.make(gf7, h=2).hook_is_boundary()
         assert not self.make(gf7, h=1).hook_is_boundary()
@@ -277,6 +281,11 @@ class TestJson:
         obj["v"] = list(GOLDEN_CODES[3].v)  # signed, as printed
         spec = tgrs_spec_from_json(obj)
         assert spec == GOLDEN_CODES[3].spec()
+
+    @pytest.mark.parametrize("obj", [[1, 2], "spec", None])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(ValidationError, match="^code spec must be a JSON object$"):
+            tgrs_spec_from_json(obj)
 
     def test_missing_fields_reported(self):
         with pytest.raises(ValidationError, match="missing"):

@@ -77,6 +77,11 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             Field(7, 1, [1, 1])
 
+    @pytest.mark.parametrize("modulus", [[1, 1, 1], [1, 1, 0, 1, 1]])
+    def test_rejects_modulus_of_wrong_degree(self, modulus):
+        with pytest.raises(ValidationError, match=r"^modulus must be monic of degree 3 over GF\(2\)$"):
+            Field(2, 3, modulus)
+
     def test_extension_requires_modulus(self):
         with pytest.raises(ValidationError):
             Field(3, 2)

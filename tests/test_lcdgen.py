@@ -191,6 +191,11 @@ class TestRCoefficient:
         with pytest.raises(ValidationError, match="distinct"):
             r_coefficient(3, 1, [gf7.one()], [gf7.one(), gf7.one()])
 
+    @pytest.mark.parametrize("h", [0, 3])
+    def test_hook_outside_range_rejected(self, gf7, h):
+        with pytest.raises(ValidationError, match=rf"^hook must satisfy 1 <= h <= k-1, got h={h}$"):
+            r_coefficient(3, h, [gf7.one()], [gf7.one(), gf7.element(2)])
+
     def test_duplicate_head_named_like_other_point_sets(self, gf7):
         head = [gf7.element(a) for a in (2, 5, 2)]
         with pytest.raises(ValidationError, match="positions 0 and 2 coincide"):
@@ -364,6 +369,11 @@ class TestClass2Builder:
         eta4 = tuple(f.element(e) for e in (28, 6, 0))
         assert quadratic_twist_sum(eta4, 2) == f.element(0) ** 2
 
+    @pytest.mark.parametrize("m_gap", [-1, 3])
+    def test_quadratic_sum_gap_outside_range_rejected(self, gf31, m_gap):
+        with pytest.raises(ValidationError, match=r"^gap must lie in 0\.\.2$"):
+            quadratic_twist_sum((gf31.one(),) * 3, m_gap)
+
     def test_gap_at_l_with_nonzero_last_twist_inapplicable(self, gf31):
         # a field has no nilpotents, so eta_l != 0 can never satisfy the gate
         f = gf31
@@ -387,6 +397,11 @@ class TestClass2Builder:
             Class2Params(field=f, n=10, h=1, l=2, m_gap=2, lam=f.one(),
                          eta=(f.one(),) * 3, v_head=(f.element(2),) * 2,
                          v_tail_signs=(f.one(),) * 8, k=4)
+        # n = 6 divides q - 1, but k = (6-2-2)/2 = 1
+        with pytest.raises(ValidationError,
+                           match=r"^clause 'k = \(n-l-m\)/2 >= 2' fails: k=1$"):
+            Class2Params(field=f, n=6, h=1, l=2, m_gap=2, lam=f.one(),
+                         eta=(f.one(),) * 3, v_head=(), v_tail_signs=(f.one(),) * 6)
 
     def test_applicable_builds_are_lcd_randomized(self):
         rng = random.Random(29)

@@ -14,23 +14,21 @@ exactly when alpha_j is a root of P_I, a polynomial of degree at most l
 read off the same series, so the AMDS scan reads P_I alone; it needs no
 scan at all when eta_1..eta_l are zero.
 
-Minimum distance takes one of two depth-first walks, chosen by the shape of
-the parity check H alone, k = n - rows.  A low-rate code, 2k < n, walks the
-hyperplanes spanned by columns of a generator G of ker H: d is n minus the
-most columns of G in one hyperplane, and the last level of the walk counts
-columns by their ratio on a projective line.  Any other code walks column
-subsets of H, extending the reduced basis of each prefix by one column per
-node, and d is the smallest dependent set.  The hyperplane walk prunes a
-subtree whose hyperplanes cannot hold enough columns to beat the best
-codeword so far, and either walk stops once its best bound is at or below
-a floor known in advance: ``classify`` passes n - k - l, the distance of a
-GRS code holding C, and certifies it by one rank when d is at or below it.
-The three walks (minors and the two distance walks) share one
-column-clearing step, the bounds, the node count, the budget and its
-refusal; a distance witness is re-checked by the rank of its own columns
-of H, a square parity check (no dependent set) raises VerificationError,
-and a walk past its fixed node budget raises ResourceLimitError.  LCD
-status comes from the rank of the generator stacked on the parity check.
+Minimum distance takes one of two depth-first walks, by the shape of H
+alone, k = n - rows: a low-rate code, 2k < n, walks the hyperplanes spanned
+by columns of a generator G of ker H (d is n minus the most columns in one)
+and prunes those too small to beat the best codeword; any other code walks
+column subsets of H, one column reduction per node, for the smallest
+dependent set.  Either stops once its best is at or below a floor known in
+advance, which the column walk also uses to skip sets too late to grow to
+it: ``classify`` passes n - k - l, the distance of a GRS code holding C,
+and certifies it by one rank when d is at or below it.  The three walks
+(minors and the two distance walks) share one column-clearing step, the
+bounds, the node count and the fixed node budget, past which they raise
+ResourceLimitError (the minors route in its own words); a distance witness
+is re-checked by a rank of its columns of H, and a square parity check (no
+dependent set) raises VerificationError.  LCD status comes from the rank
+of the generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -52,7 +50,8 @@ from .linalg import MatGF, null_space, rank
 from .symm import complete_series, criterion_row, distinct_points, tail_sums
 
 # Nodes any one walk may visit: either distance walk, or the column walk of the
-# minors route.  A column-walk node costs ~5 us, so the budget is ~10 s there;
+# minors route (C(n, k-1) nodes on an MDS k x n generator, 1,540 at [22,20]).
+# A column-walk node costs ~5 us, so the budget is ~10 s there;
 # a hyperplane node reduces all n columns, ~30-65 us at n = 24-36, so one to
 # two minutes there.  The four reference codes need 66, 8, 497 and 9
 # hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
@@ -191,11 +190,12 @@ def is_mds_minors(G: MatGF) -> tuple[bool, Optional[tuple[int, ...]]]:
     least with S*[:r] dependent, every k-subset through S*[:r] is, so S* is
     S*[:r] and the columns right after S*[r-1]; the walk meets its sets in
     lexicographic order, a prefix first, so a dependent set met earlier
-    would lie in a k-subset before S*.  It reads G alone, never the twist
-    criterion.  Its nodes count against DISTANCE_NODE_BUDGET; a refusal is
-    the distance walk's, on the smallest dependent column set of G (the
-    dual's distance), with its floor k, where the verdict settles but not a
-    proven lower bound, and k + 1.
+    would lie in a k-subset before S*.  The floor k keeps the walk to sets
+    that complete a k-subset by later columns, S*[:r] among them, so an MDS
+    G costs C(n, k-1) nodes.  It reads G alone, never the twist criterion.
+    Past DISTANCE_NODE_BUDGET nodes it raises ResourceLimitError, having
+    found no dependent set of at most k columns: the dual's distance (the
+    smallest dependent column set of G) is then only known to be <= k + 1.
     """
     k, n = G.rows, G.cols
     if k > n:
@@ -203,7 +203,12 @@ def is_mds_minors(G: MatGF) -> tuple[bool, Optional[tuple[int, ...]]]:
     bad = None
     if k:
         walk = _Walk(k + 1, floor=k)
-        _column_walk(G, walk)
+        try:
+            _column_walk(G, walk)
+        except ResourceLimitError:
+            raise ResourceLimitError(
+                f"MDS minors check stopped at its budget of {walk.nodes} nodes; no "
+                f"dependent set of at most {k} columns found yet") from None
         if walk.settled():
             *prefix, j = walk.witness
             bad = (*prefix, *range(j, j + k - len(prefix)))
@@ -244,15 +249,15 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
 class _Walk:
     """The two distance bounds, the witness and the nodes spent: what the walks share.
 
-    The upper bound ``best`` starts at rows + 1 = n - k + 1 with the first
-    rows + 1 columns as witness, since with full row rank any rows + 1
-    columns are dependent.  ``floor`` is a lower bound on d known in
-    advance; a walk stops once ``best`` is at or below it.
+    ``best`` starts at rows + 1 with the first rows + 1 columns as witness,
+    as any rows + 1 columns of a full-row-rank matrix are dependent.
+    ``floor`` is a lower bound on d known in advance (for the minors route,
+    the size k of its sets): a walk stops once ``best`` is at or below it,
+    and the column walk tries only sets that can still grow to it.
     """
 
     def __init__(self, bound: int, floor: int = 1):
-        self.best, self.witness, self.nodes = bound, tuple(range(bound)), 0
-        self.floor = floor
+        self.best, self.witness, self.nodes, self.floor = bound, tuple(range(bound)), 0, floor
 
     def settled(self) -> bool:
         return self.best <= self.floor
@@ -269,23 +274,25 @@ class _Walk:
 def _column_walk(H: MatGF, walk: _Walk) -> None:
     """Smallest dependent set of columns of H, by a walk over column subsets.
 
-    A depth-first walk over column subsets in lexicographic order.  A node
-    is an independent prefix; it carries every later column already reduced
-    against the prefix, so an extension is dependent exactly when its
-    carried column is zero, and a nonzero one becomes the next pivot and is
-    cleared from the later carried columns: one column reduction per node.
-    The walk records a dependent set only when it is smaller than the best
-    so far and descends only while smaller sets are reachable, so the last
-    set recorded is the lexicographically first of minimum size.  It stops
-    once the best is at or below the walk's floor.
+    Depth first in lexicographic order, a node is an independent prefix
+    carrying every later column reduced against it: an extension is
+    dependent exactly when its carried column is zero, and a nonzero one is
+    the next pivot, cleared from the later carried columns.  Only a set
+    smaller than the best is recorded, and only while one is reachable does
+    the walk descend, so the last set recorded is the lexicographically
+    first smallest.  It stops once the best is at or below the floor f, and
+    a prefix P tries only j <= n - f + |P|, leaving room for f columns: the
+    sets skipped are smaller than f, so independent when f <= d, and when
+    f > d some f-subset, which always has room, is dependent.
     """
-    field = H.field
+    field, n = H.field, H.cols
 
     def visit(prefix: tuple[int, ...], start: int, carried: list) -> None:
         # carried[i] is column start + i reduced against the prefix
         walk.step()
         size = len(prefix) + 1  # of each extension checked here, always < best
-        for j, u in enumerate(carried, start):
+        for j in range(start, min(n, n - walk.floor + size)):  # room for floor columns
+            u = carried[j - start]
             if not any(u):
                 walk.best, walk.witness = size, prefix + (j,)
                 return
@@ -301,30 +308,26 @@ def _column_walk(H: MatGF, walk: _Walk) -> None:
 def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
     """Lightest codeword of the row space of a k x n generator G, k >= 1.
 
-    A codeword x G vanishes on the columns of G inside the hyperplane x^perp,
-    and a hyperplane holding the most columns is spanned by k - 1 of them, so
-    d = n - (most columns in a hyperplane spanned by columns).  The walk
-    visits independent sets of up to k - 2 columns depth first in
-    lexicographic order; a node carries every column reduced against its prefix, and a
-    child takes one more column as pivot and clears it from all n carried
-    columns.  At depth k - 2 the carried columns live in the two coordinates
-    a < b that are not pivots, and the hyperplanes through the prefix are
-    the points of that projective line: a nonzero column lies in exactly
-    one, the class of its ratio u_b / u_a (or infinity when u_a = 0), and a
-    zero column lies in all of them.  The largest class and the zero columns
-    make the zero set of a codeword; its support is the witness.  k = 1 is
-    the weight of the one row.  A lighter codeword replaces the best only
-    when strictly lighter, so the first lightest one found is kept.
+    A codeword x G vanishes on the columns of G in the hyperplane x^perp,
+    and a fullest hyperplane is spanned by k - 1 columns, so d = n - (most
+    columns in a hyperplane spanned by columns).  The walk visits
+    independent sets of up to k - 2 columns depth first in lexicographic
+    order, each node carrying every column reduced against its prefix.  At
+    depth k - 2 the carried columns live in the two non-pivot coordinates
+    a < b, and the hyperplanes through the prefix are the points of that
+    projective line: a nonzero column lies in the one of its ratio
+    u_b / u_a (infinity when u_a = 0), a zero column in all.  The largest
+    class and the zero columns are the zero set of a codeword, whose
+    support is the witness; only a strictly lighter one replaces the best,
+    so the first lightest is kept.  k = 1 is the weight of the one row.
 
-    A hyperplane is first met at the leaf of its greedy basis: the first
-    k - 2 of its columns, in order, that are independent.  Below a child
-    at column j it then holds only columns the node kept (the prefix and
-    the earlier columns in its span), j and the columns after j.  A node
-    counts them, and returns before the first child whose count
-    kept + 1 + (n - 1 - j) is at most n - best: that child and every later
-    one meet only hyperplanes too small to beat the best, and the first
-    lightest codeword is still found at its own leaf.  The walk stops once
-    the best is at or below the walk's floor.
+    A hyperplane is first met at the leaf of its greedy basis, the first
+    k - 2 of its columns that are independent, so below a child at column j
+    it holds only the columns the node kept (the prefix and the earlier
+    columns in its span), j and the later ones.  A node returns before the
+    first child whose count kept + 1 + (n - 1 - j) is at most n - best: it
+    and every later child meet only hyperplanes too small to beat the best.
+    The walk stops once the best is at or below the walk's floor.
     """
     field, k, n = G.field, G.rows, G.cols
     inv, mul = field._inv, field._mul
@@ -387,12 +390,13 @@ def min_distance(H: MatGF, floor: int = 1) -> int:
     column set and raises VerificationError.
 
     ``floor`` is a known lower bound on d, an int in 1..rows + 1 (else
-    ValidationError); either walk returns as soon as its best bound is at
-    or below it, with the witness the full walk would give when the floor
-    holds.  ``classify`` passes n - k - l and certifies it by one rank for
-    any d at or below it (``_certify_grs_floor``), so a wrong floor is
-    refused, not returned as d.  The MDS/AMDS verdicts neither seed nor
-    prune either walk.
+    ValidationError).  Either walk stops once its best bound is at or below
+    it, and the column walk skips sets too late to grow to floor columns;
+    the witness is the full walk's when the floor holds, and a wrong floor
+    still gives a result at or below it.  ``classify`` passes n - k - l and
+    certifies it by one rank for any d at or below it (``_certify_grs_floor``),
+    so a wrong floor is refused, not returned as d.  The MDS/AMDS verdicts
+    neither seed nor prune either walk.
 
     Each visited node of either walk counts once.  Past DISTANCE_NODE_BUDGET
     nodes the search raises ResourceLimitError with the nodes visited and

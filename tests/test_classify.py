@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -400,18 +401,24 @@ class TestMdsChecks:
         monkeypatch.setattr(linalg, "_echelon", refuse)
         assert is_mds_minors(G) == (True, None)
 
-    def test_minors_walk_node_budget(self, monkeypatch):
-        # the [9,3,7] generator is MDS, so the walk visits all 46 of its nodes;
-        # a refusal is the distance walk's, on the smallest dependent column
-        # set of G, with the floor k where the verdict settles
-        G = generator_matrix(GOLDEN_CODES[1].spec())
-        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 46)
+    @pytest.mark.parametrize("high_rate", [False, True], ids=["9_3", "22_20"])
+    def test_minors_walk_node_budget(self, high_rate, monkeypatch):
+        # an MDS generator, so the walk visits every independent prefix that
+        # can still complete a k-subset: C(n, k-1) nodes, 36 on the [9,3,7]
+        # generator and 1,540 on a [22,20] Vandermonde over GF(23), where
+        # prefixes of every size below k would be sum_{s<k} C(n, s) ~ 4.19M
+        G = (MatGF(get_field(23), [[a**i for a in range(1, 23)] for i in range(20)])
+             if high_rate else generator_matrix(GOLDEN_CODES[1].spec()))
+        k, n = G.rows, G.cols
+        nodes = math.comb(n, k - 1)
+        assert is_mds_minors(G) == (True, None)  # the default budget
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", nodes)
         assert is_mds_minors(G) == (True, None)
-        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 45)
+        monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", nodes - 1)
         with pytest.raises(ResourceLimitError) as info:
             is_mds_minors(G)
-        assert str(info.value) == ("minimum-distance search stopped at its budget of 45 nodes; "
-                                   "best bounds so far 3 <= d <= 4")
+        assert str(info.value) == (f"MDS minors check stopped at its budget of {nodes - 1} "
+                                   f"nodes; no dependent set of at most {k} columns found yet")
 
     def test_phi_agrees_with_minors_randomized(self):
         rng = random.Random(21)
@@ -458,7 +465,10 @@ class TestMinDistance:
 
     def test_matches_subset_elimination_oracle(self):
         # every field draws, in turn, k = 1 (rows = n - 1) and 2 <= 2k < n for
-        # the hyperplane walk, then the tie 2k = n and 2k > n for the column walk
+        # the hyperplane walk, then the tie 2k = n and 2k > n for the column
+        # walk.  Every floor is tried: one that holds gives d, and a wrong one
+        # (above d), which the column walk uses to skip sets, still ends at
+        # or below it, where classify certifies the floor.
         rng = random.Random(25)
         seen_d = set()
         for q in (2, 3, 7, 31) + EXTENSION_FIELDS:
@@ -468,6 +478,9 @@ class TestMinDistance:
                 H = random_parity_check(rng, f, n - k, n)
                 d = min_distance(H)
                 assert d == brute_min_distance(H), (f, H.to_lists())
+                for floor in range(2, H.rows + 2):
+                    got = min_distance(H, floor=floor)
+                    assert got == d if floor <= d else got <= floor, (f, floor, H.to_lists())
                 seen_d.add(d)
         assert {1, 2, 3, 4} <= seen_d
 
@@ -613,7 +626,7 @@ class TestMinDistance:
                              ids=["24_12_columns", "36_12_hyperplane"])
     def test_certified_floor_settles_former_slow_inputs(self, q, n, k, d, monkeypatch):
         # on the n-th roots of unity with h = 2, l = 2, d = n - k - l: the walk
-        # stops at the floor after 30,661 and 377 nodes; without it [24,12]
+        # stops at the floor after 22,416 and 377 nodes; without it [24,12]
         # needs 1.29M nodes and [36,12] exceeds the default budget
         monkeypatch.setattr(CLASSIFY, "DISTANCE_NODE_BUDGET", 50_000)
         f = get_field(q)

@@ -42,38 +42,35 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
+def _emit_code(output: str, spec, G, H, **extra) -> None:
+    """The spec, G and H (and ``extra``) as one JSON object, or G and H as text."""
+    if output == "json":
+        _emit_json({"spec": tgrs_spec_to_json(spec), "generator": G.to_lists(),
+                    "parity_check": H.to_lists(), **extra})
+        return
+    print("generator matrix:")
+    print(G.pretty())
+    print("parity-check matrix:")
+    print(H.pretty())
+
+
 def cmd_build(args) -> int:
     spec = tgrs_spec_from_json(_load_json(args.input))
     G = generator_matrix(spec)
     H = parity_check_matrix(spec)
-    if args.output == "json":
-        _emit_json({"spec": tgrs_spec_to_json(spec),
-                    "generator": G.to_lists(),
-                    "parity_check": H.to_lists()})
-    else:
+    if args.output == "text":
         print(f"code length {spec.n}, dimension {spec.k}, hook {spec.h}, "
               f"twists 0..{spec.l} over GF({spec.field.q})")
-        print("generator matrix:")
-        print(G.pretty())
-        print("parity-check matrix:")
-        print(H.pretty())
+    _emit_code(args.output, spec, G, H)
     return 0
 
 
 def cmd_check(args) -> int:
     spec = tgrs_spec_from_json(_load_json(args.input))
     report = classify(spec, want_distance=spec.n <= args.distance_cap)
-    G, H = report.generator, report.parity_check
-    if args.output == "json":
-        _emit_json({"spec": tgrs_spec_to_json(spec),
-                    "generator": G.to_lists(),
-                    "parity_check": H.to_lists(),
-                    "report": report_to_json(report)})
-    else:
-        print("generator matrix:")
-        print(G.pretty())
-        print("parity-check matrix:")
-        print(H.pretty())
+    report_json = report_to_json(report)
+    _emit_code(args.output, spec, report.generator, report.parity_check, report=report_json)
+    if args.output == "text":
         print(f"params {report.params_string()}")
         print(f"mds {report.is_mds}  amds {report.is_amds}  "
               f"lcd {report.is_lcd}  hull_dim {report.hull_dim}")
@@ -82,7 +79,7 @@ def cmd_check(args) -> int:
         for note in report.notes:
             print(f"note: {note}")
         if report.certificates:
-            print(f"certificates: {json.dumps(report_to_json(report)['certificates'], sort_keys=True)}")
+            print(f"certificates: {json.dumps(report_json['certificates'], sort_keys=True)}")
     return 0
 
 

@@ -7,7 +7,10 @@ significant first, are the coefficients of the element's polynomial modulo a
 user-supplied irreducible polynomial; the field keeps exp, log and Zech
 logarithm tables of its first primitive element (K. Huber, "Some comments on
 Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so that addition,
-negation, multiplication and inversion are table lookups.  In every field the
+negation, multiplication and inversion are table lookups.  The search for
+that element also proves the polynomial irreducible: GF(p)[x]/(f) is a field
+exactly when some element has order q - 1 (Lidl and Niederreiter, "Finite
+Fields", ch. 2), so a modulus without one is refused.  In every field the
 rep of zero is 0 and the rep of one is 1, and the rest of the package writes
 them as those literals.  Everything is immutable and safe to share.
 
@@ -47,42 +50,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-# -- helpers on raw GF(p) coefficient lists (modulus validation)
-
-def _gfp_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    num = num[:]
-    dd = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p)
-    quot = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % p
-        if c:
-            f = c * lead_inv % p
-            quot[i - dd] = f
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
-    rem = [c % p for c in num[:dd]]
-    return quot, rem
-
-
-def _validate_modulus(p: int, m: int, modulus: Sequence[int]) -> tuple[int, ...]:
-    mod = [c % p for c in modulus]
-    if len(mod) != m + 1 or mod[-1] != 1:
-        raise ValidationError(f"modulus must be monic of degree {m} over GF({p})")
-    # trial division by every monic polynomial of degree 1..m//2, the low
-    # coefficients the negated base-p digits of idx: degree 1 tries x - r in
-    # ascending r, so a root found is the smallest (at most p^(m//2) <= sqrt(q)
-    # candidates per degree, always affordable under the cap)
-    for d in range(1, m // 2 + 1):
-        for idx in range(p**d):
-            cand = [-(idx // p**i) % p for i in range(d)] + [1]
-            if not any(_gfp_divmod(mod, cand, p)[1]):
-                raise ValidationError(
-                    f"modulus is reducible: root {idx} in GF({p})" if d == 1 else
-                    f"modulus is reducible: degree-{d} factor found by trial division")
-    return tuple(mod)
-
-
 def _is_int(x) -> bool:
     return type(x) is int  # bool is an int subclass and never a field value
 
@@ -92,8 +59,8 @@ class Field:
 
     For m = 1 pass only the prime p.  For m > 1 a monic irreducible
     ``modulus`` of degree m over GF(p) is required (coefficients low degree
-    first); irreducibility is verified at construction, and q = p^m may be at
-    most 2^16.
+    first), and q = p^m may be at most 2^16.  The table build verifies
+    irreducibility: its primitive-element search must find an order q - 1.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -119,7 +86,9 @@ class Field:
                 raise ValidationError(f"GF({p}^{m}) requires an irreducible modulus")
             if not isinstance(modulus, (list, tuple)) or not all(_is_int(c) for c in modulus):
                 raise ValidationError(f"modulus must be a list of ints, got {modulus!r}")
-            self.modulus = _validate_modulus(p, m, modulus)
+            self.modulus = tuple(c % p for c in modulus)
+            if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
+                raise ValidationError(f"modulus must be monic of degree {m} over GF({p})")
         self.p = p
         self.m = m
         self.q = q
@@ -131,12 +100,24 @@ class Field:
     def _build_tables(self) -> None:
         """Exp, log and Zech tables of the first primitive element in canonical order.
 
-        Elements multiply as coefficient lists.  A candidate g is primitive
-        when g^((q-1)/f) != 1 for every prime f dividing q - 1, so only the
-        generator is walked through its q - 1 powers.  ``_exp`` holds g^0 ..
-        g^(q-2) twice, so a sum of two logs indexes it without a reduction;
-        ``_zech[j]`` is log(1 + g^j), None where g^j = -1; ``_neg_log`` is
-        log(-1).
+        Elements multiply as coefficient lists in GF(p)[x]/(f), f the modulus.
+        The search takes the first candidate g with g^((q-1)/r) != 1 for every
+        prime r dividing q - 1, and accepts f when also g^(q-1) = 1.  That is
+        exactly when f is irreducible:
+
+        - If g^(q-1) = 1 as well, then ord g = q - 1.  So the q - 1 nonzero
+          residues are all powers of g and hence units, and the ring is a field.
+        - If f is irreducible, the first g that passes is primitive, so
+          g^(q-1) = 1.
+        - The search always stops.  A non-unit passes the test, because no
+          power of it is 1.  A monic factor of f of degree d <= m/2 is a
+          non-unit with a code below p^(d+1), so a reducible f is refused
+          within p^(m/2+1) candidates.
+
+        Only the generator is walked through its q - 1 powers.
+        ``_exp`` holds g^0 .. g^(q-2) twice, so a sum of two logs indexes it
+        without a reduction; ``_zech[j]`` is log(1 + g^j), None where
+        g^j = -1; ``_neg_log`` is log(-1).
         """
         p, m, q = self.p, self.m, self.q
         weights = [p**i for i in range(m)]
@@ -147,6 +128,8 @@ class Field:
             return [(i, c) for i, c in enumerate(digits) if c]
 
         def times(cur: list[int], terms: list[tuple[int, int]]) -> list[int]:  # cur * terms
+            if not terms:  # zero: the powers of a zero divisor can vanish
+                return [0] * m
             prod = [0] * (m + terms[-1][0])
             for i, c in terms:
                 for j, x in enumerate(cur):
@@ -170,6 +153,12 @@ class Field:
             g = nonzero([code // w % p for w in weights])
             if all(power(g, (q - 1) // f) != one for f in self._unit_group_factorization()):
                 break
+        if power(g, q - 1) != one:
+            roots = [r for r in range(p)
+                     if not sum(c * r**i for i, c in enumerate(self.modulus)) % p]
+            raise ValidationError(f"modulus is reducible: root {roots[0]} in GF({p})" if roots else
+                                  f"modulus is reducible: no root in GF({p}), so it has a factor"
+                                  f" of degree at most {m // 2}")
         cur, exp = one, [1]
         for _ in range(q - 2):
             cur = times(cur, g)
@@ -320,17 +309,10 @@ class Field:
         """A fixed primitive element (first in canonical order).
 
         For m > 1 the table build sets it to the log tables' generator exp[1];
-        a prime field searches for it once.
+        a prime field takes its first nonzero element of order q - 1.
         """
         if self._generator is None:
-            fact = self._unit_group_factorization()
-            one = self.one()
-            for g in self.nonzero_elements():
-                if all(g ** ((self.q - 1) // f) != one for f in fact):
-                    self._generator = g
-                    break
-            else:  # pragma: no cover - the unit group is always cyclic
-                raise RuntimeError("no primitive element found")
+            self._generator = next(g for g in self.nonzero_elements() if g.order() == self.q - 1)
         return self._generator
 
     def _discrete_log(self, target: FieldElement) -> int:
@@ -389,6 +371,22 @@ class Field:
         return roots
 
 
+def _binary(op):
+    """The FieldElement operator op(field, self.rep, other.rep); an int other embeds."""
+    def method(self, other):
+        f = self.field
+        if isinstance(other, FieldElement):
+            if other.field != f:
+                raise ValidationError("elements belong to different fields")
+            b = other.rep
+        elif _is_int(other):
+            b = f.element(other).rep
+        else:
+            return NotImplemented
+        return FieldElement(f, op(f, self.rep, b))
+    return method
+
+
 class FieldElement:
     """Immutable element of a Field, equal iff the canonical reps match.
 
@@ -408,60 +406,18 @@ class FieldElement:
     def __reduce__(self):
         return (FieldElement, (self.field, self.rep))
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValidationError("elements belong to different fields")
-            return other
-        if _is_int(other):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add(self.rep, other.rep))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(self.rep, other.rep))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(other.rep, self.rep))
+    __add__ = __radd__ = _binary(Field._add)
+    __sub__ = _binary(Field._sub)
+    __rsub__ = _binary(lambda f, a, b: f._sub(b, a))
+    __mul__ = __rmul__ = _binary(Field._mul)
+    __truediv__ = _binary(lambda f, a, b: f._mul(a, f._inv(b)))
+    __rtruediv__ = _binary(lambda f, a, b: f._mul(b, f._inv(a)))
 
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.rep))
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.rep, other.rep))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, e: int):
-        if not isinstance(e, int):
+        if not _is_int(e):
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)

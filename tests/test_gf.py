@@ -1,6 +1,8 @@
 """Field arithmetic: axioms, inverses, orders, and n-th root extraction."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -16,6 +18,23 @@ GF65536 = (2, 16, (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1))
 # x^10+x^8+x^7+x^6+2x^5+x^4+x^3+2x^2+2x+1, a GF(3^10) modulus whose generator is
 # the eighth candidate code
 GF3_10 = (3, 10, (1, 2, 2, 1, 1, 2, 1, 1, 1, 0, 1))
+
+
+def gfp_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of coefficient lists over GF(p), by long division."""
+    num = num[:]
+    dd = len(den) - 1
+    lead_inv = pow(den[-1], p - 2, p)
+    quot = [0] * max(len(num) - dd, 0)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] % p
+        if c:
+            f = c * lead_inv % p
+            quot[i - dd] = f
+            for j in range(dd + 1):
+                num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
+    rem = [c % p for c in num[:dd]]
+    return quot, rem
 
 
 class TestConstruction:
@@ -42,16 +61,29 @@ class TestConstruction:
 
     # the first primitive code: x itself in GF(8), GF(16), GF(27) and GF(2^16); x + 1
     # in GF(9) (x^2 = -1), x + 1 in GF(25) (x^2 = -2), and x^2 + 1 for GF3_10, where
-    # the seven codes 3..9 before it are not primitive
+    # the seven codes 3..9 before it are not primitive; in a prime field the
+    # smallest primitive root
     @pytest.mark.parametrize("spec,generator",
-                             list(zip(EXTENSION_FIELDS + (GF27, GF65536, GF3_10),
-                                      (2, 4, 2, 6, 3, 2, 10))),
-                             ids=["GF8", "GF9", "GF16", "GF25", "GF27", "GF65536", "GF3_10"])
+                             list(zip(EXTENSION_FIELDS + (GF27, GF65536, GF3_10, (7,), (31,), (37,)),
+                                      (2, 4, 2, 6, 3, 2, 10, 3, 3, 2))),
+                             ids=["GF8", "GF9", "GF16", "GF25", "GF27", "GF65536", "GF3_10",
+                                  "GF7", "GF31", "GF37"])
     def test_generator_is_the_table_generator(self, spec, generator):
         f = get_field(*spec)
-        assert f._exp[1] == generator
-        assert f.multiplicative_generator().rep == f._exp[1]
-        assert sorted(f._exp[: f.q - 1]) == list(range(1, f.q))
+        assert f.multiplicative_generator().rep == generator
+        if f.m > 1:
+            assert f._exp[1] == generator
+            assert sorted(f._exp[: f.q - 1]) == list(range(1, f.q))
+
+    # sha256 of the JSON list [_exp, _log, _zech, _neg_log], first 16 hex digits
+    @pytest.mark.parametrize("spec,digest", [
+        ((2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), "1b9d5139195ef47a"),  # x^8+x^4+x^3+x+1 (AES)
+        ((3, 5, (1, 2, 0, 0, 0, 1)), "2d480f54a454f6c8"),  # x^5 + 2x + 1
+    ], ids=["GF256", "GF243"])
+    def test_tables_pinned(self, spec, digest):
+        f = get_field(*spec)
+        tables = json.dumps([f._exp, f._log, f._zech, f._neg_log]).encode()
+        assert hashlib.sha256(tables).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("spec", [(7,), (31,)] + list(EXTENSION_FIELDS) + [GF27],
                              ids=["GF7", "GF31", "GF8", "GF9", "GF16", "GF25", "GF27"])
@@ -90,17 +122,28 @@ class TestConstruction:
         # x^2 - 1 = (x-1)(x+1) over GF(3)
         with pytest.raises(ValidationError, match="root"):
             Field(3, 2, [2, 0, 1])
+        # modulo x^4 the first candidate x is nilpotent, so its powers reach
+        # the zero polynomial before the search refuses the modulus
+        with pytest.raises(ValidationError) as exc:
+            Field(2, 4, [0, 0, 0, 0, 1])
+        assert str(exc.value) == "modulus is reducible: root 0 in GF(2)"
 
     def test_rejects_reducible_modulus_without_root(self):
         # (x^2+1)^2 = x^4 + 2x^2 + 1 has no root mod 3 but factors
         with pytest.raises(ValidationError, match="factor"):
             Field(3, 4, [1, 0, 2, 0, 1])
+        # (x^2+x+1)^2 = x^4 + x^2 + 1, and (x^8+x^4+x^3+x+1)(x^8+x^4+x^3+x^2+1)
+        # at the largest field size
+        for modulus in ([1, 0, 1, 0, 1], [1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1]):
+            m = len(modulus) - 1
+            with pytest.raises(ValidationError) as exc:
+                Field(2, m, modulus)
+            assert str(exc.value) == ("modulus is reducible: no root in GF(2), so it has"
+                                      f" a factor of degree at most {m // 2}")
 
     def test_accepts_exactly_the_irreducible_moduli(self):
         # every monic modulus of each small degree: the accepted ones number
         # Gauss's count of monic irreducibles, (1/m) sum_{d | m} mu(d) p^(m/d)
-        from tgrs.gf import _validate_modulus
-
         def mobius(d):
             factors = factorize(d)
             return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
@@ -110,7 +153,7 @@ class TestConstruction:
                 accepted = 0
                 for low in itertools.product(range(p), repeat=m):
                     try:
-                        _validate_modulus(p, m, [*low, 1])
+                        Field(p, m, [*low, 1])
                         accepted += 1
                     except ValidationError:
                         pass
@@ -167,6 +210,10 @@ class TestElementOps:
     def test_inverse_of_zero_raises(self, gf31):
         with pytest.raises(ZeroDivisionError):
             gf31.zero().inverse()
+        for zero in (gf31.zero(), get_field(3, 2, [1, 0, 1]).zero()):
+            for divide in (lambda z: 3 / z, lambda z: z.field.one() / z):
+                with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+                    divide(zero)
 
     def test_mixed_field_operations_rejected(self, gf7, gf31):
         with pytest.raises(ValidationError):
@@ -184,6 +231,16 @@ class TestElementOps:
         assert gf31.element(5) + 30 == gf31.element(4)
         assert 2 * gf31.element(20) == gf31.element(9)
         assert gf31.element(3) ** -1 == gf31.element(3).inverse()
+        # an int on the left: 3 - 5 = -2 and 3 / 5 = 3 * 25 = 75 mod 31
+        a = gf31.element(5)
+        assert (3 - a, a - 3) == (gf31.element(29), gf31.element(2))
+        assert (3 / a, a / 3) == (gf31.element(13), gf31.element(12))
+        f = get_field(3, 2, [1, 0, 1])  # the same through the log tables
+        for b in f.nonzero_elements():
+            assert 2 - b == f.element(2) - b and (2 / b) * b == f.element(2)
+        for e in (True, False, 2.0, "2"):  # bool is an int subclass, not an exponent
+            with pytest.raises(TypeError):
+                a ** e
 
     @pytest.mark.parametrize("p,m,mod", [(31, 1, None), (3, 2, [1, 0, 1]), (2, 3, [1, 1, 0, 1])])
     def test_inverse_law_exhaustive_small_fields(self, p, m, mod):
@@ -328,7 +385,6 @@ class TestEnumerationAndJson:
         # every pair of each small extension field, independently of the log
         # tables: sums and differences digit by digit, products as raw
         # polynomials reduced with the generic divmod
-        from tgrs.gf import _gfp_divmod
         for p, m, mod in EXTENSION_FIELDS + (GF27,):
             f = get_field(p, m, mod)
             for a in f.elements():
@@ -344,7 +400,7 @@ class TestEnumerationAndJson:
                     for i, x in enumerate(ca):
                         for j, y in enumerate(cb):
                             raw[i + j] += x * y
-                    assert element_to_json(a * b) == _gfp_divmod(raw, list(mod), p)[1]
+                    assert element_to_json(a * b) == gfp_divmod(raw, list(mod), p)[1]
 
     def test_pickle_round_trip(self):
         import pickle

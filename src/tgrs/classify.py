@@ -7,8 +7,8 @@ stopped at its first dependent set of at most k columns; it reads G alone.
 The criterion reads rows from PhiWorkspace, one lazily filled table per
 point set and (k, h, l), which the MDS and AMDS verdicts and the twist
 search share.  It holds rows only, at most CRITERION_ROW_BUDGET, each
-one ``symm.criterion_row`` on reps (also the LCD recipes' r gate), so no
-``Poly`` is built per subset; the parity check builds its own context.
+one ``symm.criterion_row`` on reps (also the LCD recipes' r gate); the
+parity check builds its own context.
 For a singular k-subset I, the (k+1)-superset I + (j,) is deficient
 exactly when alpha_j is a root of P_I, a polynomial of degree at most l
 read off the same series, so the AMDS scan reads P_I alone; it needs no

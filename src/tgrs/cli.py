@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .classify import classify, report_to_json
 from .codes import generator_matrix, parity_check_matrix, tgrs_spec_from_json, tgrs_spec_to_json
@@ -129,51 +128,37 @@ def _parse_corrupt(raw: str) -> tuple[int, int, int]:
 
 def cmd_paper_examples(args) -> int:
     corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
-    results = []
-    first_mismatch: Optional[str] = None
+    results, failures = [], []
     for pos, gc in enumerate(GOLDEN_CODES, start=1):
         build = (build_class1 if gc.klass == 1 else build_class2)(gc.params())
-        want_d = gc.expected_distance is not None
-        report = classify(build.spec, want_distance=want_d)
+        report = classify(build.spec, want_distance=gc.expected_distance is not None)
         want = gc.normalized_generator()
         if corrupt is not None and corrupt[0] == pos:
-            _, r, c = corrupt
-            want[r - 1][c - 1] = (want[r - 1][c - 1] + 1) % gc.q
-        mismatch = next(((i, j, got, wanted)
-                         for i, (got_row, want_row) in enumerate(
-                             zip(report.generator.to_lists(), want), start=1)
-                         for j, (got, wanted) in enumerate(zip(got_row, want_row), start=1)
-                         if got != wanted), None)
-        r_got = next(c for c in build.record if c.condition == "r coefficient is nonzero").evidence
-        r_ok = r_got.rep == gc.expected_r and build.applicable
-        verdict_ok = report.is_lcd and report.is_mds == gc.expect_mds
-        if want_d:
-            verdict_ok = verdict_ok and report.min_distance == gc.expected_distance
-        ok = mismatch is None and r_ok and verdict_ok
-        results.append({
-            "example": pos,
-            "name": gc.name,
-            "generator_ok": mismatch is None,
-            "mismatch": ({"row": mismatch[0], "col": mismatch[1],
-                          "got": mismatch[2], "want": mismatch[3]} if mismatch else None),
-            "r": r_got.rep,
-            "r_ok": r_ok,
-            "verdict_ok": verdict_ok,
-            "report": report_to_json(report),
-            "pass": ok,
-        })
-        if not ok and first_mismatch is None:
-            if mismatch:
-                first_mismatch = (f"example {pos} generator mismatch at row {mismatch[0]} "
-                                  f"col {mismatch[1]}: got {mismatch[2]}, want {mismatch[3]}")
-            elif not r_ok:
-                first_mismatch = (f"example {pos} r coefficient: got {r_got.rep}, "
-                                  f"want {gc.expected_r}")
-            else:
-                first_mismatch = f"example {pos} classification verdict mismatch"
-    all_pass = all(r["pass"] for r in results)
+            _, row, col = corrupt
+            want[row - 1][col - 1] = (want[row - 1][col - 1] + 1) % gc.q
+        G = report.generator.to_lists()
+        mismatch = next(({"row": i + 1, "col": j + 1, "got": G[i][j], "want": want[i][j]}
+                         for i in range(gc.k) for j in range(gc.n) if G[i][j] != want[i][j]), None)
+        r = next(c for c in build.record if c.condition == "r coefficient is nonzero").evidence.rep
+        r_ok = r == gc.expected_r and build.applicable
+        verdict_ok = (report.is_lcd and report.is_mds == gc.expect_mds
+                      and report.min_distance == gc.expected_distance)
+        if mismatch:
+            failure = ("example {pos} generator mismatch at row {row} col {col}: "
+                       "got {got}, want {want}").format(pos=pos, **mismatch)
+        elif not r_ok:
+            failure = f"example {pos} r coefficient: got {r}, want {gc.expected_r}"
+        elif not verdict_ok:
+            failure = f"example {pos} classification verdict mismatch"
+        else:
+            failure = None
+        results.append({"example": pos, "name": gc.name, "generator_ok": mismatch is None,
+                        "mismatch": mismatch, "r": r, "r_ok": r_ok, "verdict_ok": verdict_ok,
+                        "report": report_to_json(report), "pass": failure is None})
+        if failure:
+            failures.append(failure)
     if args.output == "json":
-        _emit_json({"results": results, "all_pass": all_pass})
+        _emit_json({"results": results, "all_pass": not failures})
     else:
         for r in results:
             tag = "PASS" if r["pass"] else "FAIL"
@@ -181,9 +166,9 @@ def cmd_paper_examples(args) -> int:
             verdict = ("LCD MDS" if r["report"]["is_mds"] and r["report"]["is_lcd"]
                        else "LCD" if r["report"]["is_lcd"] else "not LCD")
             print(f"{tag}  {r['example']}. {r['name']:<36} {shape:>10}  r={r['r']:<3} {verdict}")
-        if first_mismatch:
-            print(f"first failure: {first_mismatch}", file=sys.stderr)
-    return 0 if all_pass else 1
+        if failures:
+            print(f"first failure: {failures[0]}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -431,8 +431,6 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.rep == other.rep
-        if _is_int(other):
-            return self == self.field.element(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -488,7 +486,3 @@ def rep_to_json(field: Field, rep):
 
 def element_to_json(e: FieldElement):
     return rep_to_json(e.field, e.rep)
-
-
-def element_from_json(field: Field, v) -> FieldElement:
-    return field.element(v)

@@ -1,6 +1,6 @@
 """Embedded reference codes: four published example instances of the two
-LCD recipes, with their generator matrices exactly as printed (signed
-entries are normalized to canonical residues at comparison time).
+LCD recipes, every entry exactly as printed.  The spec and recipe constructors
+normalize the signed entries of v; the generator is normalized when compared.
 
 These drive the `paper-examples` command and the golden regression tests.
 """
@@ -38,22 +38,13 @@ class GoldenCode:
         return Field(self.q)
 
     def spec(self) -> TgrsSpec:
-        f = self.field()
-        return TgrsSpec(
-            field=f, n=self.n, k=self.k, l=self.l, h=self.h,
-            alpha=tuple(f.element(a) for a in self.alpha),
-            v=tuple(f.element(x) for x in self.v),
-            eta=tuple(f.element(e) for e in self.eta),
-        )
+        return TgrsSpec(field=self.field(), n=self.n, k=self.k, l=self.l, h=self.h,
+                        alpha=self.alpha, v=self.v, eta=self.eta)
 
     def params(self):
-        f = self.field()
-        head = tuple(f.element(x) for x in self.v[: self.k - 1])
-        tail = tuple(f.element(x) for x in self.v[self.k - 1:])
-        alpha = tuple(f.element(a) for a in self.alpha)
-        common = dict(field=f, n=self.n, h=self.h, l=self.l, lam=f.element(self.lam),
-                      eta=tuple(f.element(e) for e in self.eta),
-                      v_head=head, v_tail_signs=tail, alpha=alpha)
+        common = dict(field=self.field(), n=self.n, h=self.h, l=self.l, lam=self.lam,
+                      eta=self.eta, alpha=self.alpha, v_head=self.v[: self.k - 1],
+                      v_tail_signs=self.v[self.k - 1:])
         if self.klass == 1:
             return Class1Params(k=self.k, **common)
         return Class2Params(m_gap=self.m_gap, k=self.k, **common)

@@ -328,12 +328,9 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     r_row = _head_row(f, template.h, l + 1, template.alpha[: template.k - 1])
     table = PhiWorkspace(template.alpha, template.k, template.h, l)
     hits = []
+    weights = [q ** (l - t) for t in range(l + 1)]  # eta_0 is the most significant digit
     for idx in indices:
-        digits = []  # eta_0 is the most significant digit of idx
-        for _ in range(l + 1):
-            idx, d = divmod(idx, q)
-            digits.append(d)
-        eta = tuple(reversed(digits))
+        eta = tuple(idx // w % q for w in weights)
         if not any(eta):
             continue  # the MDS-certifying set excludes the zero twist
         r = f._sub(1, f._dot(eta, r_row))

@@ -239,7 +239,7 @@ class TestConstruct:
     def test_non_integer_field_exits_2(self, tmp_path, capsys, recipe1_params_file,
                                        recipe2_params_file, command, name, value):
         path = recipe1_params_file if command == "construct1" else recipe2_params_file
-        obj = json.loads(open(path).read())
+        obj = json.loads(Path(path).read_text())
         obj[name] = value
         assert main([command, "--input", write_json(tmp_path / "bad.json", obj)]) == 2
         assert f"'{name}' must be an integer" in capsys.readouterr().err

@@ -6,29 +6,33 @@ agreement.  The minors route is the distance's column walk over G,
 stopped at its first dependent set of at most k columns; it reads G alone.
 The criterion reads rows from PhiWorkspace, one lazily filled table per
 point set and (k, h, l), which the MDS and AMDS verdicts and the twist
-search share.  It holds rows only, at most CRITERION_ROW_BUDGET, each
-one ``symm.criterion_row`` on reps (also the LCD recipes' r gate); the
-parity check builds its own context.
+search share.  It holds at most CRITERION_ROW_BUDGET rows, each the
+``symm.criterion_row`` of its subset, and carries the product and the
+complete symmetric series of every prefix of the last subset it was
+asked for, so that a row read in lexicographic order costs a few steps
+from its neighbour's prefix; the parity check builds its own context.
 For a singular k-subset I, the (k+1)-superset I + (j,) is deficient
 exactly when alpha_j is a root of P_I, a polynomial of degree at most l
-read off the same series, so the AMDS scan reads P_I alone; it needs no
+read off the series of I, so the AMDS scan reads P_I alone; it needs no
 scan at all when eta_1..eta_l are zero.
 
 Minimum distance takes one of two depth-first walks, by the shape of H
 alone, k = n - rows: a low-rate code, 2k < n, walks the hyperplanes spanned
 by columns of a generator G of ker H (d is n minus the most columns in one)
 and prunes those too small to beat the best codeword; any other code walks
-column subsets of H, one column reduction per node, for the smallest
-dependent set.  Either stops once its best is at or below a floor known in
-advance, which the column walk also uses to skip sets too late to grow to
-it: ``classify`` passes n - k - l, the distance of a GRS code holding C,
-and certifies it by one rank when d is at or below it.  The three walks
-(minors and the two distance walks) share one column-clearing step, the
-bounds, the node count and the fixed node budget, past which they raise
-ResourceLimitError (the minors route in its own words); a distance witness
-is re-checked by a rank of its columns of H, and a square parity check (no
-dependent set) raises VerificationError.  LCD status comes from the rank
-of the generator stacked on the parity check.
+column subsets of H for the smallest dependent set.  Both carry only the
+columns after a node's last one, reduced against its prefix.  Either stops
+once its best is at or below a floor known in advance, which the column
+walk also uses to skip sets too late to grow to it: ``classify`` passes
+n - k - l, the distance of a GRS code holding C, and certifies it by one
+rank when d is at or below it.  The three walks (minors and the two
+distance walks) share one column-clearing step, which the hyperplane
+walk's last level narrows to two coordinates, the bounds, the node count
+and the fixed node budget, past which they raise ResourceLimitError (the
+minors route in its own words); a distance witness is re-checked by a
+rank of its columns of H, and a square parity check (no dependent set)
+raises VerificationError.  LCD status comes from the rank of the
+generator stacked on the parity check.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -47,19 +51,20 @@ from .codes import TgrsSpec, check_int_fields, generator_matrix, parity_check_ma
 from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, _is_int
 from .linalg import MatGF, null_space, rank
-from .symm import complete_series, criterion_row, distinct_points, tail_sums
+from .symm import distinct_points, tail_sums
 
 # Nodes any one walk may visit: either distance walk, or the column walk of the
 # minors route (C(n, k-1) nodes on an MDS k x n generator, 1,540 at [22,20]).
-# A column-walk node costs ~5 us, so the budget is ~10 s there;
-# a hyperplane node reduces all n columns, ~30-65 us at n = 24-36, so one to
-# two minutes there.  The four reference codes need 66, 8, 497 and 9
-# hyperplane nodes (24,545, 382, 10,124 and 848 column nodes).
+# On a 2-vCPU Xeon VM a column-walk node costs ~7 us at [24,12], so the budget
+# is ~15 s there; a hyperplane node clears the columns after its last one,
+# and its last level only two coordinates of them, ~17-21 us at n = 24-36, so
+# ~35 s there.  The four reference codes need 66, 8, 497 and 9 hyperplane
+# nodes (24,545, 382, 10,124 and 848 column nodes).
 DISTANCE_NODE_BUDGET = 2_000_000
 
-# Rows one criterion table may hold, ~16-20 us each at k = 6-8 on a 2-vCPU Xeon
-# VM, so 4-5 s; a [30,5] code needs at most C(30,5) = 142,506.  A search's one
-# table counts them all.
+# Rows one criterion table may hold, ~11-13 us each at k = 6-8 read in
+# lexicographic order on a 2-vCPU Xeon VM, so ~3 s; a [30,5] code needs at
+# most C(30,5) = 142,506.  A search's one table counts them all.
 CRITERION_ROW_BUDGET = 250_000
 
 
@@ -75,9 +80,12 @@ class PhiWorkspace:
     Rows depend on the points, k, h and l only, never on eta or v, so one
     table serves every twist vector and column scaling on the point set.
     A row is computed the first time its subset is asked for and kept as
-    canonical reps; the verdicts ``is_mds_phi`` and ``is_amds`` stop at
-    their first witness, so tables stay partial.  A row past
-    CRITERION_ROW_BUDGET raises ResourceLimitError.  The last walk's eta and
+    canonical reps, so the rows held are exactly the subsets asked for;
+    the verdicts ``is_mds_phi`` and ``is_amds`` stop at their first
+    witness, so tables stay partial.  A row past CRITERION_ROW_BUDGET
+    raises ResourceLimitError.  Rows and the superset scan's P_I read the
+    product c(I) and series h(I) off one carried prefix (``_carry``), which
+    a lexicographic walk mostly leaves in place.  The last walk's eta and
     result are kept, so a search hit's classification reuses its gate's walk.
     """
 
@@ -93,6 +101,12 @@ class PhiWorkspace:
         self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
         self._rows: dict[tuple[int, ...], tuple] = {}
         self._last: Optional[tuple] = None  # (eta, first dependent subset) of the last walk
+        # the carried prefix P of the last subset asked for, at most k - 1
+        # positions; entry i of the lists below belongs to P[:i]: the reps c
+        # of its product, leading coefficient first, and its series h_0..h_l
+        self._path: list[int] = []
+        self._products: list[list[int]] = [[1]]
+        self._series: list[list[int]] = [[1] + [0] * l]
 
     def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
         """d_0(I)..d_l(I) for an ascending tuple I of k positions."""
@@ -111,9 +125,46 @@ class PhiWorkspace:
                     f"twist criterion stopped at its budget of {len(self._rows)} rows "
                     f"(n={self.n}, k={self.k}); dependent columns (1-based): "
                     f"{[i + 1 for i in known] if known else 'none found yet'}")
-            row = self._rows[subset] = criterion_row(
-                self.field, [self.alpha[i].rep for i in subset], self.h, self.l + 1)
+            window, series = self._carry(subset)
+            dot = self.field._dot  # the criterion_row formula, on the window
+            row = self._rows[subset] = tuple(dot(series[t::-1], window)
+                                             for t in range(self.l + 1))
         return row
+
+    def _carry(self, subset: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        """The window c_(k-h)..c_(k-h+min(h,l)) of g_I, and h_0..h_l(I).
+
+        The carried prefix is cut back to the part it shares with I and
+        extended one point a at a time to I[:-1], by c(P + a) = c(P)(x - a)
+        and h_t(P + a) = h_t(P) + a h_(t-1)(P + a); the last point then gives
+        only the window and the series, which are all a row reads.  In
+        lexicographic order that is O(l min(h, l)) per subset.
+        """
+        f, path, products, series = self.field, self._path, self._products, self._series
+        add, mul, neg = f._add, f._mul, f._neg
+        keep = 0
+        while keep < len(path) and path[keep] == subset[keep]:
+            keep += 1
+        del path[keep:], products[keep + 1:], series[keep + 1:]
+        for i in subset[keep:-1]:
+            a = self.alpha[i].rep
+            m, c = neg(a), products[-1]
+            products.append([add(x, mul(m, y)) for x, y in zip(c + [0], [0] + c)])
+            series.append(self._step(a, series[-1]))
+            path.append(i)
+        a = self.alpha[subset[-1]].rep
+        m, c = neg(a), products[-1] + [0]
+        lo = self.k - self.h
+        window = [add(c[j], mul(m, c[j - 1])) for j in range(lo, lo + min(self.h, self.l) + 1)]
+        return window, self._step(a, series[-1])
+
+    def _step(self, a: int, series: list[int]) -> list[int]:
+        """h_0..h_l of P + a from those of P."""
+        add, mul = self.field._add, self.field._mul
+        out = [1]
+        for s in series[1:]:
+            out.append(add(s, mul(a, out[-1])))
+        return out
 
     def _singular(self, eta: tuple, subset: tuple[int, ...]) -> bool:
         """Whether the subset's columns are dependent, for eta given as reps."""
@@ -129,8 +180,7 @@ class PhiWorkspace:
         deficient exactly when alpha_j is a root (see ``is_amds``).
         """
         f = self.field
-        _, series = complete_series(f, [self.alpha[i].rep for i in subset], self.l + 1)
-        coeffs = tail_sums(f, eta, series)  # low degree first
+        coeffs = tail_sums(f, eta, self._carry(subset)[1])  # low degree first
         for j in range(subset[-1] + 1, self.n):
             a, value = self.alpha[j].rep, 0
             for c in reversed(coeffs):  # Horner
@@ -312,65 +362,87 @@ def _hyperplane_walk(G: MatGF, walk: _Walk) -> None:
     and a fullest hyperplane is spanned by k - 1 columns, so d = n - (most
     columns in a hyperplane spanned by columns).  The walk visits
     independent sets of up to k - 2 columns depth first in lexicographic
-    order, each node carrying every column reduced against its prefix.  At
-    depth k - 2 the carried columns live in the two non-pivot coordinates
-    a < b, and the hyperplanes through the prefix are the points of that
-    projective line: a nonzero column lies in the one of its ratio
-    u_b / u_a (infinity when u_a = 0), a zero column in all.  The largest
-    class and the zero columns are the zero set of a codeword, whose
-    support is the witness; only a strictly lighter one replaces the best,
-    so the first lightest is kept.  k = 1 is the weight of the one row.
+    order, each node carrying the columns after its last one reduced
+    against its prefix, and the positions it keeps: the prefix and the
+    earlier columns in its span.  At depth k - 2 the carried columns live
+    in the two non-pivot coordinates a < b, and the hyperplanes through the
+    prefix are the points of that projective line: a nonzero column lies in
+    the one of its ratio u_b / u_a (infinity when u_a = 0), a zero column
+    in all.  The leaf's largest class of later columns, its zero later
+    columns and the kept ones are the zero set of a codeword of weight
+    n - kept - zeros - top, whose support is the witness; only a strictly
+    lighter one replaces the best, so the first lightest is kept.  The
+    level above the leaves clears just those two coordinates of each later
+    column against its pivot, and builds no cleared columns.  k = 1 is the
+    weight of the one row.
 
     A hyperplane is first met at the leaf of its greedy basis, the first
     k - 2 of its columns that are independent, so below a child at column j
-    it holds only the columns the node kept (the prefix and the earlier
-    columns in its span), j and the later ones.  A node returns before the
-    first child whose count kept + 1 + (n - 1 - j) is at most n - best: it
-    and every later child meet only hyperplanes too small to beat the best.
-    The walk stops once the best is at or below the walk's floor.
+    it holds only the kept columns, j and the later ones.  So a leaf counts
+    exactly each hyperplane it meets first.  One that also holds an earlier
+    column outside the kept ones reads too heavy there, but it was counted
+    at its own leaf or pruned on the way, so it never beats the best.  A
+    node returns before the first child whose count kept + 1 + (n - 1 - j)
+    is at most n - best: it and every later child meet only hyperplanes too
+    small to beat the best.  The walk stops once the best is at or below
+    the walk's floor.
     """
     field, k, n = G.field, G.rows, G.cols
-    inv, mul = field._inv, field._mul
+    inv, mul, sub = field._inv, field._mul, field._sub
     if k == 1:
         walk.step()
         walk.witness = tuple(j for j, x in enumerate(G._data[0]) if x)
         walk.best = len(walk.witness)
         return
 
-    def leaf(carried: list, a: int, b: int) -> None:
+    def leaf(pairs: list, first: int, kept: tuple[int, ...]) -> None:
+        # pairs: the free coordinates (u_a, u_b) of columns first, first + 1, ..
         # key: None for a zero column, -1 for u_a = 0, else the rep of u_b / u_a
-        keys = [mul(u[b], inv(u[a])) if u[a] else (-1 if u[b] else None) for u in carried]
+        keys = [mul(ub, inv(ua)) if ua else (-1 if ub else None) for ua, ub in pairs]
         counts = Counter(keys)
         zeros = counts.pop(None, 0)
+        # never empty: a G of rank k leaves some column nonzero here, and a
+        # leaf whose nonzero columns all come before it fails the count bound
         top, size = max(counts.items(), key=itemgetter(1))
-        weight = n - zeros - size
+        weight = n - len(kept) - zeros - size
         if weight < walk.best:
             walk.best = weight
-            walk.witness = tuple(j for j, key in enumerate(keys)
-                                 if key is not None and key != top)
+            walk.witness = (*(j for j in range(first) if j not in kept),
+                            *(first + i for i, key in enumerate(keys)
+                              if key is not None and key != top))
 
-    def visit(start: int, carried: list, free: tuple[int, ...], kept: int) -> None:
-        # kept: the prefix columns and the earlier columns in their span
+    def visit(start: int, carried: list, free: tuple[int, ...], kept: tuple[int, ...]) -> None:
+        # carried[i] is column start + i reduced against the prefix; kept holds
+        # the prefix columns and the earlier columns in their span
         walk.step()
-        if len(free) == 2:  # depth k - 2
-            leaf(carried, *free)
+        if len(free) == 2:  # the root, k = 2
+            a, b = free
+            leaf([(u[a], u[b]) for u in carried], start, kept)
             return
         for j in range(start, n):
-            u = carried[j]
+            u = carried[j - start]
             piv = next((i for i in free if u[i]), None)
             if piv is None:  # column j lies in the span of the prefix
-                kept += 1
+                kept += (j,)
                 continue
             # a hyperplane first met below column j holds at most the kept
             # columns, j and the later ones; this bound never grows with j
-            if kept + 1 + (n - 1 - j) <= n - walk.best:
+            if len(kept) + 1 + (n - 1 - j) <= n - walk.best:
                 return
-            visit(j + 1, _cleared(field, carried, u, piv),
-                  tuple(i for i in free if i != piv), kept + 1)
+            later, rest = carried[j + 1 - start:], tuple(i for i in free if i != piv)
+            if len(rest) == 2:  # the child is a leaf: clear its two coordinates here
+                walk.step()
+                a, b = rest
+                pinv = inv(u[piv])
+                ca, cb = mul(u[a], pinv), mul(u[b], pinv)
+                leaf([(sub(w[a], mul(w[piv], ca)), sub(w[b], mul(w[piv], cb)))
+                      if w[piv] else (w[a], w[b]) for w in later], j + 1, kept + (j,))
+            else:
+                visit(j + 1, _cleared(field, later, u, piv), rest, kept + (j,))
             if walk.settled():
                 return
 
-    visit(0, [list(col) for col in zip(*G._data)], tuple(range(k)), 0)
+    visit(0, [list(col) for col in zip(*G._data)], tuple(range(k)), ())
 
 
 def min_distance(H: MatGF, floor: int = 1) -> int:

@@ -11,6 +11,7 @@ VerificationError from an internal cross-check), 2 input or resource error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -171,7 +172,14 @@ def cmd_paper_examples(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tgrs`` parser, built once per process and shared by every ``main`` call.
+
+    Each subcommand's ``set_defaults(func=cmd_*)`` binds its function at
+    that first build, so a ``cmd_*`` replaced on the module later is not
+    the one ``main`` runs.
+    """
     parser = argparse.ArgumentParser(
         prog="tgrs",
         description="Construct and classify twisted generalized Reed-Solomon codes")

@@ -10,9 +10,11 @@ All of it runs on reps from the context's one ``Poly.from_roots``, with
 FieldElements only in the public getters; ``parity_check_matrix`` reads u,
 w-tilde and Psi as reps through the code those getters wrap.
 ``complete_series`` takes the same product and series on reps for any
-root set, with no ``Poly``.  ``criterion_row`` reads off it the
-classifier's rows, and the LCD recipes' r gate, the row of the k-1 head
-points with hook h-1; the AMDS scan reads P_I off it with ``tail_sums``.
+root set, with no ``Poly``.  ``criterion_row`` reads one twist-criterion
+row off it from scratch: the LCD recipes' r gate, the row of the k-1 head
+points with hook h-1, and the tests' oracle for the classifier's rows,
+which ``classify.PhiWorkspace`` builds by the same formula from a carried
+prefix and reads P_I from with ``tail_sums``.
 
 Convention: S_0 = 1 and S_t = 0 for t < 0, matching the generating function
 prod_i 1/(1 - x_i z).  All positions are 0-based.

@@ -1,6 +1,7 @@
 """Classification: twist criterion vs minors, distance, and hull dimension."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError, Sym
                   is_mds_minors, is_mds_phi, min_distance, null_space,
                   parity_check_matrix, rank, report_from_json, report_to_json, solve)
 from tgrs.golden import GOLDEN_CODES
+from tgrs.symm import criterion_row
 
 from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, get_field, random_spec
 
@@ -309,6 +311,63 @@ class TestFtrCoefficient:
             for e, d in zip(eta, row):
                 via_table = via_table - e * d
             assert via_ftr == via_table
+
+
+class TestCarriedRows:
+    @pytest.mark.parametrize("q", [7, 31, GF8, GF9, GF16],
+                             ids=["gf7", "gf31", "gf8", "gf9", "gf16"])
+    def test_rows_match_criterion_row_in_any_order(self, q):
+        # rows read in lexicographic, reversed and shuffled order, so the
+        # table's carried prefix is cut back to every depth; 0 is a point
+        f = get_field(q) if isinstance(q, int) else get_field(*q)
+        rng = random.Random(27)
+        for _ in range(6):
+            n = rng.randint(5, min(9, f.q))
+            k = rng.randint(2, n - 1)
+            h, l = rng.randint(1, k - 1), rng.randint(0, n - k - 1)
+            idx = [0] + rng.sample(range(1, f.q), n - 1)
+            rng.shuffle(idx)
+            alpha = [f.from_index(a) for a in idx]
+            subsets = list(itertools.combinations(range(n), k))
+            want = {I: criterion_row(f, [alpha[i].rep for i in I], h, l + 1) for I in subsets}
+            for order in (subsets, subsets[::-1], rng.sample(subsets, len(subsets))):
+                table = PhiWorkspace(alpha, k, h, l)
+                for I in order:
+                    assert tuple(d.rep for d in table.row(I)) == want[I], (f, idx, h, l, I)
+
+
+def walk_runs(walker: str) -> list:
+    """(best, witness, nodes) of one distance walk, floor 1 and floor n - k - l.
+
+    Run on the four reference codes and 200 seeded specs over prime fields,
+    GF(8), GF(9) and GF(16), whatever their rate: the hyperplane walk over
+    the kernel generator G of H, the column walk over H.
+    """
+    rng = random.Random(29)
+    specs = [gc.spec() for gc in GOLDEN_CODES] + [
+        random_spec(rng, qs=(7, 11, 13, 31, GF8, GF9, GF16), n_max=12) for _ in range(200)]
+    runs = []
+    for spec in specs:
+        H = parity_check_matrix(spec)
+        M = null_space(H) if walker == "_hyperplane_walk" else H
+        for floor in (1, spec.n - spec.k - spec.l):
+            walk = CLASSIFY._Walk(H.rows + 1, floor)
+            getattr(CLASSIFY, walker)(M, walk)
+            runs.append((walk.best, walk.witness, walk.nodes))
+    return runs
+
+
+class TestWalkPins:
+    @pytest.mark.parametrize("walker,digest", [
+        ("_hyperplane_walk", "375bc8ad16a89200"),
+        ("_column_walk", "c5112785ca504463"),
+    ])
+    def test_walks_are_pinned(self, walker, digest):
+        # the bound, the first lightest witness and the node count of every
+        # run, so a faster walk must take exactly the same course
+        runs = walk_runs(walker)
+        assert len(runs) == 408
+        assert hashlib.sha256(repr(runs).encode()).hexdigest()[:16] == digest
 
 
 class TestMdsChecks:

@@ -490,6 +490,14 @@ class TestJsonStability:
         assert first == again
 
 
+class TestParser:
+    def test_built_once_per_process(self, golden_spec_file, capsys):
+        parser = build_parser()
+        assert main(["check", "--input", golden_spec_file]) == 0
+        assert main(["build", "--input", golden_spec_file, "--output", "json"]) == 0
+        assert build_parser() is parser
+
+
 class TestReadmeSynopsis:
     def test_flags_match_parser(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -110,7 +110,9 @@ class PhiWorkspace:
 
     def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
         """d_0(I)..d_l(I) for an ascending tuple I of k positions."""
-        if (len(subset) != self.k or list(subset) != sorted(set(subset))
+        if (type(subset) is not tuple or len(subset) != self.k
+                or not all(map(_is_int, subset))
+                or list(subset) != sorted(set(subset))
                 or subset[0] < 0 or subset[-1] >= self.n):
             raise ValidationError(
                 f"need an ascending subset of {self.k} positions in 0..{self.n - 1}")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one base class and the three
+failures a caller can meet (bad input, a resource cap, a failed cross-check)."""
 
 
 class TgrsError(Exception):
@@ -11,10 +12,6 @@ class ValidationError(TgrsError, ValueError):
 
 class ResourceLimitError(TgrsError):
     """An exhaustive computation was requested beyond its configured cap."""
-
-
-class SingularMatrixError(TgrsError, ArithmeticError):
-    """A matrix required to be invertible is singular."""
 
 
 class VerificationError(TgrsError):

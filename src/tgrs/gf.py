@@ -220,9 +220,9 @@ class Field:
         return self.element(1)
 
     def from_index(self, i: int) -> FieldElement:
-        """The i-th element in canonical order, 0 <= i < q."""
-        if not 0 <= i < self.q:
-            raise ValidationError(f"index {i} out of range for field of size {self.q}")
+        """The i-th element in canonical order, for an int 0 <= i < q."""
+        if not (_is_int(i) and 0 <= i < self.q):
+            raise ValidationError(f"index {i!r} is not an int in 0..{self.q - 1}")
         return FieldElement(self, i)
 
     def elements(self) -> Iterator[FieldElement]:

@@ -7,17 +7,16 @@ from other matrices (submatrices, products, kernel results) are built from
 reps directly and are not re-validated.  Entry reads return ``FieldElement``
 values.  All matrices are immutable; operations return new values.
 
-Rank, determinant, reduced row echelon form, kernel and square solves all go
-through one Gaussian elimination, ``_echelon``, with first-nonzero pivoting;
-in a field the pivot magnitude is irrelevant, so the scan order alone fixes
-the result.
+Rank, determinant and kernel all go through one Gaussian elimination,
+``_echelon``, with first-nonzero pivoting; in a field the pivot magnitude is
+irrelevant, so the scan order alone fixes the result.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import ValidationError
 from .gf import Field, FieldElement, rep_to_json
 
 
@@ -50,11 +49,6 @@ class MatGF:
 
     def __reduce__(self):
         return (MatGF._from_reps, (self.field, self._data))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "MatGF":
-        return cls._from_reps(field, tuple(tuple(int(i == j) for j in range(n))
-                                           for i in range(n)))
 
     @classmethod
     def vandermonde(cls, points: Sequence[FieldElement], nrows: int) -> "MatGF":
@@ -195,62 +189,20 @@ def det(M: MatGF) -> FieldElement:
     return FieldElement(field, field._neg(acc) if swaps % 2 else acc)
 
 
-def rref(M: MatGF) -> tuple[MatGF, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    rows = [list(r) for r in M._data]
-    pivots, _ = _echelon(rows, M.field, True)
-    return MatGF._from_reps(M.field, tuple(tuple(r) for r in rows)), pivots
-
-
 def null_space(M: MatGF) -> MatGF:
-    """Rows form a basis of {x : M x^T = 0}; row count = cols - rank."""
+    """Rows form a basis of {x : M x^T = 0}; row count = cols - rank.
+
+    Read off the reduced row echelon form: each free column f gives the
+    vector with 1 at f and minus column f of the reduced rows at the pivots.
+    """
     field = M.field
-    R, pivots = rref(M)
+    rows = [list(r) for r in M._data]
+    pivots, _ = _echelon(rows, field, True)
     basis = []
     for f in (c for c in range(M.cols) if c not in pivots):
         vec = [0] * M.cols
         vec[f] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = field._neg(R._data[i][f])
+        for row, pc in zip(rows, pivots):
+            vec[pc] = field._neg(row[f])
         basis.append(tuple(vec))
     return MatGF._from_reps(field, tuple(basis))
-
-
-def solve(M: MatGF, b: Sequence[FieldElement]) -> list[FieldElement]:
-    """Unique solution of M x = b for square invertible M."""
-    if M.rows != M.cols or M.rows != len(b):
-        raise ValidationError("solve requires a square system matching b")
-    field = M.field
-    rows = [list(r) + [field.element(x).rep] for r, x in zip(M._data, b)]
-    n = M.rows
-    pivots, _ = _echelon(rows, field, True)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("singular system")
-    return [FieldElement(field, r[n]) for r in rows]
-
-
-def row_space_equal(A: MatGF, B: MatGF) -> bool:
-    """Row-space equality decided by rank(A) = rank(B) = rank(A stacked on B)."""
-    ra, rb = rank(A), rank(B)
-    return ra == rb == rank(A.stack(B))
-
-
-def solve_vandermonde(points: Sequence[FieldElement], target_unit_index: int) -> list[FieldElement]:
-    """The unique w with sum_i w_i points_i^j = [j == target] for j < n.
-
-    Solved by direct elimination; the closed form lives in the symmetric
-    function context and the two are cross-checked in the tests.
-    """
-    n = len(points)
-    if n == 0:
-        raise ValidationError("need at least one point")
-    if len(set(points)) != n:
-        raise SingularMatrixError("duplicate interpolation points")
-    if not 0 <= target_unit_index <= n - 1:
-        raise ValidationError(f"unit index {target_unit_index} out of range 0..{n - 1}")
-    field = points[0].field
-    V = MatGF.vandermonde(list(points), n)
-    e = [field.zero()] * n
-    e[target_unit_index] = field.one()
-    return solve(V, e)
-

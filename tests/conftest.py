@@ -1,11 +1,12 @@
-"""Shared helpers: reusable fields and a randomized code-spec generator."""
+"""Shared helpers: reusable fields, a randomized code-spec generator, and the
+polynomial and matrix oracles that several test modules check against."""
 
 import math
 import random
 
 import pytest
 
-from tgrs import Field, TgrsSpec
+from tgrs import Field, MatGF, TgrsSpec, rank
 
 _FIELDS: dict[tuple, Field] = {}
 
@@ -68,3 +69,40 @@ def random_spec(rng: random.Random, qs=(7, 31, 37) + EXTENSION_FIELDS, n_min=3, 
         return TgrsSpec(field=f, n=n, k=k, l=l, h=h,
                         alpha=tuple(alpha), v=tuple(v), eta=tuple(eta))
     raise RuntimeError(f"no spec drawn within {RANDOM_SPEC_TRIES} tries")
+
+
+def linear_product(f: Field, roots) -> list:
+    """Oracle: prod (x - r) as elements, low degree first, one factor at a time."""
+    out = [f.one()]
+    for r in roots:
+        out = [a - r * b for a, b in zip([f.zero()] + out, out + [f.zero()])]
+    return out
+
+
+def poly_mod(num, den) -> list:
+    """Oracle: the remainder of num by the monic den by long division.
+
+    Both are element lists, low degree first; the remainder has len(den) - 1
+    entries, zero-padded.
+    """
+    d = len(den) - 1
+    rem = list(num) + [den[0].field.zero()] * max(0, d - len(num))
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        for j, dc in enumerate(den):
+            rem[i - d + j] = rem[i - d + j] - c * dc
+    return rem[:d]
+
+
+def identity(f: Field, n: int) -> MatGF:
+    return MatGF(f, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def column(f: Field, xs) -> MatGF:
+    """The entries as an n x 1 matrix, for checking a system by product."""
+    return MatGF(f, [[x] for x in xs])
+
+
+def same_row_space(A: MatGF, B: MatGF) -> bool:
+    """Oracle: rank(A) = rank(B) = rank(A stacked on B)."""
+    return rank(A) == rank(B) == rank(A.stack(B))

@@ -14,11 +14,11 @@ from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError, Sym
                   TgrsSpec, ValidationError, VerificationError, classify, det,
                   encode, generator_matrix, hull_dimension, is_amds,
                   is_mds_minors, is_mds_phi, min_distance, null_space,
-                  parity_check_matrix, rank, report_from_json, report_to_json, solve)
+                  parity_check_matrix, rank, report_from_json, report_to_json)
 from tgrs.golden import GOLDEN_CODES
 from tgrs.symm import criterion_row
 
-from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, get_field, random_spec
+from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, column, get_field, identity, random_spec
 
 CLASSIFY = sys.modules["tgrs.classify"]  # the package exports the function under this name
 
@@ -222,7 +222,7 @@ def toeplitz_ftr(points, t: int, r: int):
     f = points[0].field
     k = len(points)
     g = Poly.from_roots(f, points)
-    c = [g.coeff(k - j) for j in range(k + 1)]
+    c = [g.coeffs[k - j] for j in range(k + 1)]
     rhs = [c[k - r + i] if k - r + i <= k else f.zero() for i in range(t + 1)]
     y = []
     for i in range(t + 1):
@@ -239,17 +239,18 @@ class TestFtrCoefficient:
         pts = alpha[:3]
         g = Poly.from_roots(gf7, pts)
         for r in range(3):
-            assert toeplitz_ftr(pts, 0, r) == -g.coeff(r)
+            assert toeplitz_ftr(pts, 0, r) == -g.coeffs[r]
         for h in (1, 2):
-            assert PhiWorkspace(alpha, 3, h, 0).row((0, 1, 2)) == (g.coeff(h),)
+            assert PhiWorkspace(alpha, 3, h, 0).row((0, 1, 2)) == (g.coeffs[h],)
 
     def test_hand_value_gf7(self, gf7):
         alpha = [gf7.element(a) for a in (1, 2, 3)]
-        # oracle: solve the 3x3 power system directly
+        # oracle: f = x^3 mod (x-1)(x-2)(x-3) = 6 + 3x + 6x^2 solves the power
+        # system V^T f^T = (a^3), checked by product; V is invertible on
+        # distinct points, so this pins f
+        f_vec = [gf7.element(c) for c in (6, 3, 6)]
         V = MatGF.vandermonde(alpha, 3)
-        rhs = [a**3 for a in alpha]
-        f_vec = solve(V.transpose(), rhs)
-        assert f_vec[2] == gf7.element(6)
+        assert V.transpose() @ column(gf7, f_vec) == column(gf7, [a**3 for a in alpha])
         assert toeplitz_ftr(alpha, 0, 2) == f_vec[2]
         ws = PhiWorkspace(alpha + [gf7.element(4)], 3, 2, 0)
         assert ws.row((0, 1, 2)) == (-f_vec[2],)
@@ -284,8 +285,10 @@ class TestFtrCoefficient:
             with pytest.raises(ValidationError):
                 PhiWorkspace(bad_pts, 2, 1, 0)
         ws = PhiWorkspace(pts, 2, 1, 1)
-        for bad in ((0,), (1, 0), (2, 2), (0, 4), (-1, 0), (0, 1, 2)):
-            with pytest.raises(ValidationError):
+        ws.row((0, 1))  # cached: (0.0, 1) and (False, 1) hash like it
+        for bad in ((0,), (1, 0), (2, 2), (0, 4), (-1, 0), (0, 1, 2),
+                    (0.0, 1), (False, 1), (0, "1"), [0, 1], range(2)):
+            with pytest.raises(ValidationError, match="ascending subset of 2 positions"):
                 ws.row(bad)
 
     def test_two_internal_routes_agree(self):
@@ -498,7 +501,7 @@ class TestMinDistance:
         assert min_distance(parity_check_matrix(GOLDEN_CODES[3].spec())) == 8
 
     def test_duplicate_identity_columns(self, gf7):
-        I3 = MatGF.identity(gf7, 3)
+        I3 = identity(gf7, 3)
         H = MatGF(gf7, [list(r1) + list(r2) for r1, r2 in zip(I3.row_list(), I3.row_list())])
         assert min_distance(H) == 2
 
@@ -554,7 +557,7 @@ class TestMinDistance:
 
     def test_square_parity_check_has_no_dependent_set(self, gf7):
         with pytest.raises(VerificationError):
-            min_distance(MatGF.identity(gf7, 3))
+            min_distance(identity(gf7, 3))
 
     def test_witness_recheck_catches_a_column_walk_fault(self, monkeypatch):
         H = parity_check_matrix(high_rate_spec())  # 7 x 15, k = 8: the column walk
@@ -562,7 +565,7 @@ class TestMinDistance:
 
         def faulty(dst, src, c, pinv):
             # wipes the walk's carried columns (length 7); the rows that
-            # rref and rank reduce (length 15 or the witness size) stay exact
+            # null_space and rank reduce (length 15 or the witness size) stay exact
             if len(dst) == H.rows:
                 dst[:] = [0] * len(dst)
             else:

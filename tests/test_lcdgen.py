@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from tgrs import (Class1Params, Class2Params, PhiWorkspace, Poly, SymContext,
+from tgrs import (Class1Params, Class2Params, PhiWorkspace, SymContext,
                   ValidationError, VerificationError, build_class1, build_class2, classify,
                   generator_matrix, hull_dimension, is_mds_minors,
                   parity_check_matrix, quadratic_twist_sum, r_coefficient,
@@ -15,7 +15,7 @@ from tgrs import (Class1Params, Class2Params, PhiWorkspace, Poly, SymContext,
 from tgrs.gf import element_to_json
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import GF8, GF9, GF16, get_field
+from conftest import GF8, GF9, GF16, get_field, linear_product, poly_mod
 
 
 def monomial_r(k, h, eta, head):
@@ -23,13 +23,13 @@ def monomial_r(k, h, eta, head):
 
     base and lin[t] are the x^(h-1) coefficients of x^(h-1) mod g and of
     x^(k+t-1) mod g, with g the product of the linear factors x - a over the
-    head points, multiplied out as Poly values.
+    head points multiplied out, each remainder a long division on element lists.
     """
     f = head[0].field
-    g = functools.reduce(lambda acc, a: acc * Poly(f, (-a, 1)), head, Poly.one(f))
+    g = linear_product(f, head)
 
     def at(degree):
-        return (Poly.monomial(f, degree) % g).coeff(h - 1)
+        return poly_mod([f.zero()] * degree + [f.one()], g)[h - 1]
 
     return sum((f.element(e) * at(k + t - 1) for t, e in enumerate(eta)), at(h - 1))
 

@@ -19,6 +19,22 @@ def test_every_exported_name_resolves():
     assert len(set(tgrs.__all__)) == len(tgrs.__all__)
 
 
+def test_public_surface_is_pinned():
+    # an addition or a removal shows up as an edit to this list
+    assert sorted(tgrs.__all__) == [
+        "BuildResult", "Class1Params", "Class2Params", "CodeReport", "Field",
+        "FieldElement", "GOLDEN_CODES", "GoldenCode", "HypothesisCheck", "MatGF",
+        "PhiWorkspace", "Poly", "ResourceLimitError", "SearchHit", "SymContext",
+        "TgrsError", "TgrsSpec", "ValidationError", "VerificationError",
+        "build_class1", "build_class2", "classify", "det", "encode",
+        "field_from_json", "field_to_json", "generator_matrix", "hull_dimension",
+        "is_amds", "is_mds_minors", "is_mds_phi", "min_distance", "null_space",
+        "parity_check_matrix", "quadratic_twist_sum", "r_coefficient", "rank",
+        "report_from_json", "report_to_json", "search_eta", "tgrs_spec_from_json",
+        "tgrs_spec_to_json",
+    ]
+
+
 def test_five_demos_present():
     assert len(DEMOS) == 5
 

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from tgrs import FieldElement, MatGF, SymContext, ValidationError, solve_vandermonde
+from tgrs import FieldElement, MatGF, SymContext, ValidationError
 from tgrs.symm import complete_series
 
-from conftest import GF8, GF9, GF16, get_field
+from conftest import GF8, GF9, GF16, column, get_field
 
 # The oracle tests below also run over these extension fields: GF(9) keeps
 # the signs of the closed forms, characteristic 2 collapses them to +1.
@@ -67,17 +67,20 @@ def check_subset_sum_oracle(f, rng):
             assert ctx.sigma_excluding(r, i) == brute_sigma_excluding(pts, r, i)
 
 
+def assert_unit_vector(ctx, h):
+    """V w^T = e_h by matrix product; V is invertible on distinct points, so
+    this pins the hook weights w."""
+    f, n = ctx.field, ctx.n
+    w, wt = ctx.hook_weights(h)
+    V = MatGF.vandermonde(ctx.points, n)
+    assert V @ column(f, w) == column(f, [int(j == h) for j in range(n)]), (ctx.points, h)
+    assert all(wi == u * t for wi, u, t in zip(w, ctx.dual_coeffs(), wt))
+
+
 def check_unit_vector_property(f, rng):
     for _ in range(15):
         n = rng.randint(1, 7)
-        pts = random_points(f, rng, n)
-        ctx = SymContext(pts)
-        h = rng.randrange(n)
-        w, wt = ctx.hook_weights(h)
-        V = MatGF.vandermonde(pts, n)
-        prod = V @ MatGF(f, [[x] for x in w])
-        assert prod == MatGF(f, [[1 if j == h else 0] for j in range(n)])
-        assert all(wi == u * t for wi, u, t in zip(w, ctx.dual_coeffs(), wt))
+        assert_unit_vector(SymContext(random_points(f, rng, n)), rng.randrange(n))
 
 
 def check_power_sum_identity(f, rng):
@@ -209,10 +212,24 @@ class TestHookWeights:
                 assert t == a ** (9 - 1 - h)
 
     def test_matches_vandermonde_solve(self, gf7):
-        pts = [gf7.element(a) for a in (1, 2, 3)]
-        ctx = SymContext(pts)
-        w, _ = ctx.hook_weights(0)
-        assert list(w) == solve_vandermonde(pts, 0)
+        ctx = SymContext([gf7.element(a) for a in (1, 2, 3)])
+        for h in range(3):
+            assert_unit_vector(ctx, h)
+        # hand value: w_i = u_i sigma_2(i), the product of the other two points
+        assert [x.rep for x in ctx.hook_weights(0)[0]] == [3, 4, 1]
+
+    def test_single_point(self, gf7):
+        assert SymContext([gf7.element(3)]).hook_weights(0) == ((gf7.one(),), (gf7.one(),))
+
+    def test_unit_vector_every_hook_all_sizes(self):
+        # every hook of randomized distinct point sets, sizes 1..8
+        rng = random.Random(30)
+        f = get_field(31)
+        for n in range(1, 9):
+            for _ in range(3):
+                ctx = SymContext(random_points(f, rng, n))
+                for h in range(n):
+                    assert_unit_vector(ctx, h)
 
     def test_range_error(self, gf7):
         ctx = SymContext([gf7.element(1), gf7.element(2)])

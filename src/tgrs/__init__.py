@@ -6,8 +6,7 @@ constructive recipes for LCD (and LCD MDS) codes on cyclic point sets.
 """
 
 from .classify import (CodeReport, PhiWorkspace, classify, hull_dimension, is_amds,
-                       is_mds_minors, is_mds_phi, min_distance, report_from_json,
-                       report_to_json)
+                       is_mds_minors, is_mds_phi, min_distance, report_to_json)
 from .codes import (TgrsSpec, encode, generator_matrix, parity_check_matrix,
                     tgrs_spec_from_json, tgrs_spec_to_json)
 from .errors import ResourceLimitError, TgrsError, ValidationError, VerificationError
@@ -34,5 +33,4 @@ __all__ = [
     "r_coefficient", "build_class1", "build_class2", "search_eta",
     "quadratic_twist_sum", "field_to_json", "field_from_json",
     "tgrs_spec_to_json", "tgrs_spec_from_json", "report_to_json",
-    "report_from_json",
 ]

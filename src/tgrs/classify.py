@@ -90,6 +90,7 @@ class PhiWorkspace:
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
+        check_int_fields({"k": k, "h": h, "l": l}, ("k", "h", "l"))
         pts = distinct_points(alpha)
         n = len(pts)
         if not 1 <= h <= k - 1:
@@ -267,12 +268,15 @@ def is_mds_minors(G: MatGF) -> tuple[bool, Optional[tuple[int, ...]]]:
     return bad is None, bad
 
 
-def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[bool, dict]:
+def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None
+            ) -> tuple[bool, Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
     """Distance-exactly-n-k test via the two subset conditions.
 
     Needs (a) some singular k-subset and (b) every (k+1)-subset containing a
-    nonsingular k-subset; certificates carry the discovered witnesses.  The
-    dependent subset of (a) is the certificate of ``is_mds_phi`` on the same
+    nonsingular k-subset.  Returns (verdict, dependent subset, deficient
+    superset): the first dependent k-subset of (a), None for an MDS code,
+    and the first (k+1)-subset breaking (b), None when there is none.  The
+    dependent subset is the certificate of ``is_mds_phi`` on the same
     table, so one walk decides both MDS and (a).
 
     For a singular I, J = I + (j,) is deficient exactly when P_I(alpha_j) = 0
@@ -287,15 +291,14 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None) -> tuple[b
     table = _table_for(spec, workspace)
     mds, dependent = is_mds_phi(spec, workspace=table)
     if mds:
-        return False, {"reason": "code is MDS", "dependent_subset": None}
+        return False, None, None
     eta, n, k = tuple(e.rep for e in spec.eta), table.n, table.k
     if any(eta[1:]):
         for I in itertools.combinations(range(n - 1), k):
             j = table._superset_root(eta, I) if table._singular(eta, I) else None
             if j is not None:
-                return False, {"reason": "a k+1 column set has rank below k",
-                               "dependent_subset": dependent, "deficient_superset": I + (j,)}
-    return True, {"dependent_subset": dependent, "deficient_superset": None}
+                return False, dependent, I + (j,)
+    return True, dependent, None
 
 
 class _Walk:
@@ -572,64 +575,6 @@ def report_to_json(report: CodeReport) -> dict:
     }
 
 
-def report_from_json(obj) -> CodeReport:
-    """The report of ``report_to_json``, with its certificates 0-based again.
-
-    Only a report that could be true is read: 1 <= k <= n, a hull of
-    dimension at most min(k, n - k) that is zero exactly for an LCD code,
-    not both MDS and AMDS, a distance in 1..n-k+1 that matches those
-    verdicts, and certificates that ``classify`` writes, each a strictly
-    ascending list of its size of positions in 1..n.
-    """
-    if not isinstance(obj, dict):
-        raise ValidationError("code report must be a JSON object")
-    verdicts = ("is_mds", "is_amds", "is_lcd")
-    missing = [key for key in ("n", "k", *verdicts, "hull_dim") if key not in obj]
-    if missing:
-        raise ValidationError(f"code report missing fields: {', '.join(missing)}")
-    check_int_fields(obj, ("n", "k", "hull_dim"), optional=("min_distance",))
-    for key in verdicts:
-        if not isinstance(obj[key], bool):
-            raise ValidationError(f"field '{key}' must be a boolean, got {obj[key]!r}")
-    n, k, hull, d = obj["n"], obj["k"], obj["hull_dim"], obj.get("min_distance")
-    mds, amds = obj["is_mds"], obj["is_amds"]
-    if not 1 <= k <= n:
-        raise ValidationError(f"code report needs 1 <= k <= n, got n={n}, k={k}")
-    if not 0 <= hull <= min(k, n - k):
-        raise ValidationError(f"field 'hull_dim' must be in 0..{min(k, n - k)}, got {hull}")
-    if obj["is_lcd"] != (hull == 0):
-        raise ValidationError(f"'is_lcd' is {obj['is_lcd']} with hull_dim {hull}")
-    if mds and amds:
-        raise ValidationError("a code report cannot be both MDS and AMDS")
-    if d is not None and not 1 <= d <= n - k + 1:
-        raise ValidationError(f"field 'min_distance' must be in 1..{n - k + 1}, got {d}")
-    if d is not None and (mds != (d == n - k + 1) or amds != (d == n - k)):
-        raise ValidationError(f"min_distance {d} contradicts is_mds={mds}, is_amds={amds}")
-    raw_certs, notes = obj.get("certificates", {}), obj.get("notes", [])
-    if not isinstance(raw_certs, dict):
-        raise ValidationError(f"field 'certificates' must be an object, got {raw_certs!r}")
-    if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
-        raise ValidationError(f"field 'notes' must be a list of strings, got {notes!r}")
-    certs = {}
-    sizes = {"mds_violating_subset": k, "amds_dependent_subset": k,
-             "amds_deficient_superset": k + 1}  # the certificates classify writes
-    for key, val in raw_certs.items():
-        if key not in sizes:
-            raise ValidationError(f"unknown certificate '{key}'")
-        if not (isinstance(val, list) and all(_is_int(i) and i > 0 for i in val)):
-            raise ValidationError(f"certificate '{key}' must be a list of positive integers")
-        size = sizes[key]
-        if len(val) != size or val != sorted(set(val)) or val[-1] > n:
-            raise ValidationError(f"certificate '{key}' must be {size} ascending "
-                                  f"positions in 1..{n}, got {val}")
-        certs[key] = tuple(i - 1 for i in val)
-    return CodeReport(
-        n=obj["n"], k=obj["k"], is_mds=obj["is_mds"], is_amds=obj["is_amds"],
-        is_lcd=obj["is_lcd"], hull_dim=obj["hull_dim"],
-        min_distance=obj.get("min_distance"), certificates=certs, notes=list(notes),
-    )
-
-
 def classify(spec: TgrsSpec, want_distance: bool = False,
              workspace: Optional[PhiWorkspace] = None) -> CodeReport:
     """Full classification of one code spec.
@@ -647,12 +592,11 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     table = _table_for(spec, workspace)
     G = generator_matrix(spec)
     H = parity_check_matrix(spec)
-    amds, amds_cert = is_amds(spec, workspace=table)
-    dependent = amds_cert["dependent_subset"]
+    amds, dependent, deficient = is_amds(spec, workspace=table)
     mds = dependent is None
     certificates = {key: subset for key, subset in (
         ("mds_violating_subset", dependent), ("amds_dependent_subset", dependent),
-        ("amds_deficient_superset", amds_cert.get("deficient_superset"))) if subset is not None}
+        ("amds_deficient_superset", deficient)) if subset is not None}
     hull = hull_dimension(G, H)
     report = CodeReport(
         n=spec.n, k=spec.k, is_mds=mds, is_amds=amds,

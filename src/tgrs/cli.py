@@ -113,30 +113,12 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _parse_corrupt(raw: str) -> tuple[int, int, int]:
-    try:
-        idx, row, col = (int(x) for x in raw.split(","))
-    except ValueError:
-        raise ValidationError("--corrupt expects EXAMPLE,ROW,COL (1-based)") from None
-    if not 1 <= idx <= len(GOLDEN_CODES):
-        raise ValidationError(f"--corrupt example must be 1..{len(GOLDEN_CODES)}")
-    gc = GOLDEN_CODES[idx - 1]
-    if not (1 <= row <= gc.k and 1 <= col <= gc.n):
-        raise ValidationError(
-            f"--corrupt coordinates out of range for a {gc.k}x{gc.n} matrix")
-    return idx, row, col
-
-
 def cmd_paper_examples(args) -> int:
-    corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
     results, failures = [], []
     for pos, gc in enumerate(GOLDEN_CODES, start=1):
         build = (build_class1 if gc.klass == 1 else build_class2)(gc.params())
         report = classify(build.spec, want_distance=gc.expected_distance is not None)
         want = gc.normalized_generator()
-        if corrupt is not None and corrupt[0] == pos:
-            _, row, col = corrupt
-            want[row - 1][col - 1] = (want[row - 1][col - 1] + 1) % gc.q
         G = report.generator.to_lists()
         mismatch = next(({"row": i + 1, "col": j + 1, "got": G[i][j], "want": want[i][j]}
                          for i in range(gc.k) for j in range(gc.n) if G[i][j] != want[i][j]), None)
@@ -215,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-examples",
                        help="rebuild the embedded reference codes and verify them")
     common(p, needs_input=False)
-    p.add_argument("--corrupt", default=None, metavar="EX,ROW,COL",
-                   help="testing aid: perturb one expected generator entry (1-based)")
     p.set_defaults(func=cmd_paper_examples)
     return parser
 

@@ -21,9 +21,9 @@ from .symm import SymContext, distinct_points
 class TgrsSpec:
     """Parameters of a single-hook twisted GRS code.
 
-    Constraints: 2 <= k <= n, 0 <= l <= n-k-1, 1 <= h <= k-1, alpha pairwise
-    distinct, v nonzero, eta of length l+1.  The hook h = 0 is excluded from
-    this family.
+    Constraints: n, k, l and h exact ints, 2 <= k <= n, 0 <= l <= n-k-1,
+    1 <= h <= k-1, alpha pairwise distinct, v nonzero, eta of length l+1.
+    The hook h = 0 is excluded from this family.
     """
 
     field: Field
@@ -36,6 +36,7 @@ class TgrsSpec:
     eta: tuple[FieldElement, ...]
 
     def __post_init__(self):
+        check_int_fields(vars(self), ("n", "k", "l", "h"))
         f = self.field
         object.__setattr__(self, "alpha", tuple(f.element(a) for a in self.alpha))
         object.__setattr__(self, "v", tuple(f.element(x) for x in self.v))
@@ -142,8 +143,9 @@ def tgrs_spec_to_json(spec: TgrsSpec) -> dict:
 def check_int_fields(obj: dict, names: Sequence[str], optional: Sequence[str] = ()) -> None:
     """Every named field present must be an exact int (no bool, no float).
 
-    A missing field is left to the reader's own message; an ``optional``
-    field may also be null, which reads as absent.
+    ``obj`` is a JSON object or a constructor's own fields.  A missing field
+    is left to the reader's own message; an ``optional`` field may also be
+    null, which reads as absent.
     """
     for name in (*names, *optional):
         if name in obj and not _is_int(obj[name]):
@@ -168,7 +170,6 @@ def tgrs_spec_from_json(obj) -> TgrsSpec:
     if missing:
         raise ValidationError(f"code spec missing fields: {', '.join(missing)}")
     f = field_from_json(obj["field"])
-    check_int_fields(obj, ("n", "k", "l", "h"))
     return TgrsSpec(
         field=f, n=obj["n"], k=obj["k"], l=obj["l"], h=obj["h"],
         alpha=element_list(f, obj, "alpha"), v=element_list(f, obj, "v"),

@@ -127,9 +127,10 @@ class _RecipeParams:
     """The inputs both recipes share: points on the n-th roots of lambda, a
     head and a sign tail of multipliers, hook h and twist vector eta.
 
-    Validation runs the cyclic clauses, then the recipe's ``_dimension_rule``,
-    which checks the recipe's k and returns its record line, then the hook,
-    twist, multiplier and point clauses.
+    Validation checks that the integer fields are ints (a second recipe's k
+    may be None), then runs the cyclic clauses, then the recipe's
+    ``_dimension_rule``, which checks the recipe's k and returns its record
+    line, then the hook, twist, multiplier and point clauses.
     """
 
     field: Field
@@ -143,6 +144,8 @@ class _RecipeParams:
     alpha: Optional[tuple[FieldElement, ...]] = None
 
     def __post_init__(self):
+        check_int_fields(vars(self), ("n", "h", "l", "k", "m_gap"),
+                         optional=("k",) if isinstance(self, Class2Params) else ())
         f, q, n, h, l = self.field, self.field.q, self.n, self.h, self.l
         lam = f.element(self.lam)
         object.__setattr__(self, "lam", lam)

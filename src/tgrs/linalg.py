@@ -69,9 +69,6 @@ class MatGF:
     def row(self, i: int) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.field, x) for x in self._data[i])
 
-    def col(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, r[j]) for r in self._data)
-
     def row_list(self) -> list[list[FieldElement]]:
         return [list(self.row(i)) for i in range(self.rows)]
 

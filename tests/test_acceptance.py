@@ -18,6 +18,7 @@ from tgrs.cli import main
 from tgrs.golden import GOLDEN_CODES
 
 from conftest import get_field, random_spec, same_row_space
+from test_cli import bumped_generator, patch_golden
 
 
 def passed(num: int, label: str) -> None:
@@ -112,7 +113,7 @@ def test_c07_amds_against_distance():
     agree_true = 0
     while trials < 50:
         spec = random_spec(rng, qs=(7, 31, 37), n_max=10)
-        amds, _ = is_amds(spec)
+        amds, _, _ = is_amds(spec)
         d = min_distance(parity_check_matrix(spec))
         assert amds == (d == spec.n - spec.k)
         agree_true += int(amds)
@@ -166,7 +167,7 @@ def test_c09_quadratic_gate_for_recipe_two():
     passed(9, "quadratic twist gates vanish and both recipe-2 builds apply")
 
 
-def test_c10_negative_controls(capsys):
+def test_c10_negative_controls(capsys, monkeypatch):
     # (a) a twist vector with zero gate flips the first recipe to inapplicable
     gc = GOLDEN_CODES[1]
     f = gc.field()
@@ -190,7 +191,8 @@ def test_c10_negative_controls(capsys):
     assert not result.applicable
     # (b) corrupting one expected generator entry fails the example runner
     # with the corrupted coordinates
-    code = main(["paper-examples", "--corrupt", "4,2,6"])
+    patch_golden(monkeypatch, 3, expected_generator=bumped_generator(GOLDEN_CODES[3], 2, 6))
+    code = main(["paper-examples"])
     captured = capsys.readouterr()
     assert code == 1
     assert "example 4" in captured.err

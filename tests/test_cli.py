@@ -76,6 +76,20 @@ def edited(obj: dict, key: str, value) -> dict:
     return obj
 
 
+def bumped_generator(gc, row: int, col: int) -> tuple:
+    """gc's expected generator with its entry at (row, col), 1-based, raised by 1."""
+    rows = [list(r) for r in gc.expected_generator]
+    rows[row - 1][col - 1] += 1
+    return tuple(map(tuple, rows))
+
+
+def patch_golden(monkeypatch, index: int, **change) -> None:
+    """Make ``paper-examples`` read reference code ``index`` (0-based) changed by ``change``."""
+    codes = list(GOLDEN_CODES)
+    codes[index] = dataclasses.replace(codes[index], **change)
+    monkeypatch.setattr(sys.modules["tgrs.cli"], "GOLDEN_CODES", codes)
+
+
 def search_template(gc) -> dict:
     """A reference code's recipe parameters with the twist vector left free."""
     obj = {"class": gc.klass, "k": gc.k, **recipe_params(gc)}
@@ -85,12 +99,12 @@ def search_template(gc) -> dict:
 
 @pytest.fixture
 def recipe1_params_file(tmp_path):
-    return write_json(tmp_path / "params.json", recipe_params(GOLDEN_CODES[1]))
+    return write_json(tmp_path / "params1.json", recipe_params(GOLDEN_CODES[1]))
 
 
 @pytest.fixture
 def recipe2_params_file(tmp_path):
-    return write_json(tmp_path / "params.json", recipe_params(GOLDEN_CODES[3]))
+    return write_json(tmp_path / "params2.json", recipe_params(GOLDEN_CODES[3]))
 
 
 class TestCheck:
@@ -244,6 +258,20 @@ class TestConstruct:
         assert main([command, "--input", write_json(tmp_path / "bad.json", obj)]) == 2
         assert f"'{name}' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,name", [("construct1", "m_gap"), ("construct2", "k")])
+    def test_null_optional_reads_as_absent(self, tmp_path, capsys, recipe1_params_file,
+                                           recipe2_params_file, command, name):
+        path = recipe1_params_file if command == "construct1" else recipe2_params_file
+        obj = json.loads(Path(path).read_text())
+        obj.pop(name, None)
+        assert main([command, "--input", write_json(tmp_path / "absent.json", obj),
+                     "--output", "json"]) == 0
+        absent = capsys.readouterr().out
+        obj[name] = None
+        assert main([command, "--input", write_json(tmp_path / "null.json", obj),
+                     "--output", "json"]) == 0
+        assert capsys.readouterr().out == absent
+
     def test_bad_params_exit_2(self, tmp_path, capsys):
         obj = {"q": 31, "n": 7, "k": 2, "h": 1, "l": 0, "lambda": 1, "eta": [1],
                "v_head": [2], "v_tail_signs": [1] * 6}
@@ -333,28 +361,23 @@ class TestPaperExamples:
         assert blob["all_pass"] is True
         assert [r["r"] for r in blob["results"]] == [14, 3, 15, 7]
 
-    def test_corrupt_mode_reports_coordinates(self, capsys):
-        assert main(["paper-examples", "--corrupt", "3,2,5"]) == 1
-        captured = capsys.readouterr()
-        assert "example 3" in captured.err
-        assert "row 2" in captured.err and "col 5" in captured.err
-
-    def test_corrupt_json_carries_mismatch(self, capsys):
-        assert main(["paper-examples", "--corrupt", "1,1,1", "--output", "json"]) == 1
+    def test_generator_mismatch_in_json(self, capsys, monkeypatch):
+        patch_golden(monkeypatch, 0, expected_generator=bumped_generator(GOLDEN_CODES[0], 1, 1))
+        assert main(["paper-examples", "--output", "json"]) == 1
         blob = json.loads(capsys.readouterr().out)
-        bad = blob["results"][0]
-        assert bad["pass"] is False
-        assert bad["mismatch"]["row"] == 1 and bad["mismatch"]["col"] == 1
+        assert blob["all_pass"] is False
+        assert [r["pass"] for r in blob["results"]] == [False, True, True, True]
+        assert blob["results"][0]["mismatch"] == {"row": 1, "col": 1, "got": 18, "want": 19}
 
     @pytest.mark.parametrize("index,change,message", [
         (0, {"expected_r": 15}, "example 1 r coefficient: got 14, want 15"),
         (1, {"expected_distance": 8}, "example 2 classification verdict mismatch"),
         (3, {"expect_mds": False}, "example 4 classification verdict mismatch"),
+        (2, {"expected_generator": bumped_generator(GOLDEN_CODES[2], 2, 5)},
+         "example 3 generator mismatch at row 2 col 5: got 5, want 6"),
     ])
     def test_expectation_mismatch_named(self, capsys, monkeypatch, index, change, message):
-        codes = list(GOLDEN_CODES)
-        codes[index] = dataclasses.replace(codes[index], **change)
-        monkeypatch.setattr(sys.modules["tgrs.cli"], "GOLDEN_CODES", codes)
+        patch_golden(monkeypatch, index, **change)
         assert main(["paper-examples"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"first failure: {message}\n"
@@ -365,13 +388,6 @@ class TestPaperExamples:
         assert main(["paper-examples"]) == 0
         assert capsys.readouterr().out.count("PASS") == 4
         assert calls["generator_matrix"] == 4
-
-    def test_bad_corrupt_format_exits_2(self, capsys):
-        assert main(["paper-examples", "--corrupt", "xyz"]) == 2
-
-    def test_out_of_range_corrupt_exits_2(self, capsys):
-        assert main(["paper-examples", "--corrupt", "9,1,1"]) == 2
-        assert main(["paper-examples", "--corrupt", "2,5,1"]) == 2
 
 
 BAD_VALUES = (None, 0, -1, 5, "x", [], [1], {}, True, 2.5)

@@ -5,7 +5,8 @@ code, stdout and stderr, so a change to any byte any subcommand prints, in
 either output format, fails here by name.  The runs cover ``check`` (with
 the distance search), ``build`` and the recipe of each reference code, the
 exhaustive twist search on the benchmark's two templates plus one seeded
-random draw, and ``paper-examples`` with and without a corrupted entry.
+random draw, and ``paper-examples`` as shipped and with one expected
+generator entry raised by 1 in a patched reference code (``BUMPED``).
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import json
 
 import pytest
 
-from test_cli import recipe_params, search_template
+from test_cli import bumped_generator, patch_golden, recipe_params, search_template
 from tgrs import tgrs_spec_to_json
 from tgrs.cli import main
 from tgrs.golden import GOLDEN_CODES
@@ -56,10 +57,13 @@ RUNS = {
     **search_runs(),
     "paper-examples-json": (["paper-examples", "--output", "json"], None),
     "paper-examples-text": (["paper-examples"], None),
-    "paper-examples-corrupt-3-2-5": (["paper-examples", "--corrupt", "3,2,5"], None),
-    "paper-examples-corrupt-1-1-1-json": (
-        ["paper-examples", "--corrupt", "1,1,1", "--output", "json"], None),
+    "paper-examples-corrupt-3-2-5": (["paper-examples"], None),
+    "paper-examples-corrupt-1-1-1-json": (["paper-examples", "--output", "json"], None),
 }
+
+# run id -> (example, row, col), 1-based: the expected generator entry raised by 1
+BUMPED = {"paper-examples-corrupt-3-2-5": (3, 2, 5),
+          "paper-examples-corrupt-1-1-1-json": (1, 1, 1)}
 
 PINNED = {
     "check-1-json": "f8a053faafd2cf95",
@@ -99,8 +103,12 @@ PINNED = {
 }
 
 
-def run_digest(tmp_path, capsys, run_id: str) -> str:
+def run_digest(tmp_path, capsys, monkeypatch, run_id: str) -> str:
     argv, obj = RUNS[run_id]
+    if run_id in BUMPED:
+        pos, row, col = BUMPED[run_id]
+        patch_golden(monkeypatch, pos - 1,
+                     expected_generator=bumped_generator(GOLDEN_CODES[pos - 1], row, col))
     if obj is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj))
@@ -117,5 +125,5 @@ def test_every_run_is_pinned():
 
 
 @pytest.mark.parametrize("run_id", list(RUNS))
-def test_output_digest(tmp_path, capsys, run_id):
-    assert run_digest(tmp_path, capsys, run_id) == PINNED[run_id]
+def test_output_digest(tmp_path, capsys, monkeypatch, run_id):
+    assert run_digest(tmp_path, capsys, monkeypatch, run_id) == PINNED[run_id]

@@ -1,12 +1,15 @@
 """Generator/parity-check construction and the evaluation encoder."""
 
+import dataclasses
+import json
 import random
+import re
 
 import pytest
 
 import tgrs.codes
-from tgrs import (MatGF, SymContext, TgrsSpec, ValidationError, encode, generator_matrix,
-                  null_space, parity_check_matrix, rank,
+from tgrs import (MatGF, PhiWorkspace, SymContext, TgrsSpec, ValidationError, encode,
+                  generator_matrix, null_space, parity_check_matrix, rank,
                   tgrs_spec_from_json, tgrs_spec_to_json)
 from tgrs.golden import GOLDEN_CODES
 
@@ -270,11 +273,34 @@ class TestExtensionField:
         assert tgrs_spec_from_json(obj) == spec
 
 
+def spec_read(**change):
+    return tgrs_spec_from_json({**tgrs_spec_to_json(GOLDEN_CODES[1].spec()), **change})
+
+
+def phi_workspace(**change) -> PhiWorkspace:
+    spec = GOLDEN_CODES[1].spec()
+    return PhiWorkspace(**{"alpha": spec.alpha, "k": spec.k, "h": spec.h, "l": spec.l, **change})
+
+
+# constructor -> (its integer parameters, a build of a reference code with some changed)
+INT_BUILDERS = {
+    "TgrsSpec": (("n", "k", "l", "h"),
+                 lambda **change: dataclasses.replace(GOLDEN_CODES[1].spec(), **change)),
+    "Class1Params": (("n", "h", "l", "k"),
+                     lambda **change: dataclasses.replace(GOLDEN_CODES[1].params(), **change)),
+    "Class2Params": (("n", "h", "l", "k", "m_gap"),
+                     lambda **change: dataclasses.replace(GOLDEN_CODES[3].params(), **change)),
+    "PhiWorkspace": (("k", "h", "l"), phi_workspace),
+}
+
+
 class TestJson:
     def test_spec_round_trip(self):
-        spec = GOLDEN_CODES[2].spec()
-        again = tgrs_spec_from_json(tgrs_spec_to_json(spec))
-        assert again == spec
+        # every reference spec and random draw, through JSON text and back
+        rng = random.Random(34)
+        specs = [gc.spec() for gc in GOLDEN_CODES] + [random_spec(rng) for _ in range(200)]
+        for spec in specs:
+            assert tgrs_spec_from_json(json.loads(json.dumps(tgrs_spec_to_json(spec)))) == spec
 
     def test_signed_entries_normalized_on_parse(self, gf31):
         obj = tgrs_spec_to_json(GOLDEN_CODES[3].spec())
@@ -291,9 +317,17 @@ class TestJson:
         with pytest.raises(ValidationError, match="missing"):
             tgrs_spec_from_json({"n": 5})
 
-    @pytest.mark.parametrize("name,value", [("l", True), ("k", 3.0), ("n", None)])
-    def test_integer_fields_strict(self, name, value):
-        obj = tgrs_spec_to_json(GOLDEN_CODES[1].spec())
-        obj[name] = value
-        with pytest.raises(ValidationError, match=f"'{name}' must be an integer"):
-            tgrs_spec_from_json(obj)
+    @pytest.mark.parametrize("build,name,value", [
+        pytest.param(spec_read, "l", True, id="l-True"),
+        pytest.param(spec_read, "k", 3.0, id="k-3.0"),
+        pytest.param(spec_read, "n", None, id="n-None"),
+        *[pytest.param(build, name, value, id=f"{cls}-{name}-{value}")
+          for cls, (names, build) in INT_BUILDERS.items()
+          for name in names for value in (True, 3.0)],
+    ])
+    def test_integer_fields_strict(self, build, name, value):
+        """The spec reader and every constructor refuse a bool or a float."""
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"field '{name}' must be an integer, got {value!r}")):
+            build(**{name: value})
+

@@ -16,8 +16,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import tgrs
-
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SELFTEST = PERFBENCH / "selftest.py"
 
@@ -55,11 +53,3 @@ def test_mixed_workload_passes_its_gates(tmp_path, monkeypatch):
     assert workloads.MIXED_DIGEST == "5e76fd0c57ce1c89"
     assert (result.batch_checks, result.batch_failures) == (1, [])
 
-
-def test_mixed_reports_round_trip(monkeypatch):
-    # every report of the seed-1 batch is one report_from_json accepts
-    workloads = load_workloads(monkeypatch)
-    fields = {name: tgrs.Field(*args) for name, args in workloads.MIXED_FIELDS.items()}
-    for obj in workloads.mixed_specs(fields, 1):
-        report = tgrs.classify(tgrs.tgrs_spec_from_json(obj), want_distance=True)
-        assert tgrs.report_from_json(tgrs.report_to_json(report)) == report

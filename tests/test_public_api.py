@@ -30,8 +30,7 @@ def test_public_surface_is_pinned():
         "field_from_json", "field_to_json", "generator_matrix", "hull_dimension",
         "is_amds", "is_mds_minors", "is_mds_phi", "min_distance", "null_space",
         "parity_check_matrix", "quadratic_twist_sum", "r_coefficient", "rank",
-        "report_from_json", "report_to_json", "search_eta", "tgrs_spec_from_json",
-        "tgrs_spec_to_json",
+        "report_to_json", "search_eta", "tgrs_spec_from_json", "tgrs_spec_to_json",
     ]
 
 

@@ -8,9 +8,10 @@ The criterion reads rows from PhiWorkspace, one lazily filled table per
 point set and (k, h, l), which the MDS and AMDS verdicts and the twist
 search share.  It holds at most CRITERION_ROW_BUDGET rows, each the
 ``symm.criterion_row`` of its subset, and carries the product and the
-complete symmetric series of every prefix of the last subset it was
-asked for, so that a row read in lexicographic order costs a few steps
-from its neighbour's prefix; the parity check builds its own context.
+complete symmetric series of every prefix of the last subset asked for,
+each one ``poly.linear_step`` and one ``symm.series_step`` from its parent,
+so a row read in lexicographic order costs a few steps from its
+neighbour's prefix; the parity check builds its own context.
 For a singular k-subset I, the (k+1)-superset I + (j,) is deficient
 exactly when alpha_j is a root of P_I, a polynomial of degree at most l
 read off the series of I, so the AMDS scan reads P_I alone; it needs no
@@ -47,11 +48,12 @@ from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .codes import TgrsSpec, check_int_fields, generator_matrix, parity_check_matrix
+from .codes import TgrsSpec, check_shape, generator_matrix, parity_check_matrix
 from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, _is_int
 from .linalg import MatGF, null_space, rank
-from .symm import distinct_points, tail_sums
+from .poly import linear_step
+from .symm import distinct_points, series_step, tail_sums
 
 # Nodes any one walk may visit: either distance walk, or the column walk of the
 # minors route (C(n, k-1) nodes on an MDS k x n generator, 1,540 at [22,20]).
@@ -90,14 +92,9 @@ class PhiWorkspace:
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
-        check_int_fields({"k": k, "h": h, "l": l}, ("k", "h", "l"))
         pts = distinct_points(alpha)
         n = len(pts)
-        if not 1 <= h <= k - 1:
-            raise ValidationError(f"hook must satisfy 1 <= h <= k-1, got h={h}, k={k}")
-        if not 0 <= l <= n - k - 1:
-            raise ValidationError(
-                f"twist degree must satisfy 0 <= l <= n-k-1 = {n - k - 1}, got l={l}")
+        check_shape(n, k, l, h)
         self.field = pts[0].field
         self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
         self._rows: dict[tuple[int, ...], tuple] = {}
@@ -138,9 +135,9 @@ class PhiWorkspace:
         """The window c_(k-h)..c_(k-h+min(h,l)) of g_I, and h_0..h_l(I).
 
         The carried prefix is cut back to the part it shares with I and
-        extended one point a at a time to I[:-1], by c(P + a) = c(P)(x - a)
-        and h_t(P + a) = h_t(P) + a h_(t-1)(P + a); the last point then gives
-        only the window and the series, which are all a row reads.  In
+        extended one point at a time to I[:-1] by ``linear_step`` and
+        ``series_step``; the last point then gives only the window and the
+        series, which are all a row reads.  In
         lexicographic order that is O(l min(h, l)) per subset.
         """
         f, path, products, series = self.field, self._path, self._products, self._series
@@ -151,23 +148,15 @@ class PhiWorkspace:
         del path[keep:], products[keep + 1:], series[keep + 1:]
         for i in subset[keep:-1]:
             a = self.alpha[i].rep
-            m, c = neg(a), products[-1]
-            products.append([add(x, mul(m, y)) for x, y in zip(c + [0], [0] + c)])
-            series.append(self._step(a, series[-1]))
+            products.append(linear_step(f, products[-1], a))
+            series.append(series_step(f, series[-1], a))
             path.append(i)
         a = self.alpha[subset[-1]].rep
         m, c = neg(a), products[-1] + [0]
         lo = self.k - self.h
+        # the window of linear_step's product, and only the window
         window = [add(c[j], mul(m, c[j - 1])) for j in range(lo, lo + min(self.h, self.l) + 1)]
-        return window, self._step(a, series[-1])
-
-    def _step(self, a: int, series: list[int]) -> list[int]:
-        """h_0..h_l of P + a from those of P."""
-        add, mul = self.field._add, self.field._mul
-        out = [1]
-        for s in series[1:]:
-            out.append(add(s, mul(a, out[-1])))
-        return out
+        return window, series_step(f, series[-1], a)
 
     def _singular(self, eta: tuple, subset: tuple[int, ...]) -> bool:
         """Whether the subset's columns are dependent, for eta given as reps."""

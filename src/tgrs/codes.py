@@ -12,17 +12,31 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json, field_to_json
+from .gf import (Field, FieldElement, check_int_fields, element_to_json, field_from_json,
+                 field_to_json)
 from .linalg import MatGF
 from .symm import SymContext, distinct_points
+
+
+def check_shape(n: int, k: int, l: int, h: int) -> None:
+    """The shape rule of the family: exact ints, then 2 <= k <= n,
+    0 <= l <= n-k-1 and 1 <= h <= k-1, checked in that order."""
+    check_int_fields({"n": n, "k": k, "l": l, "h": h}, ("n", "k", "l", "h"))
+    if not 2 <= k <= n:
+        raise ValidationError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if not 0 <= l <= n - k - 1:
+        raise ValidationError(
+            f"twist degree bound violated: need 0 <= l <= n-k-1 = {n - k - 1}, got l={l}")
+    if not 1 <= h <= k - 1:
+        raise ValidationError(f"hook must satisfy 1 <= h <= k-1 = {k - 1}, got h={h}")
 
 
 @dataclass(frozen=True)
 class TgrsSpec:
     """Parameters of a single-hook twisted GRS code.
 
-    Constraints: n, k, l and h exact ints, 2 <= k <= n, 0 <= l <= n-k-1,
-    1 <= h <= k-1, alpha pairwise distinct, v nonzero, eta of length l+1.
+    Constraints: n, k, l and h by ``check_shape``, alpha pairwise distinct,
+    v nonzero, eta of length l+1.
     The hook h = 0 is excluded from this family.
     """
 
@@ -36,19 +50,12 @@ class TgrsSpec:
     eta: tuple[FieldElement, ...]
 
     def __post_init__(self):
-        check_int_fields(vars(self), ("n", "k", "l", "h"))
+        n, k, l, h = self.n, self.k, self.l, self.h
+        check_shape(n, k, l, h)
         f = self.field
         object.__setattr__(self, "alpha", tuple(f.element(a) for a in self.alpha))
         object.__setattr__(self, "v", tuple(f.element(x) for x in self.v))
         object.__setattr__(self, "eta", tuple(f.element(e) for e in self.eta))
-        n, k, l, h = self.n, self.k, self.l, self.h
-        if not 2 <= k <= n:
-            raise ValidationError(f"need 2 <= k <= n, got k={k}, n={n}")
-        if not 0 <= l <= n - k - 1:
-            raise ValidationError(
-                f"twist degree bound violated: need 0 <= l <= n-k-1 = {n - k - 1}, got l={l}")
-        if not 1 <= h <= k - 1:
-            raise ValidationError(f"hook must satisfy 1 <= h <= k-1 = {k - 1}, got h={h}")
         if n > f.q:
             raise ValidationError(f"cannot place {n} distinct points in GF({f.q})")
         if len(self.alpha) != n:
@@ -138,20 +145,6 @@ def tgrs_spec_to_json(spec: TgrsSpec) -> dict:
         "v": [element_to_json(x) for x in spec.v],
         "eta": [element_to_json(e) for e in spec.eta],
     }
-
-
-def check_int_fields(obj: dict, names: Sequence[str], optional: Sequence[str] = ()) -> None:
-    """Every named field present must be an exact int (no bool, no float).
-
-    ``obj`` is a JSON object or a constructor's own fields.  A missing field
-    is left to the reader's own message; an ``optional`` field may also be
-    null, which reads as absent.
-    """
-    for name in (*names, *optional):
-        if name in obj and not _is_int(obj[name]):
-            if obj[name] is None and name in optional:
-                continue
-            raise ValidationError(f"field '{name}' must be an integer, got {obj[name]!r}")
 
 
 def element_list(field: Field, obj: dict, name: str) -> tuple[FieldElement, ...]:

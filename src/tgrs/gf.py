@@ -54,6 +54,20 @@ def _is_int(x) -> bool:
     return type(x) is int  # bool is an int subclass and never a field value
 
 
+def check_int_fields(obj: dict, names: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """Every named field present must be an exact int (no bool, no float).
+
+    ``obj`` is a JSON object or a call's own arguments.  A missing field
+    is left to the reader's own message; an ``optional`` field may also be
+    null, which reads as absent.
+    """
+    for name in (*names, *optional):
+        if name in obj and not _is_int(obj[name]):
+            if obj[name] is None and name in optional:
+                continue
+            raise ValidationError(f"field '{name}' must be an integer, got {obj[name]!r}")
+
+
 class Field:
     """The finite field GF(p^m), acting as element factory and spec.
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .classify import CodeReport, PhiWorkspace, classify, report_to_json
-from .codes import TgrsSpec, check_int_fields, element_list, tgrs_spec_to_json
+from .codes import TgrsSpec, element_list, tgrs_spec_to_json
 from .errors import ValidationError, VerificationError
-from .gf import Field, FieldElement, _is_int, element_to_json, field_from_json
+from .gf import Field, FieldElement, _is_int, check_int_fields, element_to_json, field_from_json
 from .symm import SymContext, criterion_row, distinct_points
 
 
@@ -44,6 +44,7 @@ def r_coefficient(k: int, h: int, eta: Sequence[FieldElement],
     g vanishes on the k-1 head points, so x^(h-1) mod g = x^(h-1) and r =
     1 - sum_t eta_t d_t, d their criterion row with hook h-1; zero eta gives 1.
     """
+    check_int_fields({"k": k, "h": h}, ("k", "h"))
     head = tuple(alpha_head)
     if len(head) != k - 1 or k < 2:
         raise ValidationError(f"need k-1 = {k - 1} head points, got {len(head)}")
@@ -228,9 +229,10 @@ def _base_record(p: _RecipeParams) -> list[HypothesisCheck]:
     ]
 
 
-def _expect(params, cls: type) -> None:
-    if not isinstance(params, cls):
-        raise ValidationError(f"this recipe takes {cls.__name__}, got {type(params).__name__}")
+def _expect(params, *classes: type) -> None:
+    if not isinstance(params, classes):
+        names = " or ".join(cls.__name__ for cls in classes)
+        raise ValidationError(f"this recipe takes {names}, got {type(params).__name__}")
 
 
 def _build(p: _RecipeParams, *gates: HypothesisCheck) -> BuildResult:
@@ -258,6 +260,7 @@ def _quadratic_rep(field: Field, eta: Sequence, m_gap: int):
 
 def quadratic_twist_sum(eta: Sequence[FieldElement], m_gap: int) -> FieldElement:
     """sum over t = m..l of eta_t eta_{l+m-t}."""
+    check_int_fields({"m_gap": m_gap}, ("m_gap",))
     eta = list(eta)
     l = len(eta) - 1
     if not 0 <= m_gap <= l:
@@ -316,6 +319,7 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     hit whose recipe build is inapplicable, so that the search's gates and
     the recipe's record disagree, raises VerificationError.
     """
+    _expect(template, Class1Params, Class2Params)
     if not _is_int(budget) or budget <= 0:
         raise ValidationError(f"search budget must be a positive integer, got {budget!r}")
     if not _is_int(seed):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .gf import Field, FieldElement, rep_to_json
+from .gf import Field, FieldElement, check_int_fields, rep_to_json
 
 
 class MatGF:
@@ -53,6 +53,11 @@ class MatGF:
     @classmethod
     def vandermonde(cls, points: Sequence[FieldElement], nrows: int) -> "MatGF":
         """Row j holds the j-th powers of the points, j = 0..nrows-1."""
+        check_int_fields({"nrows": nrows}, ("nrows",))
+        if not points:
+            raise ValidationError("need at least one point")
+        if nrows < 0:
+            raise ValidationError(f"row count must be nonnegative, got nrows={nrows}")
         field = points[0].field
         pts = [field.element(p).rep for p in points]
         rows = []

@@ -1,9 +1,10 @@
-"""Products of linear factors over a finite field.
+"""Products of linear factors over a finite field, on reps.
 
-``root_product`` multiplies out prod (x - r) on reps for
-``symm.complete_series``, and so for the r gate.  ``Poly.from_roots`` wraps
-it for the point-set context and hands back the coefficients as
-``FieldElement`` values.
+``linear_step`` multiplies a product by one factor x - a.  ``root_product``
+folds it over a root set for ``symm.criterion_row``, and so for the r gate;
+``classify.PhiWorkspace`` extends its carried prefixes by it.
+``Poly.from_roots`` wraps ``root_product`` for the point-set context and
+hands back the coefficients as ``FieldElement`` values.
 """
 
 from __future__ import annotations
@@ -13,15 +14,19 @@ from typing import Sequence
 from .gf import Field, FieldElement
 
 
+def linear_step(field: Field, c: list[int], a: int) -> list[int]:
+    """Reps of c(x) (x - a), for reps c and a; coefficients leading first."""
+    add, mul, m = field._add, field._mul, field._neg(a)
+    # x c - a c: coefficient j gains c_j and -a c_(j-1)
+    return [add(x, mul(m, y)) for x, y in zip(c + [0], [0] + c)]
+
+
 def root_product(field: Field, roots: Sequence[int]) -> list[int]:
     """Reps of prod (x - r) over the root reps, low degree first; monic."""
-    add, mul = field._add, field._mul
-    out = [1]
+    c = [1]
     for r in roots:
-        m = field._neg(r)
-        # x * out - r * out: coefficient i gains out[i-1] and -r out[i]
-        out = [add(a, mul(m, b)) for a, b in zip([0] + out, out + [0])]
-    return out
+        c = linear_step(field, c, r)
+    return c[::-1]
 
 
 class Poly:

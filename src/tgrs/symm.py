@@ -1,20 +1,18 @@
 """Symmetric-function values over a fixed tuple of distinct evaluation points.
 
-Everything is read off one product polynomial P(x) = prod_i (x - x_i): the
-complete symmetric values S_t are the power series of 1 / prod_i (1 - x_i z),
-whose denominator is P with its coefficients reversed; the leave-one-out
-quotients q_i = P / (x - x_i) give the elementary symmetric values
-sigma_r(i), the Lagrange dual coefficients u_i = 1 / q_i(x_i) and the hook
-weights w-tilde; the twist tail sums Psi_s combine S_t with a twist vector.
-All of it runs on reps from the context's one ``Poly.from_roots``, with
-FieldElements only in the public getters; ``parity_check_matrix`` reads u,
-w-tilde and Psi as reps through the code those getters wrap.
-``complete_series`` takes the same product and series on reps for any
-root set, with no ``Poly``.  ``criterion_row`` reads one twist-criterion
-row off it from scratch: the LCD recipes' r gate, the row of the k-1 head
-points with hook h-1, and the tests' oracle for the classifier's rows,
-which ``classify.PhiWorkspace`` builds by the same formula from a carried
-prefix and reads P_I from with ``tail_sums``.
+One product P(x) = prod_i (x - x_i) gives the leave-one-out quotients
+q_i = P / (x - x_i), and they the elementary symmetric values sigma_r(i),
+the Lagrange dual coefficients u_i = 1 / q_i(x_i) and the hook weights
+w-tilde.  The complete symmetric values S_t, the series of
+1 / prod_i (1 - x_i z), grow one point at a time by ``series_step``,
+h_t(P + a) = h_t(P) + a h_(t-1)(P + a) (Macdonald, Symmetric Functions and
+Hall Polynomials, I.2), which ``complete_series`` folds over a root set and
+``classify.PhiWorkspace`` applies to its carried prefix; the tail sums
+Psi_s combine S_t with a twist vector.  ``SymContext`` keeps these on reps
+for one point set, with FieldElements only in its public getters.
+``criterion_row`` reads one twist-criterion row of a root set from scratch:
+the r gate (the k-1 head points, hook h-1) and the tests' oracle for the
+table's rows.
 
 Convention: S_0 = 1 and S_t = 0 for t < 0, matching the generating function
 prod_i 1/(1 - x_i z).  All positions are 0-based.
@@ -25,7 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ValidationError, VerificationError
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, check_int_fields
 from .poly import Poly, root_product
 
 
@@ -45,25 +43,22 @@ def distinct_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     return pts
 
 
-def series_inverse(field: Field, c: Sequence[int], length: int) -> list[int]:
-    """Reps e_0..e_{length-1} of the power series 1 / sum_j c_j z^j, for reps c with c_0 = 1."""
-    e = [c[0]]
-    for _ in range(1, length):
-        # e_j = -sum_{i >= 1} c_i e_{j-i}: the tail against e read backwards
-        e.append(field._neg(field._dot(c[1:], e[::-1])))
-    return e[:length]
+def series_step(field: Field, series: Sequence[int], a: int) -> list[int]:
+    """Reps h_0..h_(m-1) of the root set P + a from those of P, for the rep a."""
+    add, mul = field._add, field._mul
+    out = [1]
+    for s in series[1:]:
+        out.append(add(s, mul(a, out[-1])))  # h_t(P) + a h_(t-1)(P + a)
+    return out
 
 
-def complete_series(field: Field, roots: Sequence[int], length: int
-                    ) -> tuple[list[int], list[int]]:
-    """Reps c of g(x) = prod (x - root) = sum_j c_j x^(k-j), and h_0..h_{length-1}.
-
-    c runs from the leading coefficient c_0 = 1 down, k = len(roots); h is
-    the power series 1 / sum_j c_j z^j, whose terms are the complete
-    symmetric values of the roots.
-    """
-    c = root_product(field, roots)[::-1]
-    return c, series_inverse(field, c, length)
+def complete_series(field: Field, roots: Sequence[int], length: int) -> list[int]:
+    """Reps h_0..h_(length-1) of the root reps, for length >= 1: the power
+    series 1 / prod (1 - root z), whose terms are their complete symmetric values."""
+    series = [1] + [0] * (length - 1)
+    for r in roots:
+        series = series_step(field, series, r)
+    return series
 
 
 def tail_sums(field: Field, eta: Sequence[int], series: Sequence[int]) -> list[int]:
@@ -75,7 +70,8 @@ def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tu
     """Reps d_0..d_{length-1} of the twist criterion of the root reps with hook h.
 
     Write g(x) = prod (x - root) = sum_j c_j x^(k-j), k = len(roots), so
-    c_0 = 1, and let e_0, e_1, .. be the power-series inverse of sum_j c_j z^j:
+    c_0 = 1, and let e_0, e_1, .. be the complete symmetric values of the
+    roots, the power-series inverse of sum_j c_j z^j:
 
         d_t = sum_{i <= min(t, h)} e_{t-i} c_{k-h+i} = -[x^h] (x^(k+t) mod g),
 
@@ -83,8 +79,8 @@ def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tu
     matrix of (c_0..c_t) and c_t^(h) the window (c_{k-h}, .., c_{k-h+t}),
     entries beyond c_k read as zero.
     """
-    c, e = complete_series(field, roots, length)
-    window = c[len(roots) - h:]
+    window = root_product(field, roots)[h::-1]  # c_(k-h)..c_k, leading first
+    e = complete_series(field, roots, length)
     return tuple(field._dot(e[t::-1], window) for t in range(length))  # e read back from t
 
 
@@ -102,7 +98,6 @@ class SymContext:
         self.points = pts
         self.n = len(pts)
         product = [c.rep for c in Poly.from_roots(field, pts).coeffs]
-        self._reversed = product[::-1]  # c_j of prod_i (1 - x_i z)
         self._s: list[int] = []
         add, mul = field._add, field._mul
         self._q, self._u = [], []  # reps of q_i (low degree first) and of u_i
@@ -121,7 +116,7 @@ class SymContext:
 
     def _series(self, length: int) -> list[int]:
         if len(self._s) < length:
-            self._s = series_inverse(self.field, self._reversed, length)
+            self._s = complete_series(self.field, [p.rep for p in self.points], length)
         return self._s
 
     def _hook_reps(self, h: int) -> list[int]:
@@ -136,6 +131,7 @@ class SymContext:
 
     def complete_symmetric(self, t: int) -> FieldElement:
         """S_t of all points; zero for t < 0, one for t = 0."""
+        check_int_fields({"t": t}, ("t",))
         return FieldElement(self.field, 0 if t < 0 else self._series(t + 1)[t])
 
     def dual_coeffs(self) -> tuple[FieldElement, ...]:
@@ -148,6 +144,7 @@ class SymContext:
         Read off the coefficients of q_i = prod_{j != i} (x - points_j): the
         x^(n-1-r) coefficient equals (-1)^r sigma_r(i).
         """
+        check_int_fields({"r": r, "i": i}, ("r", "i"))
         if not 0 <= i < self.n:
             raise ValidationError(f"point index {i} out of range 0..{self.n - 1}")
         if not 0 <= r <= self.n - 1:
@@ -163,6 +160,7 @@ class SymContext:
         The two signs cancel, (n+h+1) + (n-1-h) = 2n, so w_tilde_i is the
         x^h coefficient of q_i.
         """
+        check_int_fields({"h": h}, ("h",))
         if not 0 <= h <= self.n - 1:
             raise ValidationError(f"unit index {h} out of range 0..{self.n - 1}")
         f = self.field

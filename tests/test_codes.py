@@ -9,8 +9,8 @@ import pytest
 
 import tgrs.codes
 from tgrs import (MatGF, PhiWorkspace, SymContext, TgrsSpec, ValidationError, encode,
-                  generator_matrix, null_space, parity_check_matrix, rank,
-                  tgrs_spec_from_json, tgrs_spec_to_json)
+                  generator_matrix, null_space, parity_check_matrix, quadratic_twist_sum,
+                  r_coefficient, rank, tgrs_spec_from_json, tgrs_spec_to_json)
 from tgrs.golden import GOLDEN_CODES
 
 from conftest import GF9, GF16, get_field, random_spec, same_row_space
@@ -282,7 +282,12 @@ def phi_workspace(**change) -> PhiWorkspace:
     return PhiWorkspace(**{"alpha": spec.alpha, "k": spec.k, "h": spec.h, "l": spec.l, **change})
 
 
-# constructor -> (its integer parameters, a build of a reference code with some changed)
+def reference_points():
+    return GOLDEN_CODES[1].spec().alpha
+
+
+# constructor or call -> (its integer parameters, a build of a reference code or
+# a call on its points with some changed); [10,3,8]'s eta has length 3
 INT_BUILDERS = {
     "TgrsSpec": (("n", "k", "l", "h"),
                  lambda **change: dataclasses.replace(GOLDEN_CODES[1].spec(), **change)),
@@ -291,6 +296,18 @@ INT_BUILDERS = {
     "Class2Params": (("n", "h", "l", "k", "m_gap"),
                      lambda **change: dataclasses.replace(GOLDEN_CODES[3].params(), **change)),
     "PhiWorkspace": (("k", "h", "l"), phi_workspace),
+    "r_coefficient": (("k", "h"), lambda **change: r_coefficient(
+        **{"k": 3, "h": 1, "eta": GOLDEN_CODES[1].spec().eta,
+           "alpha_head": reference_points()[:2], **change})),
+    "quadratic_twist_sum": (("m_gap",), lambda **change: quadratic_twist_sum(
+        **{"eta": GOLDEN_CODES[3].spec().eta, "m_gap": 1, **change})),
+    "vandermonde": (("nrows",), lambda **change: MatGF.vandermonde(reference_points(), **change)),
+    "sigma_excluding": (("r", "i"), lambda **change: SymContext(
+        reference_points()).sigma_excluding(**{"r": 0, "i": 0, **change})),
+    "hook_weights": (("h",), lambda **change: SymContext(
+        reference_points()).hook_weights(**change)),
+    "complete_symmetric": (("t",), lambda **change: SymContext(
+        reference_points()).complete_symmetric(**change)),
 }
 
 
@@ -321,12 +338,15 @@ class TestJson:
         pytest.param(spec_read, "l", True, id="l-True"),
         pytest.param(spec_read, "k", 3.0, id="k-3.0"),
         pytest.param(spec_read, "n", None, id="n-None"),
+        pytest.param(INT_BUILDERS["complete_symmetric"][1], "t", -1.5,
+                     id="complete_symmetric-t--1.5"),
         *[pytest.param(build, name, value, id=f"{cls}-{name}-{value}")
           for cls, (names, build) in INT_BUILDERS.items()
           for name in names for value in (True, 3.0)],
     ])
     def test_integer_fields_strict(self, build, name, value):
-        """The spec reader and every constructor refuse a bool or a float."""
+        """The spec reader, every constructor and every call with an integer
+        argument refuse a bool or a float."""
         with pytest.raises(ValidationError,
                            match=re.escape(f"field '{name}' must be an integer, got {value!r}")):
             build(**{name: value})

@@ -521,6 +521,14 @@ class TestSearch:
             ok, _ = is_mds_minors(generator_matrix(spec))
             assert not ok
 
+    @pytest.mark.parametrize("budget", [10, 37**2])
+    def test_template_checked_before_any_candidate(self, budget):
+        # a spec is no template: refused before the first candidate, whether or
+        # not the budget reaches a hit
+        with pytest.raises(ValidationError, match="^this recipe takes Class1Params or "
+                                                  "Class2Params, got TgrsSpec$"):
+            search_eta(GOLDEN_CODES[1].spec(), budget)
+
     def test_budget_positive(self, gf7):
         with pytest.raises(ValidationError, match="budget"):
             search_eta(toy_template(gf7), budget=0)

@@ -121,6 +121,14 @@ class TestMatrixBasics:
         with pytest.raises(ValidationError):
             MatGF(gf7, [[1, 2], [3]])
 
+    @pytest.mark.parametrize("points,nrows,message", [
+        ([1, 2], -1, "^row count must be nonnegative, got nrows=-1$"),
+        ([], 2, "^need at least one point$"),
+    ], ids=["negative-rows", "no-points"])
+    def test_vandermonde_shape_checked(self, gf7, points, nrows, message):
+        with pytest.raises(ValidationError, match=message):
+            MatGF.vandermonde([gf7.element(a) for a in points], nrows)
+
     def test_matmul_shape_mismatch(self, gf7):
         A = MatGF(gf7, [[1, 2]])
         with pytest.raises(ValidationError):

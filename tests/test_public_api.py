@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves and every demo runs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,6 +33,23 @@ def test_public_surface_is_pinned():
         "parity_check_matrix", "quadratic_twist_sum", "r_coefficient", "rank",
         "report_to_json", "search_eta", "tgrs_spec_from_json", "tgrs_spec_to_json",
     ]
+
+
+def test_package_imports_only_the_standard_library():
+    # every absolute import of every module names a standard-library module;
+    # relative imports stay inside the package
+    outside = []
+    for path in sorted((ROOT / "src" / "tgrs").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_five_demos_present():

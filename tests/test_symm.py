@@ -48,12 +48,12 @@ def random_points(f, rng, n):
 
 
 def check_monomial_enumeration(f, rng):
-    # the context's series and ``complete_series`` on reps, the one the
-    # criterion rows and the AMDS superset filter read
+    # the context's series and ``complete_series`` on reps, both folds of the
+    # ``series_step`` that the criterion rows and the AMDS superset filter read
     for n in range(1, 6):
         pts = random_points(f, rng, n)
         ctx = SymContext(pts)
-        _, hs = complete_series(f, [p.rep for p in pts], 5)
+        hs = complete_series(f, [p.rep for p in pts], 5)
         for t in range(5):
             assert ctx.complete_symmetric(t) == brute_complete_symmetric(pts, t)
             assert FieldElement(f, hs[t]) == brute_complete_symmetric(pts, t)

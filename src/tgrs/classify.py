@@ -6,7 +6,9 @@ agreement.  The minors route is the distance's column walk over G,
 stopped at its first dependent set of at most k columns; it reads G alone.
 The criterion reads rows from PhiWorkspace, one lazily filled table per
 point set and (k, h, l), which the MDS and AMDS verdicts and the twist
-search share.  It holds at most CRITERION_ROW_BUDGET rows, each the
+search share; the search reads each row once per prefix of its twist
+vectors and crosses out the last coordinate that makes the row singular.
+It holds at most CRITERION_ROW_BUDGET rows, each the
 ``symm.criterion_row`` of its subset, and carries the product and the
 complete symmetric series of every prefix of the last subset asked for,
 each one ``poly.linear_step`` and one ``symm.series_step`` from its parent,
@@ -87,8 +89,10 @@ class PhiWorkspace:
     witness, so tables stay partial.  A row past CRITERION_ROW_BUDGET
     raises ResourceLimitError.  Rows and the superset scan's P_I read the
     product c(I) and series h(I) off one carried prefix (``_carry``), which
-    a lexicographic walk mostly leaves in place.  The last walk's eta and
-    result are kept, so a search hit's classification reuses its gate's walk.
+    a lexicographic walk mostly leaves in place.  The twist search walks
+    it once per prefix eta_0..eta_(l-1) (``_survivors``), each row solved
+    for eta_l; a prefix with one value left takes the walk of a single eta,
+    whose eta and result are kept, so its hit's classification reuses it.
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
@@ -188,6 +192,37 @@ class PhiWorkspace:
             subsets = itertools.combinations(range(self.n), self.k)
             self._last = (eta, next((I for I in subsets if self._singular(eta, I)), None))
         return self._last[1]
+
+    def _survivors(self, prefix: tuple, live: set) -> list[int]:
+        """The x in ``live``, ascending, for which eta = prefix + (x,) has no
+        dependent k-subset; eta_0..eta_(l-1) given as reps.
+
+        A single x takes the walk of ``_first_singular``, whose result a
+        hit's classification reuses.  Otherwise each row d, read in
+        lexicographic order, crosses out the x with 1 - prefix.d[:l] = d_l x:
+        its one root, or every x when d_l and the left side are 0.  Once one
+        x is left, it reads the rest of the rows by the direct test, which
+        costs less than solving them.  So the walk reads the rows the walks
+        of the x would read together, and knows no one eta's first
+        dependent subset.
+        """
+        if len(live) < 2:
+            return [x for x in live if self._first_singular(prefix + (x,)) is None]
+        self._last = None
+        f, l = self.field, self.l
+        subsets = itertools.combinations(range(self.n), self.k)
+        for I in subsets:
+            row = self._rep_row(I)
+            roots = f._solve(f._sub(1, f._dot(prefix, row)), row[l])
+            if roots is None:
+                return []
+            live.difference_update(roots)
+            if len(live) == 1:
+                eta = prefix + tuple(live)
+                return [] if any(self._singular(eta, J) for J in subsets) else [eta[-1]]
+            if not live:
+                return []
+        return sorted(live)
 
 
 def _table_for(spec: TgrsSpec, workspace: Optional[PhiWorkspace]) -> PhiWorkspace:

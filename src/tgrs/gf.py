@@ -312,6 +312,13 @@ class Field:
             return pow(a, self.p - 2, self.p)  # Fermat
         return self._exp[self.q - 1 - self._log[a]]
 
+    def _solve(self, a, b) -> Optional[tuple]:
+        """The reps x with a = b x: (a / b,) when b != 0; otherwise None, for
+        every x, when a = 0 too, and () when a != 0."""
+        if b:
+            return (self._mul(a, self._inv(b)),)
+        return None if a == 0 else ()
+
     # -- group structure -------------------------------------------------------
 
     def _unit_group_factorization(self) -> dict[int, int]:

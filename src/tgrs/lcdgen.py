@@ -15,12 +15,17 @@ status independently.
 A recipe's parameters are also the template of the twist search, which
 varies eta alone: each hit is the template with its eta replaced, so it
 passes the same validation, which checks a given root arrangement by
-membership alone.  One parameter base, one build body and one JSON reader
-serve both recipes and, with the zero twist vector, the search templates.
+membership alone.  With eta_0..eta_(l-1) fixed, every gate of the search
+(the r gate, the quadratic condition and each criterion row) is a linear
+condition a = b eta_l, or eta_l^2 = 0, so the search takes its candidates
+by prefix and solves each gate for the last coordinate.  One parameter
+base, one build body and one JSON reader serve both recipes and, with the
+zero twist vector, the search templates.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -53,6 +58,8 @@ def r_coefficient(k: int, h: int, eta: Sequence[FieldElement],
         raise ValidationError(f"hook must satisfy 1 <= h <= k-1, got h={h}")
     field = head[0].field
     eta = [field.element(e).rep for e in eta]
+    if not eta:
+        raise ValidationError("eta must have length l+1 >= 1, got 0")
     return FieldElement(field, field._sub(1, field._dot(eta, _head_row(field, h, len(eta), head))))
 
 
@@ -307,17 +314,21 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     hit replaces it, so the hit's build re-runs the recipe's validation.
     The budget alone picks the candidates: all q^(l+1) of them when they fit,
     otherwise the distinct values of ``budget`` random draws seeded by the
-    integer ``seed``, so a search without one reruns the same.  Either
-    set is evaluated in ascending index order, which is lexicographic twist
-    order, so hits come back sorted.
+    integer ``seed``, so a search without one reruns the same.  Candidate
+    indices are read in ascending order, which is lexicographic twist order,
+    so hits come back sorted.
 
-    Candidates are rep tuples and every gate runs on reps, cheapest first:
-    zero twist, r, the quadratic gate of the second recipe, the criterion.
-    FieldElements, builds and classification are made only for hits; every
-    classification goes through the search's one criterion table, whose row
-    budget counts per search, and reuses the walk of its criterion gate.  A
-    hit whose recipe build is inapplicable, so that the search's gates and
-    the recipe's record disagree, raises VerificationError.
+    Candidates are taken by prefix, eta_0..eta_(l-1) fixed and the live set
+    of eta_l the indices give it, and every gate is solved for eta_l on
+    reps: the zero twist drops 0 from the zero prefix, the quadratic gate of
+    the second recipe keeps its solutions (eta_l = 0 when m = l, else the
+    roots of a linear equation), the r gate crosses out the root of
+    r = 0, and the criterion crosses out the root of each row it reads
+    (``PhiWorkspace._survivors``).  FieldElements, builds and classification
+    are made only for hits; every classification goes through the search's
+    one criterion table, whose row budget counts per search.  A hit whose
+    recipe build is inapplicable, so that the search's gates and the
+    recipe's record disagree, raises VerificationError.
     """
     _expect(template, Class1Params, Class2Params)
     if not _is_int(budget) or budget <= 0:
@@ -332,25 +343,38 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
         rng = random.Random(seed)
         indices = sorted({rng.randrange(space) for _ in range(budget)})
     second = isinstance(template, Class2Params)
+    m = template.m_gap if second else None
     r_row = _head_row(f, template.h, l + 1, template.alpha[: template.k - 1])
     table = PhiWorkspace(template.alpha, template.k, template.h, l)
     hits = []
-    weights = [q ** (l - t) for t in range(l + 1)]  # eta_0 is the most significant digit
-    for idx in indices:
-        eta = tuple(idx // w % q for w in weights)
-        if not any(eta):
-            continue  # the MDS-certifying set excludes the zero twist
-        r = f._sub(1, f._dot(eta, r_row))
-        if (r == 0 or (second and _quadratic_rep(f, eta, template.m_gap) != 0)
-                or table._first_singular(eta) is not None):
+    weights = [q ** (l - 1 - t) for t in range(l)]  # eta_0 is the most significant digit
+    for index, group in itertools.groupby(indices, lambda i: i // q):
+        prefix = tuple(index // w % q for w in weights)
+        live = {i % q for i in group}
+        if not any(prefix):
+            live.discard(0)  # the MDS-certifying set excludes the zero twist
+        if second:
+            # the quadratic sum is eta_l^2 when m = l, else c0 + 2 eta_m eta_l
+            roots = (0,) if m == l else f._solve(f._neg(_quadratic_rep(f, prefix + (0,), m)),
+                                                 f._add(prefix[m], prefix[m]))
+            if roots is not None:
+                live.intersection_update(roots)
+            if not live:
+                continue
+        roots = f._solve(f._sub(1, f._dot(prefix, r_row)), r_row[l])  # the x with r = 0
+        if roots is None:
             continue
-        params = replace(template, eta=tuple(FieldElement(f, e) for e in eta))
-        build = build_class2(params) if second else build_class1(params)
-        if not build.applicable:
-            raise VerificationError(f"eta {[element_to_json(e) for e in params.eta]} passes "
-                                    f"the search's gates but its recipe build is inapplicable")
-        report = classify(build.spec, workspace=table)
-        hits.append(SearchHit(eta=params.eta, r_value=FieldElement(f, r), report=report))
+        live.difference_update(roots)
+        for x in table._survivors(prefix, live):
+            eta = prefix + (x,)
+            params = replace(template, eta=tuple(FieldElement(f, e) for e in eta))
+            build = build_class2(params) if second else build_class1(params)
+            if not build.applicable:
+                raise VerificationError(f"eta {[element_to_json(e) for e in params.eta]} passes "
+                                        f"the search's gates but its recipe build is inapplicable")
+            report = classify(build.spec, workspace=table)
+            r = FieldElement(f, f._sub(1, f._dot(eta, r_row)))
+            hits.append(SearchHit(eta=params.eta, r_value=r, report=report))
     return hits
 
 

@@ -171,4 +171,7 @@ class SymContext:
     def psi_values(self, eta: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Tail sums Psi_s = sum_{t >= s} eta_t S_{t-s}, s = 0..len(eta)-1."""
         f = self.field
-        return tuple(FieldElement(f, x) for x in self._psi_reps([f.element(e).rep for e in eta]))
+        eta = [f.element(e).rep for e in eta]
+        if not eta:
+            raise ValidationError("eta must have length l+1 >= 1, got 0")
+        return tuple(FieldElement(f, x) for x in self._psi_reps(eta))

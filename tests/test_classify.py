@@ -338,6 +338,46 @@ class TestCarriedRows:
                     assert tuple(d.rep for d in table.row(I)) == want[I], (f, idx, h, l, I)
 
 
+class TestPrefixWalk:
+    """``PhiWorkspace._survivors``, every criterion row solved for eta_l,
+    against one walk of ``_first_singular`` per twist vector."""
+
+    @staticmethod
+    def per_candidate(table, prefix, live):
+        return [x for x in sorted(live) if table._first_singular(prefix + (x,)) is None]
+
+    def test_row_vanishing_on_a_prefix_crosses_out_every_value(self):
+        # on the 9th roots of unity in GF(73), a pair {a, b} with a/b a primitive
+        # cube root has d_1 = -(a^2 + ab + b^2) = 0 (k = 2, h = 1), so with
+        # eta_0 = 1/d_0 it is dependent for every eta_1; the other 35 rows
+        # cross out one value each, too few to empty 73 values
+        f = get_field(73)
+        table = PhiWorkspace(f.roots_of_xn_minus_lambda(9, f.one()), 2, 1, 1)
+        rows = [table.row(I) for I in itertools.combinations(range(9), 2)]
+        vanishing = {(f.one() / d0).rep for d0, d1 in rows if d1.is_zero()}
+        assert len(vanishing) == 9  # one pair {a, a w} per point a, w a cube root
+        for p in range(73):
+            got = table._survivors((p,), set(range(73)))
+            assert got == self.per_candidate(table, (p,), range(73))
+            assert (p in vanishing) <= (got == [])
+
+    @pytest.mark.parametrize("q", [13, GF8, GF9, GF16], ids=["gf13", "gf8", "gf9", "gf16"])
+    def test_matches_per_candidate_walks(self, q):
+        f = get_field(q) if isinstance(q, int) else get_field(*q)
+        rng = random.Random(36)
+        for _ in range(8):
+            n = rng.randint(4, 7)
+            k = rng.randint(2, n - 2)
+            h, l = rng.randint(1, k - 1), rng.randint(1, n - k - 1)
+            alpha = [f.from_index(a) for a in rng.sample(range(f.q), n)]
+            table = PhiWorkspace(alpha, k, h, l)
+            for _ in range(10):
+                prefix = tuple(rng.randrange(f.q) for _ in range(l))
+                live = set(rng.sample(range(f.q), rng.randint(1, f.q)))
+                want = self.per_candidate(table, prefix, live)
+                assert table._survivors(prefix, live) == want, (alpha, k, h, l, prefix)
+
+
 def walk_runs(walker: str) -> list:
     """(best, witness, nodes) of one distance walk, floor 1 and floor n - k - l.
 

@@ -3,11 +3,12 @@
 import functools
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
-from tgrs import (Class1Params, Class2Params, PhiWorkspace, SymContext,
+from tgrs import (Class1Params, Class2Params, PhiWorkspace, ResourceLimitError, SymContext,
                   ValidationError, VerificationError, build_class1, build_class2, classify,
                   generator_matrix, hull_dimension, is_mds_minors,
                   parity_check_matrix, quadratic_twist_sum, r_coefficient,
@@ -16,6 +17,8 @@ from tgrs.gf import element_to_json
 from tgrs.golden import GOLDEN_CODES
 
 from conftest import GF8, GF9, GF16, get_field, linear_product, poly_mod
+
+CLASSIFY = sys.modules["tgrs.classify"]  # the package exports the function under this name
 
 
 def monomial_r(k, h, eta, head):
@@ -90,12 +93,28 @@ def recipe2_template():
     return replace(p, eta=(p.field.zero(),) * (p.l + 1))
 
 
+def gap_template(spec, n, l, m_gap, head):
+    """A recipe-2 template over an extension field, h = 1 and a tail of 1s:
+    with m < l the quadratic gate is linear in eta_l."""
+    f = get_field(*spec)
+    k = (n - l - m_gap) // 2
+    return Class2Params(field=f, n=n, h=1, l=l, m_gap=m_gap, lam=f.one(),
+                        eta=(f.zero(),) * (l + 1), v_head=tuple(f.element(x) for x in head),
+                        v_tail_signs=(f.one(),) * (n - k + 1))
+
+
 TEMPLATES = {
     "demo": demo_template,
     "demo_h2": lambda: demo_template(h=2),
     "gf9": lambda: gf9_template(get_field(3, 2, [1, 0, 1])),
     "gf16": gf16_template,
     "recipe2": recipe2_template,
+    # [8,3] GF(9), m = 0 < l = 2: the gate solves c0 + 2 eta_0 eta_2 = 0
+    "gf9_gap0": lambda: gap_template(GF9, n=8, l=2, m_gap=0, head=[[0, 1]] * 2),
+    # [7,2] GF(8), m = 1 < l = 2: in characteristic 2 the coefficient 2 eta_m is 0
+    "gf8_gap1": lambda: gap_template(GF8, n=7, l=2, m_gap=1, head=[[0, 1, 0]]),
+    # [5,2] GF(16), m = 0 < l = 1
+    "gf16_gap0": lambda: gap_template(GF16, n=5, l=1, m_gap=0, head=[[0, 1]]),
 }
 
 
@@ -179,8 +198,12 @@ class TestRCoefficient:
             h = rng.randint(1, k - 1)
             head = [f.from_index(a) for a in rng.sample(range(f.q), k - 1)]
             eta = [f.from_index(rng.randrange(f.q)) for _ in range(rng.randint(0, 5))]
-            assert r_coefficient(k, h, eta, head) == monomial_r(k, h, eta, head)
             hooks.add(h)
+            if not eta:  # no code of the family has one
+                with pytest.raises(ValidationError, match="eta must have length"):
+                    r_coefficient(k, h, eta, head)
+                continue
+            assert r_coefficient(k, h, eta, head) == monomial_r(k, h, eta, head)
         assert max(hooks) >= 4
 
     def test_head_length_checked(self, gf7):
@@ -195,6 +218,11 @@ class TestRCoefficient:
     def test_hook_outside_range_rejected(self, gf7, h):
         with pytest.raises(ValidationError, match=rf"^hook must satisfy 1 <= h <= k-1, got h={h}$"):
             r_coefficient(3, h, [gf7.one()], [gf7.one(), gf7.element(2)])
+
+    def test_empty_twist_rejected(self, gf7):
+        # eta has length l + 1 >= 1, as TgrsSpec requires
+        with pytest.raises(ValidationError, match=r"^eta must have length l\+1 >= 1, got 0$"):
+            r_coefficient(3, 1, [], [gf7.element(2), gf7.element(3)])
 
     def test_duplicate_head_named_like_other_point_sets(self, gf7):
         head = [gf7.element(a) for a in (2, 5, 2)]
@@ -589,7 +617,8 @@ class TestSearchOracle:
     """search_eta against the per-candidate element loop it replaced."""
 
     @pytest.mark.parametrize("name,expected", [("demo", 117), ("demo_h2", 97), ("gf9", 4),
-                                               ("gf16", 4)])
+                                               ("gf16", 4), ("gf9_gap0", 4), ("gf8_gap1", 28),
+                                               ("gf16_gap0", 115)])
     def test_exhaustive_matches_oracle(self, name, expected):
         template = TEMPLATES[name]()
         space = template.field.q ** (template.l + 1)
@@ -598,14 +627,23 @@ class TestSearchOracle:
         assert hits_json(hits) == list(oracle_hits(name).values())
 
     def test_randomized_matches_oracle(self):
-        template = demo_template()
-        space, budget, seed = 37**2, 400, 11
+        self.check_seeded("demo", 400, 11, 27)
+
+    @pytest.mark.parametrize("name,expected", [("gf9_gap0", 0), ("gf8_gap1", 3),
+                                               ("gf16_gap0", 34)])
+    def test_seeded_gap_templates_match_oracle(self, name, expected):
+        self.check_seeded(name, 100, 3, expected)
+
+    @staticmethod
+    def check_seeded(name, budget, seed, expected):
+        template = TEMPLATES[name]()
+        space = template.field.q ** (template.l + 1)
         rng = random.Random(seed)  # the search's own draws: budget randranges
         drawn = {rng.randrange(space) for _ in range(budget)}
         hits = search_eta(template, budget=budget, seed=seed)
-        oracle = oracle_hits("demo")
-        expected = [oracle[i] for i in sorted(drawn) if i in oracle]
-        assert expected and hits_json(hits) == expected
+        oracle = oracle_hits(name)
+        want = [oracle[i] for i in sorted(drawn) if i in oracle]
+        assert len(want) == expected and hits_json(hits) == want
 
     def test_recipe2_golden_template(self):
         # the quadratic gate on the search path: every hit is LCD MDS
@@ -646,3 +684,63 @@ class TestSearchOracle:
         hits = search_eta(template, budget=31**3)
         assert len(hits) == 40
         assert built == {"table": 1, "context": 40 + 40}
+
+
+class TestSearchWork:
+    """What the prefix pass reads, and where a lowered row budget stops it."""
+
+    def test_gates_read_each_row_once_per_prefix(self, monkeypatch):
+        # [9,3] GF(37): every prefix keeps several eta_1, so its gate reads the
+        # C(9,3) = 84 rows once, 37 x 84 = 3,108, and each of the 117 hits'
+        # classifications re-walks them by the direct test, 117 x 84 = 9,828
+        # (one walk per candidate read 42,816)
+        reads = {"rows": 0, "gates": 0}
+        rep_row, survivors = PhiWorkspace._rep_row, PhiWorkspace._survivors
+
+        def counted_row(self, subset):
+            reads["rows"] += 1
+            return rep_row(self, subset)
+
+        def counted_gate(self, prefix, live):
+            before = reads["rows"]
+            out = survivors(self, prefix, live)
+            reads["gates"] += reads["rows"] - before
+            return out
+
+        monkeypatch.setattr(PhiWorkspace, "_rep_row", counted_row)
+        monkeypatch.setattr(PhiWorkspace, "_survivors", counted_gate)
+        assert len(search_eta(demo_template(), budget=37**2)) == 117
+        assert reads == {"rows": 12_936, "gates": 3_108}
+
+    def test_refusal_inside_a_prefix_walk_names_no_set(self, monkeypatch):
+        # 60 draws with seed 1: the first two prefixes hold several eta_1 and read
+        # 40 rows, the third holds one, whose walk finds a dependent set, and the
+        # fourth holds three and needs rows 41..68; the budget of 50 stops that
+        # walk, which knows no one twist vector's dependent set
+        found = []
+        first = PhiWorkspace._first_singular
+        monkeypatch.setattr(PhiWorkspace, "_first_singular",
+                            lambda self, eta: found.append(first(self, eta)) or found[-1])
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", 50)
+        with pytest.raises(ResourceLimitError, match=r"budget of 50 rows \(n=9, k=3\); "
+                                                     r"dependent columns \(1-based\): "
+                                                     r"none found yet$"):
+            search_eta(demo_template(), budget=60, seed=1)
+        assert found == [(1, 2, 8)]
+
+    @pytest.mark.parametrize("name,budget,seed,rows,n,k,hits", [
+        ("demo", 37**2, 0, 84, 9, 3, 117), ("recipe2", 200, 5, 74, 10, 3, 0),
+        ("gf9", 5, 3, 11, 8, 2, 0), ("gf9_gap0", 36, 3, 11, 8, 3, 0),
+        ("gf8_gap1", 25, 3, 15, 7, 2, 0)])
+    def test_row_budget_refuses_one_row_short(self, monkeypatch, name, budget, seed, rows,
+                                              n, k, hits):
+        # the rows a search needs are a lexicographic prefix of the k-subsets,
+        # the same as when every candidate walked them in turn
+        template = TEMPLATES[name]()
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", rows - 1)
+        with pytest.raises(ResourceLimitError) as err:
+            search_eta(template, budget, seed)
+        assert str(err.value) == (f"twist criterion stopped at its budget of {rows - 1} rows "
+                                  f"(n={n}, k={k}); dependent columns (1-based): none found yet")
+        monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", rows)
+        assert len(search_eta(template, budget, seed)) == hits

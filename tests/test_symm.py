@@ -254,6 +254,12 @@ class TestPsiValues:
         psi = ctx.psi_values([gf31.one(), gf31.one()])
         assert psi == (gf31.element(11), gf31.one())  # 1 + S_1 = 1 + 10
 
+    def test_empty_twist_rejected(self, gf31):
+        # eta has length l + 1 >= 1, as TgrsSpec requires
+        ctx = SymContext([gf31.element(a) for a in (1, 2, 3)])
+        with pytest.raises(ValidationError, match=r"^eta must have length l\+1 >= 1, got 0$"):
+            ctx.psi_values([])
+
 
 class TestPowerSumIdentity:
     def test_dual_weighted_power_sums(self):

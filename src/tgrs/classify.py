@@ -220,8 +220,6 @@ class PhiWorkspace:
             if len(live) == 1:
                 eta = prefix + tuple(live)
                 return [] if any(self._singular(eta, J) for J in subsets) else [eta[-1]]
-            if not live:
-                return []
         return sorted(live)
 
 

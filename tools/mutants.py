@@ -1,11 +1,12 @@
 """Mutation catalogue: one-edit faults of ``src/tgrs`` that tier-1 must catch.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Each entry is a source fragment, its replacement and the reason the tests
-must see it.  For each entry (or each NAME given) the script copies the
-checkout, without ``.git``, to a temporary directory, replaces the one place
-in ``src/tgrs`` that holds the fragment, and runs tier-1 there with ``-x``.
+must see it.  For each entry the script copies the checkout, without
+``.git``, to a temporary directory, replaces the one place in ``src/tgrs``
+that holds the fragment, and runs tier-1 there with ``-x``; a run that
+outlasts ``MUTANT_LIMIT_S`` counts as a kill, since a hang is a fault seen.
 A fragment that occurs in no module, or in more than one place, fails the
 run before any test runs, so the catalogue is kept in step with the code.
 A mutant that tier-1 lets through (a survivor) fails the run too.  An
@@ -101,23 +102,21 @@ def first_failure(mutant: Mutant) -> str | None:
         path = locate(copy / "src" / "tgrs", mutant.fragment)
         path.write_text(path.read_text().replace(mutant.fragment, mutant.replacement))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env, text=True,
-                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                              timeout=MUTANT_LIMIT_S)
+        try:
+            proc = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                                  timeout=MUTANT_LIMIT_S)
+        except subprocess.TimeoutExpired:
+            return f"timeout after {MUTANT_LIMIT_S} s"
     if proc.returncode == 0:
         return None
     return next((line for line in proc.stdout.splitlines()
                  if line.startswith(("FAILED", "ERROR"))), f"exit {proc.returncode}")
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in CATALOGUE if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in CATALOGUE}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
+def main() -> int:
     stale = []
-    for m in chosen:
+    for m in CATALOGUE:
         try:
             locate(ROOT / "src" / "tgrs", m.fragment)
         except LookupError as err:
@@ -126,7 +125,7 @@ def main(argv: list[str]) -> int:
         print("\n".join(["stale catalogue entries:", *stale]))
         return 1
     survivors = []
-    for m in chosen:
+    for m in CATALOGUE:
         start = time.monotonic()
         failure = first_failure(m)
         print(f"{'killed  ' if failure else 'SURVIVED'} {m.name} "
@@ -136,9 +135,9 @@ def main(argv: list[str]) -> int:
     if survivors:
         print("\n".join(["survivors:", *survivors]))
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(CATALOGUE)} mutants killed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -7,13 +7,16 @@ stopped at its first dependent set of at most k columns; it reads G alone.
 The criterion reads rows from PhiWorkspace, one lazily filled table per
 point set and (k, h, l), which the MDS and AMDS verdicts and the twist
 search share; the search reads each row once per prefix of its twist
-vectors and crosses out the last coordinate that makes the row singular.
+vectors and crosses out the coordinate it solves for that makes the row
+singular.
 It holds at most CRITERION_ROW_BUDGET rows, each the
 ``symm.criterion_row`` of its subset, and carries the product and the
 complete symmetric series of every prefix of the last subset asked for,
 each one ``poly.linear_step`` and one ``symm.series_step`` from its parent,
 so a row read in lexicographic order costs a few steps from its
-neighbour's prefix; the parity check builds its own context.
+neighbour's prefix.  The table also builds the SymContext of its points on
+first use, and the parity check of every code classified through it reads
+that one context.
 For a singular k-subset I, the (k+1)-superset I + (j,) is deficient
 exactly when alpha_j is a root of P_I, a polynomial of degree at most l
 read off the series of I, so the AMDS scan reads P_I alone; it needs no
@@ -35,7 +38,7 @@ and the fixed node budget, past which they raise ResourceLimitError (the
 minors route in its own words); a distance witness is re-checked by a
 rank of its columns of H, and a square parity check (no dependent set)
 raises VerificationError.  LCD status comes from the rank of the
-generator stacked on the parity check.
+generator stacked on the parity check, which alone settles an LCD pair.
 
 Subset enumeration is lexicographic and the first violation is always the
 reported certificate, so reruns are reproducible.  Certificates use 1-based
@@ -44,6 +47,7 @@ positions in serialized form; the in-process API is 0-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -55,7 +59,7 @@ from .errors import ResourceLimitError, ValidationError, VerificationError
 from .gf import FieldElement, _is_int
 from .linalg import MatGF, null_space, rank
 from .poly import linear_step
-from .symm import distinct_points, series_step, tail_sums
+from .symm import SymContext, distinct_points, series_step, tail_sums
 
 # Nodes any one walk may visit: either distance walk, or the column walk of the
 # minors route (C(n, k-1) nodes on an MDS k x n generator, 1,540 at [22,20]).
@@ -90,9 +94,12 @@ class PhiWorkspace:
     raises ResourceLimitError.  Rows and the superset scan's P_I read the
     product c(I) and series h(I) off one carried prefix (``_carry``), which
     a lexicographic walk mostly leaves in place.  The twist search walks
-    it once per prefix eta_0..eta_(l-1) (``_survivors``), each row solved
-    for eta_l; a prefix with one value left takes the walk of a single eta,
-    whose eta and result are kept, so its hit's classification reuses it.
+    it once per prefix eta_0..eta_(s-1) (``_survivors``), each row solved
+    for eta_s, s = l or, with eta_l pinned to 0, s = l - 1; a prefix with
+    one value left takes the walk of a single eta, whose eta and result are
+    kept, so its hit's classification reuses it.  ``context``, the
+    SymContext of the points, is built on first use, so every code
+    classified through the table reads one context for its parity check.
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
@@ -109,6 +116,12 @@ class PhiWorkspace:
         self._path: list[int] = []
         self._products: list[list[int]] = [[1]]
         self._series: list[list[int]] = [[1] + [0] * l]
+
+    @functools.cached_property
+    def context(self) -> SymContext:
+        """The SymContext of the points, built on first use: the parity check
+        of every code classified through the table reads it."""
+        return SymContext(self.alpha)
 
     def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
         """d_0(I)..d_l(I) for an ascending tuple I of k positions."""
@@ -194,32 +207,34 @@ class PhiWorkspace:
         return self._last[1]
 
     def _survivors(self, prefix: tuple, live: set) -> list[int]:
-        """The x in ``live``, ascending, for which eta = prefix + (x,) has no
-        dependent k-subset; eta_0..eta_(l-1) given as reps.
+        """The x in ``live``, ascending, for which eta = prefix + (x,), padded
+        with zeros to length l + 1, has no dependent k-subset; the prefix
+        eta_0..eta_(s-1) given as reps, s <= l the coordinate solved for.
 
         A single x takes the walk of ``_first_singular``, whose result a
         hit's classification reuses.  Otherwise each row d, read in
-        lexicographic order, crosses out the x with 1 - prefix.d[:l] = d_l x:
-        its one root, or every x when d_l and the left side are 0.  Once one
+        lexicographic order, crosses out the x with 1 - prefix.d[:s] = d_s x:
+        its one root, or every x when d_s and the left side are 0.  Once one
         x is left, it reads the rest of the rows by the direct test, which
         costs less than solving them.  So the walk reads the rows the walks
         of the x would read together, and knows no one eta's first
         dependent subset.
         """
+        tail = (0,) * (self.l - len(prefix))
         if len(live) < 2:
-            return [x for x in live if self._first_singular(prefix + (x,)) is None]
+            return [x for x in live if self._first_singular(prefix + (x,) + tail) is None]
         self._last = None
-        f, l = self.field, self.l
+        f, s = self.field, len(prefix)
         subsets = itertools.combinations(range(self.n), self.k)
         for I in subsets:
             row = self._rep_row(I)
-            roots = f._solve(f._sub(1, f._dot(prefix, row)), row[l])
+            roots = f._solve(f._sub(1, f._dot(prefix, row)), row[s])
             if roots is None:
                 return []
             live.difference_update(roots)
             if len(live) == 1:
-                eta = prefix + tuple(live)
-                return [] if any(self._singular(eta, J) for J in subsets) else [eta[-1]]
+                eta = prefix + tuple(live) + tail
+                return [] if any(self._singular(eta, J) for J in subsets) else [eta[s]]
         return sorted(live)
 
 
@@ -540,19 +555,26 @@ def _certify_grs_floor(spec: TgrsSpec, G: MatGF) -> None:
 
 
 def hull_dimension(G: MatGF, H: MatGF) -> int:
-    """dim of the code/dual intersection: n - rank of the stacked matrices."""
+    """dim of the code/dual intersection: n - rank of the stacked matrices.
+
+    The stacked rank comes first.  When it is n = G.rows + H.rows, both
+    blocks have full row rank, as rank(G; H) <= rank G + rank H, so an LCD
+    pair costs one rank; otherwise G and H are checked by their own ranks.
+    """
     n = G.cols
     if H.cols != n:
         raise ValidationError("generator and parity check must share the length n")
-    if rank(G) != G.rows:
-        raise ValidationError("generator matrix must have full row rank k")
-    if rank(H) != H.rows:
-        raise ValidationError("parity-check matrix must have full row rank n-k")
-    if G.rows + H.rows != n:
-        raise ValidationError("row counts must satisfy k + (n-k) = n")
+    stacked = rank(G.stack(H))
+    if not stacked == n == G.rows + H.rows:
+        if rank(G) != G.rows:
+            raise ValidationError("generator matrix must have full row rank k")
+        if rank(H) != H.rows:
+            raise ValidationError("parity-check matrix must have full row rank n-k")
+        if G.rows + H.rows != n:
+            raise ValidationError("row counts must satisfy k + (n-k) = n")
     if not (G @ H.transpose()).is_zero():
         raise ValidationError("parity check does not annihilate the generator")
-    return n - rank(G.stack(H))
+    return n - stacked
 
 
 @dataclass
@@ -609,11 +631,12 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     no rank.  Both verdicts come from one ``is_amds`` call, whose criterion
     walk gives the MDS certificate too, on one criterion table:
     ``workspace`` when given (it must be built for the spec's points, k, h
-    and l), a fresh one otherwise.
+    and l), a fresh one otherwise.  The parity check reads the table's
+    point-set context.
     """
     table = _table_for(spec, workspace)
     G = generator_matrix(spec)
-    H = parity_check_matrix(spec)
+    H = parity_check_matrix(spec, table.context)
     amds, dependent, deficient = is_amds(spec, workspace=table)
     mds = dependent is None
     certificates = {key: subset for key, subset in (

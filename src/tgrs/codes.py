@@ -9,7 +9,7 @@ matrix, the closed-form parity-check matrix, and the evaluation encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .gf import (Field, FieldElement, check_int_fields, element_to_json, field_from_json,
@@ -87,16 +87,20 @@ def generator_matrix(spec: TgrsSpec) -> MatGF:
     return MatGF._from_reps(f, tuple(tuple(map(f._mul, v, row)) for row in rows))
 
 
-def parity_check_matrix(spec: TgrsSpec) -> MatGF:
+def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) -> MatGF:
     """Closed-form (n-k) x n parity-check matrix.
 
     Row j carries (u_i / v_i) alpha_i^j; the last l+1 rows are corrected by
     w_tilde_i Psi_{n-k-1-j} so that every generator row is annihilated.
-    u, w_tilde and Psi are reps read from a SymContext of spec.alpha built
-    here, through the code its public getters wrap.
+    u, w_tilde and Psi are reps read, through the code its public getters
+    wrap, from ``context``: a SymContext of spec.alpha, in that order (else
+    ValidationError), or one built here when None.
     """
     f, n, k, l = spec.field, spec.n, spec.k, spec.l
-    context = SymContext(spec.alpha)
+    if context is None:
+        context = SymContext(spec.alpha)
+    elif context.points != spec.alpha:
+        raise ValidationError("point-set context was built for other points")
     wt = context._hook_reps(spec.h)
     psi = context._psi_reps([e.rep for e in spec.eta])
     scale = [f._mul(u, f._inv(v.rep)) for u, v in zip(context._u, spec.v)]

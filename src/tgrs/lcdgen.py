@@ -18,9 +18,10 @@ passes the same validation, which checks a given root arrangement by
 membership alone.  With eta_0..eta_(l-1) fixed, every gate of the search
 (the r gate, the quadratic condition and each criterion row) is a linear
 condition a = b eta_l, or eta_l^2 = 0, so the search takes its candidates
-by prefix and solves each gate for the last coordinate.  One parameter
-base, one build body and one JSON reader serve both recipes and, with the
-zero twist vector, the search templates.
+by prefix and solves each gate for the last coordinate; when the quadratic
+condition is eta_l^2 = 0 it pins eta_l = 0 and the gates are solved for
+eta_(l-1).  One parameter base, one build body and one JSON reader serve
+both recipes and, with the zero twist vector, the search templates.
 """
 
 from __future__ import annotations
@@ -269,6 +270,8 @@ def quadratic_twist_sum(eta: Sequence[FieldElement], m_gap: int) -> FieldElement
     """sum over t = m..l of eta_t eta_{l+m-t}."""
     check_int_fields({"m_gap": m_gap}, ("m_gap",))
     eta = list(eta)
+    if not eta:
+        raise ValidationError("eta must have length l+1 >= 1, got 0")
     l = len(eta) - 1
     if not 0 <= m_gap <= l:
         raise ValidationError(f"gap must lie in 0..{l}")
@@ -318,15 +321,19 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     indices are read in ascending order, which is lexicographic twist order,
     so hits come back sorted.
 
-    Candidates are taken by prefix, eta_0..eta_(l-1) fixed and the live set
-    of eta_l the indices give it, and every gate is solved for eta_l on
-    reps: the zero twist drops 0 from the zero prefix, the quadratic gate of
-    the second recipe keeps its solutions (eta_l = 0 when m = l, else the
-    roots of a linear equation), the r gate crosses out the root of
-    r = 0, and the criterion crosses out the root of each row it reads
+    Candidates are taken by prefix, eta_0..eta_(s-1) fixed and the live set
+    of eta_s the indices give it, and every gate is solved for eta_s on
+    reps, s = l in general.  The quadratic gate of the second recipe with
+    m = l >= 1 is eta_l^2 = 0, so there only the candidates with eta_l = 0
+    are taken (every q-th index, or the draws that are) and s = l - 1;
+    otherwise it keeps its solutions for eta_l (eta_l = 0 when m = l = 0,
+    else the roots of a linear equation).  The zero twist drops 0 from the
+    zero prefix, the r gate crosses out the root of r = 0, and the
+    criterion crosses out the root of each row it reads
     (``PhiWorkspace._survivors``).  FieldElements, builds and classification
     are made only for hits; every classification goes through the search's
-    one criterion table, whose row budget counts per search.  A hit whose
+    one criterion table, whose row budget counts per search and whose one
+    point-set context every hit's parity check reads.  A hit whose
     recipe build is inapplicable, so that the search's gates and the
     recipe's record disagree, raises VerificationError.
     """
@@ -336,37 +343,43 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     if not _is_int(seed):
         raise ValidationError(f"search seed must be an integer, got {seed!r}")
     f, q, l = template.field, template.field.q, template.l
-    space = q ** (l + 1)
-    if space <= budget:
-        indices = range(space)
-    else:
-        rng = random.Random(seed)
-        indices = sorted({rng.randrange(space) for _ in range(budget)})
     second = isinstance(template, Class2Params)
     m = template.m_gap if second else None
+    # with m = l >= 1 the quadratic gate is eta_l^2 = 0, so eta_l is pinned to
+    # 0 and the gates are solved for eta_(l-1) instead
+    pinned = second and m == l >= 1
+    s = l - 1 if pinned else l  # the coordinate every gate is solved for
+    step = q ** (l - s)  # index step between candidates: eta_(s+1).. = 0
+    space = q ** (l + 1)
+    if space <= budget:
+        indices = range(0, space, step)
+    else:
+        rng = random.Random(seed)
+        indices = [i for i in sorted({rng.randrange(space) for _ in range(budget)})
+                   if i % step == 0]
     r_row = _head_row(f, template.h, l + 1, template.alpha[: template.k - 1])
     table = PhiWorkspace(template.alpha, template.k, template.h, l)
     hits = []
-    weights = [q ** (l - 1 - t) for t in range(l)]  # eta_0 is the most significant digit
-    for index, group in itertools.groupby(indices, lambda i: i // q):
+    weights = [q ** (s - 1 - t) for t in range(s)]  # eta_0 is the most significant digit
+    for index, group in itertools.groupby(indices, lambda i: i // (step * q)):
         prefix = tuple(index // w % q for w in weights)
-        live = {i % q for i in group}
+        live = {i // step % q for i in group}
         if not any(prefix):
             live.discard(0)  # the MDS-certifying set excludes the zero twist
-        if second:
-            # the quadratic sum is eta_l^2 when m = l, else c0 + 2 eta_m eta_l
+        if second and not pinned:
+            # the quadratic sum is eta_l^2 when m = l = 0, else c0 + 2 eta_m eta_l
             roots = (0,) if m == l else f._solve(f._neg(_quadratic_rep(f, prefix + (0,), m)),
                                                  f._add(prefix[m], prefix[m]))
             if roots is not None:
                 live.intersection_update(roots)
             if not live:
                 continue
-        roots = f._solve(f._sub(1, f._dot(prefix, r_row)), r_row[l])  # the x with r = 0
+        roots = f._solve(f._sub(1, f._dot(prefix, r_row)), r_row[s])  # the x with r = 0
         if roots is None:
             continue
         live.difference_update(roots)
         for x in table._survivors(prefix, live):
-            eta = prefix + (x,)
+            eta = prefix + (x,) + (0,) * (l - s)
             params = replace(template, eta=tuple(FieldElement(f, e) for e in eta))
             build = build_class2(params) if second else build_class1(params)
             if not build.applicable:

@@ -17,7 +17,7 @@ from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError, Sym
 from tgrs.golden import GOLDEN_CODES
 from tgrs.symm import criterion_row
 
-from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, column, get_field, identity, random_spec
+from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, GF25, column, get_field, identity, random_spec
 
 CLASSIFY = sys.modules["tgrs.classify"]  # the package exports the function under this name
 
@@ -172,7 +172,7 @@ def refused_outside_grs(monkeypatch, roots: int) -> MatGF:
         top.append(value)
     bad = MatGF._from_reps(f, (tuple(top),) + generator_matrix(spec)._data[1:])
     monkeypatch.setattr(CLASSIFY, "generator_matrix", lambda s: bad)
-    monkeypatch.setattr(CLASSIFY, "parity_check_matrix", lambda s: null_space(bad))
+    monkeypatch.setattr(CLASSIFY, "parity_check_matrix", lambda s, context: null_space(bad))
     classify(spec)  # the hull check passes without the distance
     with pytest.raises(VerificationError, match="not a subcode of GRS_5"):
         classify(spec, want_distance=True)
@@ -339,12 +339,13 @@ class TestCarriedRows:
 
 
 class TestPrefixWalk:
-    """``PhiWorkspace._survivors``, every criterion row solved for eta_l,
+    """``PhiWorkspace._survivors``, every criterion row solved for eta_s,
     against one walk of ``_first_singular`` per twist vector."""
 
     @staticmethod
     def per_candidate(table, prefix, live):
-        return [x for x in sorted(live) if table._first_singular(prefix + (x,)) is None]
+        tail = (0,) * (table.l - len(prefix))
+        return [x for x in sorted(live) if table._first_singular(prefix + (x,) + tail) is None]
 
     def test_row_vanishing_on_a_prefix_crosses_out_every_value(self):
         # on the 9th roots of unity in GF(73), a pair {a, b} with a/b a primitive
@@ -373,6 +374,24 @@ class TestPrefixWalk:
             table = PhiWorkspace(alpha, k, h, l)
             for _ in range(10):
                 prefix = tuple(rng.randrange(f.q) for _ in range(l))
+                live = set(rng.sample(range(f.q), rng.randint(1, f.q)))
+                want = self.per_candidate(table, prefix, live)
+                assert table._survivors(prefix, live) == want, (alpha, k, h, l, prefix)
+
+    @pytest.mark.parametrize("q", [13, GF9, GF25], ids=["gf13", "gf9", "gf25"])
+    def test_short_prefix_reads_the_rest_as_zero(self, q):
+        # the search's pinned path: a prefix eta_0..eta_(s-1), s < l, is solved
+        # for eta_s with eta_(s+1)..eta_l zero, the empty prefix too
+        f = get_field(q) if isinstance(q, int) else get_field(*q)
+        rng = random.Random(39)
+        for _ in range(8):
+            n = rng.randint(5, 8)
+            k = rng.randint(2, n - 3)
+            h, l = rng.randint(1, k - 1), rng.randint(1, n - k - 1)
+            alpha = [f.from_index(a) for a in rng.sample(range(f.q), n)]
+            table = PhiWorkspace(alpha, k, h, l)
+            for _ in range(10):
+                prefix = tuple(rng.randrange(f.q) for _ in range(rng.randrange(l)))
                 live = set(rng.sample(range(f.q), rng.randint(1, f.q)))
                 want = self.per_candidate(table, prefix, live)
                 assert table._survivors(prefix, live) == want, (alpha, k, h, l, prefix)
@@ -945,6 +964,23 @@ class TestHull:
             intersection_dim = paired.cols - rank(paired)
             assert hull_dimension(G, H) == intersection_dim
 
+    def test_lcd_pair_costs_one_rank(self, monkeypatch):
+        # a stacked rank of n = k + (n-k) implies both blocks have full row
+        # rank, so an LCD pair is settled by that rank alone; a pair with a
+        # hull checks G and H by their own ranks too
+        calls = []
+        counted = CLASSIFY.rank
+        monkeypatch.setattr(CLASSIFY, "rank", lambda M: calls.append(M.rows) or counted(M))
+        for gc in GOLDEN_CODES:
+            spec = gc.spec()
+            calls.clear()
+            assert hull_dimension(generator_matrix(spec), parity_check_matrix(spec)) == 0
+            assert calls == [spec.n]
+        f2 = get_field(2)
+        calls.clear()
+        assert hull_dimension(MatGF(f2, [[1, 1]]), MatGF(f2, [[1, 1]])) == 1
+        assert calls == [2, 1, 1]
+
     def test_precondition_violations_named(self, gf7):
         G = MatGF(gf7, [[1, 0, 0], [0, 1, 0]])
         H_bad = MatGF(gf7, [[0, 1, 0]])
@@ -973,8 +1009,9 @@ class TestClassify:
             assert is_amds(spec, workspace=table) == is_amds(spec)
 
     def test_one_context_per_table(self, monkeypatch):
-        # each classification builds one point-set context, for its parity
-        # check; a criterion table builds none, shared or not
+        # a criterion table builds its point-set context on first use, and
+        # every parity check of a classification through the table reads it;
+        # a classification without a table builds one with its own table
         built = []
         init = SymContext.__init__
         monkeypatch.setattr(SymContext, "__init__",
@@ -983,13 +1020,14 @@ class TestClassify:
         classify(spec)
         assert len(built) == 1
         table = PhiWorkspace(spec.alpha, spec.k, spec.h, spec.l)
-        assert not hasattr(table, "context") and len(built) == 1
+        assert len(built) == 1
+        assert hasattr(table, "context") and len(built) == 2
         for eta in ((1, 2), (22, 24), (5, 0)):
             other = TgrsSpec(field=spec.field, n=spec.n, k=spec.k, l=spec.l, h=spec.h,
                              alpha=spec.alpha, v=spec.v, eta=eta)
             assert report_to_json(classify(other, workspace=table)) == \
                 report_to_json(classify(other))
-        assert len(built) == 1 + 3 + 3
+        assert len(built) == 2 + 3
 
     def test_one_polynomial_product_per_classification(self, monkeypatch):
         # the point-set context multiplies out its points once; the criterion

@@ -175,6 +175,23 @@ class TestParityCheckMatrix:
                                 entry = entry - wt[i] * psi[n - k - 1 - j]
                             assert H[j, i] == u[i] / spec.v[i] * entry
 
+    def test_given_context_of_the_spec_points(self):
+        # one context serves specs with other h, l, v and eta on its points,
+        # as a criterion table's does, and gives the matrix built without one;
+        # the same points in another order, or other points, are refused
+        rng = random.Random(44)
+        for q in (31, GF9):
+            first = random_spec(rng, qs=(q,), n_min=4, n_max=9)
+            ctx = SymContext(first.alpha)
+            for _ in range(4):
+                spec = random_spec(rng, qs=(q,), n_min=first.n, n_max=first.n)
+                spec = dataclasses.replace(spec, alpha=first.alpha)
+                assert parity_check_matrix(spec, ctx) == parity_check_matrix(spec)
+                for points in (first.alpha[::-1], first.alpha[1:]):
+                    with pytest.raises(ValidationError,
+                                       match="^point-set context was built for other points$"):
+                        parity_check_matrix(spec, SymContext(points))
+
 
 def encoder_specs():
     """Named encoder inputs: a boundary hook h = k-1 over GF(31), and an

@@ -16,7 +16,7 @@ from tgrs import (Class1Params, Class2Params, PhiWorkspace, ResourceLimitError, 
 from tgrs.gf import element_to_json
 from tgrs.golden import GOLDEN_CODES
 
-from conftest import GF8, GF9, GF16, get_field, linear_product, poly_mod
+from conftest import GF8, GF9, GF16, GF25, get_field, linear_product, poly_mod
 
 CLASSIFY = sys.modules["tgrs.classify"]  # the package exports the function under this name
 
@@ -115,6 +115,13 @@ TEMPLATES = {
     "gf8_gap1": lambda: gap_template(GF8, n=7, l=2, m_gap=1, head=[[0, 1, 0]]),
     # [5,2] GF(16), m = 0 < l = 1
     "gf16_gap0": lambda: gap_template(GF16, n=5, l=1, m_gap=0, head=[[0, 1]]),
+    # m = l pins eta_l = 0, and the gates are solved for eta_(l-1).  No
+    # characteristic-2 field has m = l: n - 2l must be even, so n is, but n
+    # divides the odd q - 1.
+    # [8,2] GF(9), l = m = 2: the prefix is eta_0
+    "gf9_pinned": lambda: gap_template(GF9, n=8, l=2, m_gap=2, head=[[0, 1]]),
+    # [8,3] GF(25), l = m = 1: the prefix is empty
+    "gf25_pinned": lambda: gap_template(GF25, n=8, l=1, m_gap=1, head=[[0, 1]] * 2),
 }
 
 
@@ -402,6 +409,11 @@ class TestClass2Builder:
         with pytest.raises(ValidationError, match=r"^gap must lie in 0\.\.2$"):
             quadratic_twist_sum((gf31.one(),) * 3, m_gap)
 
+    def test_quadratic_sum_of_empty_twist_rejected(self):
+        # eta has length l + 1 >= 1, as TgrsSpec requires, whatever the gap
+        with pytest.raises(ValidationError, match=r"^eta must have length l\+1 >= 1, got 0$"):
+            quadratic_twist_sum([], 0)
+
     def test_gap_at_l_with_nonzero_last_twist_inapplicable(self, gf31):
         # a field has no nilpotents, so eta_l != 0 can never satisfy the gate
         f = gf31
@@ -618,7 +630,8 @@ class TestSearchOracle:
 
     @pytest.mark.parametrize("name,expected", [("demo", 117), ("demo_h2", 97), ("gf9", 4),
                                                ("gf16", 4), ("gf9_gap0", 4), ("gf8_gap1", 28),
-                                               ("gf16_gap0", 115)])
+                                               ("gf16_gap0", 115), ("gf9_pinned", 4),
+                                               ("gf25_pinned", 4)])
     def test_exhaustive_matches_oracle(self, name, expected):
         template = TEMPLATES[name]()
         space = template.field.q ** (template.l + 1)
@@ -630,7 +643,8 @@ class TestSearchOracle:
         self.check_seeded("demo", 400, 11, 27)
 
     @pytest.mark.parametrize("name,expected", [("gf9_gap0", 0), ("gf8_gap1", 3),
-                                               ("gf16_gap0", 34)])
+                                               ("gf16_gap0", 34), ("gf9_pinned", 1),
+                                               ("gf25_pinned", 0)])
     def test_seeded_gap_templates_match_oracle(self, name, expected):
         self.check_seeded(name, 100, 3, expected)
 
@@ -655,20 +669,23 @@ class TestSearchOracle:
         assert hits_json(hits) == list(oracle_hits("recipe2").values())
 
     def test_hits_reuse_the_gate_walk(self, monkeypatch):
-        # each hit's classification takes its MDS walk over all C(10,3) = 120
-        # subsets from the gate's, so it adds no criterion check (a second walk
-        # per hit made 33,843 + 40 * 120 = 38,643)
+        # m = l = 2 pins eta_2 = 0, so the gates are solved for eta_1 on the 31
+        # prefixes eta_0, each holding several eta_1: a gate walk solves its
+        # rows and checks 143 in all by the direct test once one value is left,
+        # and each hit's classification re-walks all C(10,3) = 120 subsets by
+        # that test, 40 * 120 = 4,800 (one walk per eta_0, eta_1 made 33,843)
         checks = []
         singular = PhiWorkspace._singular
         monkeypatch.setattr(PhiWorkspace, "_singular", lambda self, eta, subset:
                             checks.append(1) or singular(self, eta, subset))
         hits = search_eta(recipe2_template(), budget=31**3)
         assert len(hits) == 40 and all(h.report.is_mds for h in hits)
-        assert len(checks) == 33_843
+        assert len(checks) == 4_943
 
     def test_one_table_per_search(self, monkeypatch):
-        # every hit is classified through the search's one criterion table; each
-        # hit builds one context for its cross-check and one for its parity check
+        # every hit is classified through the search's one criterion table, whose
+        # one point-set context every parity check reads; each hit builds one
+        # more context for its recipe's tail-sum cross-check
         template = recipe2_template()
         built = {"table": 0, "context": 0}
         table_init, context_init = PhiWorkspace.__init__, SymContext.__init__
@@ -683,7 +700,7 @@ class TestSearchOracle:
         monkeypatch.setattr(SymContext, "__init__", counted("context", context_init))
         hits = search_eta(template, budget=31**3)
         assert len(hits) == 40
-        assert built == {"table": 1, "context": 40 + 40}
+        assert built == {"table": 1, "context": 40 + 1}
 
 
 class TestSearchWork:

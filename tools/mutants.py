@@ -40,16 +40,16 @@ class Mutant(NamedTuple):
 CATALOGUE = (
     # -- the twist search: the gates solved for the last twist coordinate
     Mutant("row root sign",
-           "f._solve(f._sub(1, f._dot(prefix, row)), row[l])",
-           "f._solve(f._add(1, f._dot(prefix, row)), row[l])",
-           "a row crosses out the root of 1 - prefix.d[:l] = d_l x, not of 1 + ..."),
+           "f._solve(f._sub(1, f._dot(prefix, row)), row[s])",
+           "f._solve(f._add(1, f._dot(prefix, row)), row[s])",
+           "a row crosses out the root of 1 - prefix.d[:s] = d_s x, not of 1 + ..."),
     Mutant("quadratic coefficient",
            "f._add(prefix[m], prefix[m])",
            "prefix[m]",
            "for m < l the quadratic sum is linear in eta_l with coefficient 2 eta_m"),
     Mutant("prefix digits reversed",
-           "weights = [q ** (l - 1 - t) for t in range(l)]",
-           "weights = [q ** t for t in range(l)]",
+           "weights = [q ** (s - 1 - t) for t in range(s)]",
+           "weights = [q ** t for t in range(s)]",
            "eta_0 is the most significant digit of a candidate's index"),
     Mutant("zero twist kept",
            "live.discard(0)",
@@ -60,17 +60,34 @@ CATALOGUE = (
            "            if roots is None:\n                continue",
            "d_l = 0 and 1 - prefix.d[:l] = 0 make the subset dependent for every eta_l"),
     Mutant("last value skips the rows left",
-           "return [] if any(self._singular(eta, J) for J in subsets) else [eta[-1]]",
-           "return [eta[-1]]",
+           "return [] if any(self._singular(eta, J) for J in subsets) else [eta[s]]",
+           "return [eta[s]]",
            "the one value left must still pass every row after the one that left it alone"),
     Mutant("r root kept",
            "        live.difference_update(roots)\n        for x in table._survivors(",
            "        for x in table._survivors(",
            "a twist vector with r = 0 fails both recipes"),
     Mutant("prefix walk keeps the last walk's set",
-           "        self._last = None\n        f, l = self.field, self.l",
-           "        f, l = self.field, self.l",
+           "        self._last = None\n        f, s = self.field, len(prefix)",
+           "        f, s = self.field, len(prefix)",
            "a refusal inside a prefix walk must not name an earlier twist vector's set"),
+    Mutant("pinned path taken when m < l",
+           "pinned = second and m == l >= 1",
+           "pinned = second and m <= l >= 1",
+           "only m = l makes the quadratic gate eta_l^2 = 0; for m < l it admits eta_l != 0"),
+    # -- one point-set context per table, one rank per LCD pair
+    Mutant("parity check skips its points check",
+           "    elif context.points != spec.alpha:\n"
+           "        raise ValidationError(\"point-set context was built for other points\")\n",
+           "",
+           "a context of other points, or of the same points in another order, gives a wrong H"),
+    Mutant("hull fallback ranks dropped",
+           "        if rank(G) != G.rows:\n"
+           "            raise ValidationError(\"generator matrix must have full row rank k\")\n"
+           "        if rank(H) != H.rows:\n"
+           "            raise ValidationError(\"parity-check matrix must have full row rank n-k\")\n",
+           "",
+           "a stacked rank below n leaves G and H to be checked by their own ranks"),
     # -- the complete symmetric series and the GRS floor certificate
     Mutant("series step reads h_t",
            "out.append(add(s, mul(a, out[-1])))",

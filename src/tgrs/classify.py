@@ -14,9 +14,12 @@ It holds at most CRITERION_ROW_BUDGET rows, each the
 complete symmetric series of every prefix of the last subset asked for,
 each one ``poly.linear_step`` and one ``symm.series_step`` from its parent,
 so a row read in lexicographic order costs a few steps from its
-neighbour's prefix.  The table also builds the SymContext of its points on
-first use, and the parity check of every code classified through it reads
-that one context.
+neighbour's prefix.  The rows of the first subsets in lexicographic order
+are also kept as l + 1 columns, so a walk first runs one bulk pass over
+them (``Field._dots``) and reads only the later rows one by one.  The table
+also builds the SymContext of its points on first use, and the generator,
+parity check and floor certificate of every code classified through it
+read that one context.
 For a singular k-subset I, the (k+1)-superset I + (j,) is deficient
 exactly when alpha_j is a root of P_I, a polynomial of degree at most l
 read off the series of I, so the AMDS scan reads P_I alone; it needs no
@@ -49,10 +52,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .codes import TgrsSpec, check_shape, generator_matrix, parity_check_matrix
 from .errors import ResourceLimitError, ValidationError, VerificationError
@@ -93,13 +97,22 @@ class PhiWorkspace:
     witness, so tables stay partial.  A row past CRITERION_ROW_BUDGET
     raises ResourceLimitError.  Rows and the superset scan's P_I read the
     product c(I) and series h(I) off one carried prefix (``_carry``), which
-    a lexicographic walk mostly leaves in place.  The twist search walks
-    it once per prefix eta_0..eta_(s-1) (``_survivors``), each row solved
-    for eta_s, s = l or, with eta_l pinned to 0, s = l - 1; a prefix with
-    one value left takes the walk of a single eta, whose eta and result are
-    kept, so its hit's classification reuses it.  ``context``, the
-    SymContext of the points, is built on first use, so every code
-    classified through the table reads one context for its parity check.
+    a lexicographic walk mostly leaves in place.
+
+    The rows of the first subsets in lexicographic order are also held as
+    l + 1 columns of reps, grown by the walks as they read on, so every walk
+    (``_first_singular``, ``_survivors``) runs one bulk pass over the held
+    columns and then reads the later rows one by one, computing the same
+    rows, and refusing at the same row, as a walk that reads each row in
+    turn.  The twist search walks the table once per prefix eta_0..eta_(s-1)
+    (``_survivors``), each row solved for eta_s, s = l or, with eta_l pinned
+    to 0, s = l - 1, the held rows in their solved form (``_solved``); a
+    prefix with one value left takes the walk of a single eta, whose eta and
+    result are kept, so its hit's classification reuses it, and any other
+    hit re-walks the rows by the direct test dot(eta, d) = 1.  ``context``,
+    the SymContext of the points, is built on first use, so every code
+    classified through the table reads one context for its generator,
+    parity check and floor certificate.
     """
 
     def __init__(self, alpha: Sequence[FieldElement], k: int, h: int, l: int):
@@ -109,6 +122,10 @@ class PhiWorkspace:
         self.field = pts[0].field
         self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
         self._rows: dict[tuple[int, ...], tuple] = {}
+        # the rows of the first subsets in lexicographic order, as l + 1
+        # columns of reps, and per solved index s their solved form
+        self._cols: list[list[int]] = [[] for _ in range(l + 1)]
+        self._solutions: dict[int, list] = {}
         self._last: Optional[tuple] = None  # (eta, first dependent subset) of the last walk
         # the carried prefix P of the last subset asked for, at most k - 1
         # positions; entry i of the lists below belongs to P[:i]: the reps c
@@ -119,8 +136,9 @@ class PhiWorkspace:
 
     @functools.cached_property
     def context(self) -> SymContext:
-        """The SymContext of the points, built on first use: the parity check
-        of every code classified through the table reads it."""
+        """The SymContext of the points, built on first use: the generator,
+        parity check and floor certificate of every code classified through
+        the table read it."""
         return SymContext(self.alpha)
 
     def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
@@ -198,12 +216,59 @@ class PhiWorkspace:
                 return j
         return None
 
+    def _later_rows(self) -> Iterator[tuple[tuple[int, ...], tuple]]:
+        """The k-subsets after those the columns hold, in lexicographic order,
+        each with its row, which extends the columns as it is read."""
+        cols = self._cols
+        subsets = itertools.combinations(range(self.n), self.k)
+        for I in itertools.islice(subsets, len(cols[0]), None):
+            row = self._rep_row(I)
+            for col, d in zip(cols, row):
+                col.append(d)
+            yield I, row
+
+    def _solved(self, s: int) -> tuple[list[list], list[list]]:
+        """The held rows solved for eta_s, brought up to the columns' length.
+
+        A row with d_s != 0 is singular for eta_s = c - e.eta[:s], with c =
+        1/d_s and e_t = d_t/d_s; it goes into the first column list as
+        (c, -e_0, .., -e_(s-1)), whose dot with (1,) + prefix is that root.
+        A row with d_s = 0 is singular for every eta_s or for none; it goes
+        into the second as (d_0, .., d_(s-1)), whose dot with the prefix is
+        1 exactly when it is singular.
+        """
+        f, cols = self.field, self._cols
+        entry = self._solutions.setdefault(
+            s, [0, [[] for _ in range(s + 1)], [[] for _ in range(s)]])
+        held, solved, flat = entry
+        for row in zip(*(col[held:] for col in cols)):
+            if row[s]:
+                c = f._inv(row[s])
+                row, target = (c, *(f._neg(f._mul(d, c)) for d in row[:s])), solved
+            else:
+                target = flat  # its s columns take d_0..d_(s-1)
+            for col, x in zip(target, row):
+                col.append(x)
+        entry[0] = len(cols[0])
+        return solved, flat
+
     def _first_singular(self, eta: tuple) -> Optional[tuple[int, ...]]:
-        """The lexicographically first dependent k-subset, for eta given as reps."""
+        """The lexicographically first dependent k-subset, for eta given as reps.
+
+        One bulk pass of the direct test dot(eta, d) == 1 over the held
+        columns, then the later rows one by one.
+        """
         if self._last is None or self._last[0] != eta:
             self._last = None  # a walk in progress knows no dependent subset yet
-            subsets = itertools.combinations(range(self.n), self.k)
-            self._last = (eta, next((I for I in subsets if self._singular(eta, I)), None))
+            f = self.field
+            try:
+                i = operator.indexOf(f._dots(eta, self._cols), 1)
+            except ValueError:
+                found = next((I for I, row in self._later_rows() if f._dot(eta, row) == 1), None)
+            else:
+                found = next(itertools.islice(
+                    itertools.combinations(range(self.n), self.k), i, None))
+            self._last = (eta, found)
         return self._last[1]
 
     def _survivors(self, prefix: tuple, live: set) -> list[int]:
@@ -212,12 +277,13 @@ class PhiWorkspace:
         eta_0..eta_(s-1) given as reps, s <= l the coordinate solved for.
 
         A single x takes the walk of ``_first_singular``, whose result a
-        hit's classification reuses.  Otherwise each row d, read in
-        lexicographic order, crosses out the x with 1 - prefix.d[:s] = d_s x:
-        its one root, or every x when d_s and the left side are 0.  Once one
-        x is left, it reads the rest of the rows by the direct test, which
-        costs less than solving them.  So the walk reads the rows the walks
-        of the x would read together, and knows no one eta's first
+        hit's classification reuses.  Otherwise each row d crosses out the x
+        with 1 - prefix.d[:s] = d_s x: its one root, or every x when d_s and
+        the left side are 0.  The held rows do it in one bulk pass of their
+        solved form (``_solved``); the later rows are read one by one in
+        lexicographic order, and once one x is left, by the direct test,
+        which costs less than solving them.  So the walk reads the rows the
+        walks of the x would read together, and knows no one eta's first
         dependent subset.
         """
         tail = (0,) * (self.l - len(prefix))
@@ -225,17 +291,21 @@ class PhiWorkspace:
             return [x for x in live if self._first_singular(prefix + (x,) + tail) is None]
         self._last = None
         f, s = self.field, len(prefix)
-        subsets = itertools.combinations(range(self.n), self.k)
-        for I in subsets:
-            row = self._rep_row(I)
+        solved, flat = self._solved(s)
+        if s and 1 in f._dots(prefix, flat):
+            return []
+        live.difference_update(f._dots((1,) + prefix, solved))
+        rows = self._later_rows()
+        while len(live) > 1:
+            I, row = next(rows, (None, None))
+            if I is None:
+                return sorted(live)
             roots = f._solve(f._sub(1, f._dot(prefix, row)), row[s])
             if roots is None:
                 return []
             live.difference_update(roots)
-            if len(live) == 1:
-                eta = prefix + tuple(live) + tail
-                return [] if any(self._singular(eta, J) for J in subsets) else [eta[s]]
-        return sorted(live)
+        eta = prefix + tuple(live) + tail
+        return [eta[s]] if live and all(f._dot(eta, row) != 1 for _, row in rows) else []
 
 
 def _table_for(spec: TgrsSpec, workspace: Optional[PhiWorkspace]) -> PhiWorkspace:
@@ -537,18 +607,18 @@ def min_distance(H: MatGF, floor: int = 1) -> int:
     return walk.best
 
 
-def _certify_grs_floor(spec: TgrsSpec, G: MatGF) -> None:
+def _certify_grs_floor(spec: TgrsSpec, G: MatGF, context: SymContext) -> None:
     """Certify the floor d >= n - k - l for the generator G by one rank.
 
     Every row of G is v_i f(alpha_i) with deg f <= k + l, so the code is a
     subcode of GRS_{k+l+1}(alpha, v), whose distance is n - k - l.  G stacked
-    on the v-scaled Vandermonde rows alpha_i^j, j <= k + l, must keep their
-    rank k + l + 1; otherwise VerificationError.
+    on the v-scaled power rows alpha_i^j, j <= k + l, of the points'
+    ``context`` must keep their rank k + l + 1; otherwise VerificationError.
     """
     f, m = spec.field, spec.k + spec.l + 1
     v = [x.rep for x in spec.v]
     grs = MatGF._from_reps(f, tuple(tuple(map(f._mul, v, row))
-                                    for row in MatGF.vandermonde(spec.alpha, m)._data))
+                                    for row in context._power_rows(m)))
     if rank(G.stack(grs)) != m:
         raise VerificationError(f"generator is not a subcode of GRS_{m}, so the distance "
                                 f"floor n-k-l = {spec.n - m + 1} is not certified")
@@ -631,11 +701,11 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
     no rank.  Both verdicts come from one ``is_amds`` call, whose criterion
     walk gives the MDS certificate too, on one criterion table:
     ``workspace`` when given (it must be built for the spec's points, k, h
-    and l), a fresh one otherwise.  The parity check reads the table's
-    point-set context.
+    and l), a fresh one otherwise.  The generator, the parity check and the
+    floor certificate read the table's point-set context.
     """
     table = _table_for(spec, workspace)
-    G = generator_matrix(spec)
+    G = generator_matrix(spec, table.context)
     H = parity_check_matrix(spec, table.context)
     amds, dependent, deficient = is_amds(spec, workspace=table)
     mds = dependent is None
@@ -654,7 +724,7 @@ def classify(spec: TgrsSpec, want_distance: bool = False,
         floor = spec.n - spec.k - spec.l
         d = min_distance(H, floor=floor)
         if d <= floor:  # the floor may have stopped the walk
-            _certify_grs_floor(spec, G)
+            _certify_grs_floor(spec, G, table.context)
         report.min_distance = d
         singleton = spec.n - spec.k + 1
         if d > singleton:

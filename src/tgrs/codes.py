@@ -4,6 +4,8 @@ A TgrsSpec pins down the single-hook code family: length n, dimension k,
 twist exponents k+0..k+l fed by hook coefficient h, evaluation points alpha,
 column multipliers v, and twist vector eta.  From it we build the generator
 matrix, the closed-form parity-check matrix, and the evaluation encoder.
+Both matrices read what the points fix (power rows, dual coefficients, hook
+weights, series) from one SymContext of spec.alpha, passed in or built.
 """
 
 from __future__ import annotations
@@ -74,12 +76,26 @@ class TgrsSpec:
         return self.h == self.k - 1
 
 
-def generator_matrix(spec: TgrsSpec) -> MatGF:
-    """k x n generator: monomial rows by ascending degree, twisted at row h."""
+def _context_for(spec: TgrsSpec, context: Optional[SymContext]) -> SymContext:
+    """``context`` when it was built on spec.alpha, in that order (else
+    ValidationError), or a fresh SymContext of the points when None."""
+    if context is None:
+        context = SymContext(spec.alpha)
+    elif context.points != spec.alpha:
+        raise ValidationError("point-set context was built for other points")
+    return context
+
+
+def generator_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) -> MatGF:
+    """k x n generator: monomial rows by ascending degree, twisted at row h.
+
+    The rows alpha_i^j, j <= k + l, are the power rows of ``context``, a
+    SymContext of spec.alpha as for ``parity_check_matrix``.
+    """
     f, k = spec.field, spec.k
-    powers = MatGF.vandermonde(spec.alpha, k + spec.l + 1)._data
+    powers = _context_for(spec, context)._power_rows(k + spec.l + 1)
     eta = [e.rep for e in spec.eta]
-    rows = list(powers[:k])
+    rows = powers[:k]
     # row h gains sum_t eta_t alpha^(k+t), one dot per column
     rows[spec.h] = tuple(map(f._add, rows[spec.h],
                              (f._dot(eta, col) for col in zip(*powers[k:]))))
@@ -92,20 +108,17 @@ def parity_check_matrix(spec: TgrsSpec, context: Optional[SymContext] = None) ->
 
     Row j carries (u_i / v_i) alpha_i^j; the last l+1 rows are corrected by
     w_tilde_i Psi_{n-k-1-j} so that every generator row is annihilated.
-    u, w_tilde and Psi are reps read, through the code its public getters
-    wrap, from ``context``: a SymContext of spec.alpha, in that order (else
-    ValidationError), or one built here when None.
+    u, w_tilde, Psi and the powers are reps read, through the code its
+    public getters wrap, from ``context``: a SymContext of spec.alpha, in
+    that order (else ValidationError), or one built here when None.
     """
     f, n, k, l = spec.field, spec.n, spec.k, spec.l
-    if context is None:
-        context = SymContext(spec.alpha)
-    elif context.points != spec.alpha:
-        raise ValidationError("point-set context was built for other points")
+    context = _context_for(spec, context)
     wt = context._hook_reps(spec.h)
     psi = context._psi_reps([e.rep for e in spec.eta])
-    scale = [f._mul(u, f._inv(v.rep)) for u, v in zip(context._u, spec.v)]
+    scale = [f._mul(u, f._inv(v.rep)) for u, v in zip(context._quotients[1], spec.v)]
     rows = []
-    for j, row in enumerate(MatGF.vandermonde(spec.alpha, n - k)._data):
+    for j, row in enumerate(context._power_rows(n - k)):
         if j >= n - k - l - 1:
             c = psi[n - k - 1 - j]
             row = [f._sub(x, f._mul(w, c)) for x, w in zip(row, wt)]

@@ -108,6 +108,7 @@ class Field:
         self.q = q
         self._fact_qm1: Optional[dict[int, int]] = None
         self._generator: Optional[FieldElement] = None
+        self._orders: dict[int, int] = {}  # rep -> multiplicative order, filled by order()
         if m > 1:
             self._build_tables()
 
@@ -189,8 +190,8 @@ class Field:
         self._neg_log = 0 if p == 2 else (q - 1) // 2
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Field)
-                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
+        return self is other or (isinstance(other, Field) and (self.p, self.m, self.modulus)
+                                 == (other.p, other.m, other.modulus))
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus))
@@ -210,7 +211,7 @@ class Field:
         int embeds via the prime subfield, where the code of c is c itself.
         """
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValidationError("element belongs to a different field")
             return value
         if type(value) is int:  # _is_int, inlined on the hot path
@@ -287,6 +288,18 @@ class Field:
         for x, y in zip(xs, ys):
             acc = add(acc, mul(x, y))
         return acc
+
+    def _dots(self, xs, columns) -> Iterator[int]:
+        """The reps ``_dot(xs, ys)`` for ys the entries at each position of the
+        equal-length ``columns``, in order: zeros when xs is empty, and the
+        columns past len(xs) unread.  Prime fields run it as C-level maps."""
+        if self.m == 1:
+            terms = [map(x.__mul__, col) for x, col in zip(xs, columns)]
+            if not terms:
+                return iter([0] * len(columns[0]))
+            return map(self.p.__rmod__, map(sum, zip(*terms)))
+        dot = self._dot
+        return (dot(xs, ys) for ys in zip(*columns))
 
     def _eliminate(self, dst, src, c, pinv):
         """Clear dst[c] in place: dst[c:] -= f * src[c:] with f = dst[c] * pinv.
@@ -451,7 +464,8 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.rep == other.rep
+            return self.rep == other.rep and (self.field is other.field
+                                              or self.field == other.field)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -472,14 +486,18 @@ class FieldElement:
         return self.rep
 
     def order(self) -> int:
-        """Least t >= 1 with self^t = 1; always divides q - 1."""
+        """Least t >= 1 with self^t = 1; always divides q - 1.  Kept per field."""
         if self.is_zero():
             raise ValidationError("zero has no multiplicative order")
-        t = self.field.q - 1
-        one = self.field.one()
-        for f in self.field._unit_group_factorization():
-            while t % f == 0 and self ** (t // f) == one:
-                t //= f
+        orders = self.field._orders
+        t = orders.get(self.rep)
+        if t is None:
+            t = self.field.q - 1
+            one = self.field.one()
+            for f in self.field._unit_group_factorization():
+                while t % f == 0 and self ** (t // f) == one:
+                    t //= f
+            orders[self.rep] = t
         return t
 
 

@@ -284,7 +284,8 @@ def build_class2(params: Class2Params) -> BuildResult:
     _expect(params, Class2Params)
     qsum = quadratic_twist_sum(params.eta, params.m_gap)
     # cross-check against the tail-sum form, which collapses to the same
-    # quadratic on a full root set of x^n - lambda
+    # quadratic on a full root set of x^n - lambda; the context computes
+    # only its series for it
     psi = SymContext(params.alpha).psi_values(params.eta)
     l, m = params.l, params.m_gap
     psum = sum((params.eta[t] * psi[l + m - t] for t in range(m, l + 1)), params.field.zero())
@@ -333,8 +334,8 @@ def search_eta(template: Class1Params | Class2Params, budget: int,
     (``PhiWorkspace._survivors``).  FieldElements, builds and classification
     are made only for hits; every classification goes through the search's
     one criterion table, whose row budget counts per search and whose one
-    point-set context every hit's parity check reads.  A hit whose
-    recipe build is inapplicable, so that the search's gates and the
+    point-set context every hit's generator and parity check read.  A hit
+    whose recipe build is inapplicable, so that the search's gates and the
     recipe's record disagree, raises VerificationError.
     """
     _expect(template, Class1Params, Class2Params)

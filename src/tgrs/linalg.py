@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .gf import Field, FieldElement, check_int_fields, rep_to_json
+from .gf import Field, FieldElement, rep_to_json
 
 
 class MatGF:
@@ -49,23 +49,6 @@ class MatGF:
 
     def __reduce__(self):
         return (MatGF._from_reps, (self.field, self._data))
-
-    @classmethod
-    def vandermonde(cls, points: Sequence[FieldElement], nrows: int) -> "MatGF":
-        """Row j holds the j-th powers of the points, j = 0..nrows-1."""
-        check_int_fields({"nrows": nrows}, ("nrows",))
-        if not points:
-            raise ValidationError("need at least one point")
-        if nrows < 0:
-            raise ValidationError(f"row count must be nonnegative, got nrows={nrows}")
-        field = points[0].field
-        pts = [field.element(p).rep for p in points]
-        rows = []
-        cur = [1] * len(pts)
-        for _ in range(nrows):
-            rows.append(tuple(cur))
-            cur = [field._mul(c, p) for c, p in zip(cur, pts)]
-        return cls._from_reps(field, tuple(rows))
 
     def __getitem__(self, ij) -> FieldElement:
         i, j = ij

@@ -9,7 +9,9 @@ h_t(P + a) = h_t(P) + a h_(t-1)(P + a) (Macdonald, Symmetric Functions and
 Hall Polynomials, I.2), which ``complete_series`` folds over a root set and
 ``classify.PhiWorkspace`` applies to its carried prefix; the tail sums
 Psi_s combine S_t with a twist vector.  ``SymContext`` keeps these on reps
-for one point set, with FieldElements only in its public getters.
+for one point set, with the power rows alpha_i^j that the generator, the
+parity check and the GRS floor certificate read, each built on first use,
+and FieldElements only in its public getters.
 ``criterion_row`` reads one twist-criterion row of a root set from scratch:
 the r gate (the k-1 head points, hook h-1) and the tests' oracle for the
 table's rows.
@@ -20,6 +22,7 @@ prod_i 1/(1 - x_i z).  All positions are 0-based.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .errors import ValidationError, VerificationError
@@ -85,22 +88,30 @@ def criterion_row(field: Field, roots: Sequence[int], h: int, length: int) -> tu
 
 
 class SymContext:
-    """Symmetric-function values of one point set.
+    """Symmetric-function values and point powers of one point set: the one
+    cache of what its points fix, on reps.
 
-    The leave-one-out quotients and dual coefficients are computed at
-    construction; the series S_t is computed on first use and recomputed to
-    a longer length only when a caller asks past its end.
+    Each part is built on first use and kept: the leave-one-out quotients
+    and dual coefficients from one ``Poly.from_roots`` product, the series
+    S_t, recomputed to a longer length only when a caller asks past its
+    end, and the power rows alpha_i^j, grown a row at a time.
     """
 
     def __init__(self, points: Sequence[FieldElement]):
         pts = distinct_points(points)
-        field = self.field = pts[0].field
+        self.field = pts[0].field
         self.points = pts
         self.n = len(pts)
-        product = [c.rep for c in Poly.from_roots(field, pts).coeffs]
         self._s: list[int] = []
+        self._powers: list[tuple[int, ...]] = [(1,) * self.n]  # row j: alpha_i^j
+
+    @functools.cached_property
+    def _quotients(self) -> tuple[list[list[int]], list[int]]:
+        """Reps of the q_i, low degree first, and of the u_i = 1 / q_i(points_i)."""
+        field, pts = self.field, self.points
+        product = [c.rep for c in Poly.from_roots(field, pts).coeffs]
         add, mul = field._add, field._mul
-        self._q, self._u = [], []  # reps of q_i (low degree first) and of u_i
+        qs, us = [], []
         for i, a in enumerate(pts):
             a = a.rep
             # synthetic division by x - a, high degree first, and Horner's q(a)
@@ -111,8 +122,18 @@ class SymContext:
                 acc = add(mul(acc, a), q[-1])
             if add(product[0], mul(a, q[-1])) != 0:
                 raise VerificationError(f"point {i} is not a root of the full product")
-            self._q.append(q[::-1])
-            self._u.append(field._inv(acc))
+            qs.append(q[::-1])
+            us.append(field._inv(acc))
+        return qs, us
+
+    def _power_rows(self, nrows: int) -> list[tuple[int, ...]]:
+        """Reps of the rows alpha_i^j, j = 0..nrows-1, the Vandermonde rows."""
+        rows = self._powers
+        if len(rows) < nrows:
+            mul, pts = self.field._mul, [p.rep for p in self.points]
+            while len(rows) < nrows:
+                rows.append(tuple(map(mul, rows[-1], pts)))
+        return rows[:nrows]
 
     def _series(self, length: int) -> list[int]:
         if len(self._s) < length:
@@ -121,7 +142,7 @@ class SymContext:
 
     def _hook_reps(self, h: int) -> list[int]:
         """Reps of w_tilde_i = [x^h] q_i, for 0 <= h <= n-1."""
-        return [q[h] for q in self._q]
+        return [q[h] for q in self._quotients[0]]
 
     def _psi_reps(self, eta: Sequence[int]) -> list[int]:
         """Reps of Psi_0..Psi_{len(eta)-1}, for eta given as reps."""
@@ -136,7 +157,7 @@ class SymContext:
 
     def dual_coeffs(self) -> tuple[FieldElement, ...]:
         """u_i = prod_{j != i} (points_i - points_j)^{-1}."""
-        return tuple(FieldElement(self.field, u) for u in self._u)
+        return tuple(FieldElement(self.field, u) for u in self._quotients[1])
 
     def sigma_excluding(self, r: int, i: int) -> FieldElement:
         """Elementary symmetric value of degree r over all points but points[i].
@@ -149,7 +170,7 @@ class SymContext:
             raise ValidationError(f"point index {i} out of range 0..{self.n - 1}")
         if not 0 <= r <= self.n - 1:
             raise ValidationError(f"degree {r} out of range 0..{self.n - 1}")
-        c = self._q[i][self.n - 1 - r]
+        c = self._quotients[0][i][self.n - 1 - r]
         return FieldElement(self.field, c if r % 2 == 0 else self.field._neg(c))
 
     def hook_weights(self, h: int) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
@@ -165,7 +186,7 @@ class SymContext:
             raise ValidationError(f"unit index {h} out of range 0..{self.n - 1}")
         f = self.field
         wt = self._hook_reps(h)
-        return (tuple(FieldElement(f, f._mul(u, t)) for u, t in zip(self._u, wt)),
+        return (tuple(FieldElement(f, f._mul(u, t)) for u, t in zip(self._quotients[1], wt)),
                 tuple(FieldElement(f, t) for t in wt))
 
     def psi_values(self, eta: Sequence[FieldElement]) -> tuple[FieldElement, ...]:

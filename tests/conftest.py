@@ -94,6 +94,11 @@ def poly_mod(num, den) -> list:
     return rem[:d]
 
 
+def vandermonde(points, nrows: int) -> MatGF:
+    """Oracle: row j holds the j-th powers of the points, by element powers."""
+    return MatGF(points[0].field, [[a**j for a in points] for j in range(nrows)])
+
+
 def identity(f: Field, n: int) -> MatGF:
     return MatGF(f, [[int(i == j) for j in range(n)] for i in range(n)])
 

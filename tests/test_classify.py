@@ -17,7 +17,8 @@ from tgrs import (CodeReport, MatGF, PhiWorkspace, Poly, ResourceLimitError, Sym
 from tgrs.golden import GOLDEN_CODES
 from tgrs.symm import criterion_row
 
-from conftest import EXTENSION_FIELDS, GF8, GF9, GF16, GF25, column, get_field, identity, random_spec
+from conftest import (EXTENSION_FIELDS, GF8, GF9, GF16, GF25, column, get_field, identity,
+                      random_spec, vandermonde)
 
 CLASSIFY = sys.modules["tgrs.classify"]  # the package exports the function under this name
 
@@ -171,7 +172,7 @@ def refused_outside_grs(monkeypatch, roots: int) -> MatGF:
             value = f._mul(value, f._sub(a.rep, b.rep))
         top.append(value)
     bad = MatGF._from_reps(f, (tuple(top),) + generator_matrix(spec)._data[1:])
-    monkeypatch.setattr(CLASSIFY, "generator_matrix", lambda s: bad)
+    monkeypatch.setattr(CLASSIFY, "generator_matrix", lambda s, context: bad)
     monkeypatch.setattr(CLASSIFY, "parity_check_matrix", lambda s, context: null_space(bad))
     classify(spec)  # the hull check passes without the distance
     with pytest.raises(VerificationError, match="not a subcode of GRS_5"):
@@ -248,7 +249,7 @@ class TestFtrCoefficient:
         # system V^T f^T = (a^3), checked by product; V is invertible on
         # distinct points, so this pins f
         f_vec = [gf7.element(c) for c in (6, 3, 6)]
-        V = MatGF.vandermonde(alpha, 3)
+        V = vandermonde(alpha, 3)
         assert V.transpose() @ column(gf7, f_vec) == column(gf7, [a**3 for a in alpha])
         assert toeplitz_ftr(alpha, 0, 2) == f_vec[2]
         ws = PhiWorkspace(alpha + [gf7.element(4)], 3, 2, 0)
@@ -352,15 +353,19 @@ class TestPrefixWalk:
         # cube root has d_1 = -(a^2 + ab + b^2) = 0 (k = 2, h = 1), so with
         # eta_0 = 1/d_0 it is dependent for every eta_1; the other 35 rows
         # cross out one value each, too few to empty 73 values
+        # a fresh table reads the rows one by one, the shared one holds them
+        # all after the first prefix and reads them in one bulk pass
         f = get_field(73)
-        table = PhiWorkspace(f.roots_of_xn_minus_lambda(9, f.one()), 2, 1, 1)
+        points = f.roots_of_xn_minus_lambda(9, f.one())
+        table = PhiWorkspace(points, 2, 1, 1)
         rows = [table.row(I) for I in itertools.combinations(range(9), 2)]
         vanishing = {(f.one() / d0).rep for d0, d1 in rows if d1.is_zero()}
         assert len(vanishing) == 9  # one pair {a, a w} per point a, w a cube root
         for p in range(73):
-            got = table._survivors((p,), set(range(73)))
-            assert got == self.per_candidate(table, (p,), range(73))
-            assert (p in vanishing) <= (got == [])
+            want = self.per_candidate(table, (p,), range(73))
+            for walker in (PhiWorkspace(points, 2, 1, 1), table):
+                assert walker._survivors((p,), set(range(73))) == want
+            assert (p in vanishing) <= (want == [])
 
     @pytest.mark.parametrize("q", [13, GF8, GF9, GF16], ids=["gf13", "gf8", "gf9", "gf16"])
     def test_matches_per_candidate_walks(self, q):
@@ -395,6 +400,77 @@ class TestPrefixWalk:
                 live = set(rng.sample(range(f.q), rng.randint(1, f.q)))
                 want = self.per_candidate(table, prefix, live)
                 assert table._survivors(prefix, live) == want, (alpha, k, h, l, prefix)
+
+
+class TestBulkPasses:
+    """The bulk passes over the held columns, on tables left partial by a
+    refused walk and by earlier walks, and on full ones: ``_first_singular``
+    and ``_survivors`` against criterion rows from scratch in element
+    arithmetic, and the rows each call leaves held."""
+
+    @staticmethod
+    def scratch_walk(table):
+        """The k-subsets in lexicographic order, and a function giving an eta's
+        first dependent subset and its position, or None and their count."""
+        f = table.field
+        subsets = list(itertools.combinations(range(table.n), table.k))
+        rows = [[f.from_index(d) for d in criterion_row(
+            f, [table.alpha[i].rep for i in I], table.h, table.l + 1)] for I in subsets]
+
+        def first(eta):
+            eta = [f.from_index(e) for e in eta]
+            for pos, (I, row) in enumerate(zip(subsets, rows)):
+                acc = f.zero()
+                for e, d in zip(eta, row):
+                    acc = acc + e * d
+                if acc == f.one():
+                    return pos, I
+            return len(subsets), None
+
+        return subsets, first
+
+    @pytest.mark.parametrize("q", [31, GF8, GF9, GF16], ids=["gf31", "gf8", "gf9", "gf16"])
+    def test_match_scratch_rows_on_partial_and_full_tables(self, q, monkeypatch):
+        # prefixes of every length s = 0..l: the empty one, the pinned path's
+        # s < l (eta_(s+1).. = 0) and the full s = l
+        f = get_field(q) if isinstance(q, int) else get_field(*q)
+        rng = random.Random(42)
+        for _ in range(5):
+            n = rng.randint(5, 7)
+            k = rng.randint(2, n - 2)
+            h, l = rng.randint(1, k - 1), rng.randint(1, n - k - 1)
+            table = PhiWorkspace([f.from_index(a) for a in rng.sample(range(f.q), n)], k, h, l)
+            subsets, first = self.scratch_walk(table)
+            monkeypatch.setattr(CLASSIFY, "CRITERION_ROW_BUDGET", rng.randint(1, len(subsets)))
+            try:
+                table._survivors((rng.randrange(f.q),) * l, set(range(f.q)))
+            except ResourceLimitError:
+                pass
+            monkeypatch.undo()
+            held = len(table._rows)
+            for step in range(24):
+                if step == 12:  # the rest of the table
+                    for _ in table._later_rows():
+                        pass
+                    held = len(subsets)
+                s = step % (l + 1)
+                prefix = tuple(rng.randrange(f.q) for _ in range(s))
+                tail = (0,) * (l - s)
+                if step % 3 == 0:
+                    eta = prefix + (rng.randrange(f.q),) + tail
+                    reach, want = first(eta)
+                    assert table._first_singular(eta) == want, (table.alpha, k, h, l, eta)
+                else:
+                    live = set(rng.sample(range(f.q), rng.randint(1, f.q)))
+                    found = {x: first(prefix + (x,) + tail) for x in live}
+                    want = sorted(x for x, (_, I) in found.items() if I is None)
+                    got = table._survivors(prefix, set(live))
+                    assert got == want, (table.alpha, k, h, l, prefix, live)
+                    reach = max(pos for pos, _ in found.values())
+                # the rows held are the walks' lexicographic prefix, in the columns too
+                held = max(held, min(reach + 1, len(subsets)))
+                assert list(table._rows) == subsets[:held]
+                assert list(zip(*table._cols)) == list(table._rows.values())
 
 
 def walk_runs(walker: str) -> list:
@@ -448,7 +524,7 @@ class TestMdsChecks:
 
     def test_minors_small_vandermonde(self, gf7):
         pts = [gf7.element(a) for a in (1, 2, 3)]
-        G = MatGF.vandermonde(pts, 2)
+        G = vandermonde(pts, 2)
         # oracle: check the three 2x2 minors by hand
         for i, j in itertools.combinations(range(3), 2):
             assert not det(G.submatrix((0, 1), (i, j))).is_zero()
@@ -774,7 +850,8 @@ class TestMinDistance:
         calls = []
         certify = CLASSIFY._certify_grs_floor
         monkeypatch.setattr(CLASSIFY, "_certify_grs_floor",
-                            lambda spec, G: calls.append(spec.n) or certify(spec, G))
+                            lambda spec, G, context: calls.append(spec.n)
+                            or certify(spec, G, context))
         for gc in GOLDEN_CODES:
             classify(gc.spec(), want_distance=True)
         assert calls == []

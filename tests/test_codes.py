@@ -90,6 +90,23 @@ class TestGeneratorMatrix:
             for j in range(6):
                 assert G[i, j] == spec.v[j] * spec.alpha[j] ** i
 
+    def test_given_context_of_the_spec_points(self):
+        # the contract of parity_check_matrix: a context of the spec's points
+        # gives the matrix built without one, and one of the same points in
+        # another order, or of other points, is refused
+        rng = random.Random(45)
+        for q in (31, GF9, GF16):
+            first = random_spec(rng, qs=(q,), n_min=4, n_max=9)
+            ctx = SymContext(first.alpha)
+            for _ in range(4):
+                spec = random_spec(rng, qs=(q,), n_min=first.n, n_max=first.n)
+                spec = dataclasses.replace(spec, alpha=first.alpha)
+                assert generator_matrix(spec, ctx) == generator_matrix(spec)
+                for points in (first.alpha[::-1], first.alpha[1:]):
+                    with pytest.raises(ValidationError,
+                                       match="^point-set context was built for other points$"):
+                        generator_matrix(spec, SymContext(points))
+
     def test_full_rank(self):
         rng = random.Random(16)
         for _ in range(10):
@@ -246,9 +263,9 @@ class TestEncode:
     def test_unit_messages_give_published_rows_without_generator(self, monkeypatch):
         # the oracle is the printed generator, so encode must not build G itself
         def refuse(*args, **kwargs):
-            raise AssertionError("encode built a generator or Vandermonde matrix")
+            raise AssertionError("encode built a generator or the power rows")
         monkeypatch.setattr(tgrs.codes, "generator_matrix", refuse)
-        monkeypatch.setattr(MatGF, "vandermonde", refuse)
+        monkeypatch.setattr(SymContext, "_power_rows", refuse)
         for gc in GOLDEN_CODES:
             spec = gc.spec()
             f = spec.field
@@ -318,7 +335,6 @@ INT_BUILDERS = {
            "alpha_head": reference_points()[:2], **change})),
     "quadratic_twist_sum": (("m_gap",), lambda **change: quadratic_twist_sum(
         **{"eta": GOLDEN_CODES[3].spec().eta, "m_gap": 1, **change})),
-    "vandermonde": (("nrows",), lambda **change: MatGF.vandermonde(reference_points(), **change)),
     "sigma_excluding": (("r", "i"), lambda **change: SymContext(
         reference_points()).sigma_excluding(**{"r": 0, "i": 0, **change})),
     "hook_weights": (("h",), lambda **change: SymContext(

@@ -302,6 +302,33 @@ class TestOrder:
         with pytest.raises(ValidationError):
             gf31.zero().order()
 
+    def test_orders_kept_per_field(self, monkeypatch):
+        # each element's order is computed once per field object; an equal
+        # field built anew computes its own, with the same values
+        for spec in ((31,), (3, 2, [1, 0, 1])):
+            f, g = Field(*spec), Field(*spec)
+            first = [a.order() for a in f.nonzero_elements()]
+            monkeypatch.setattr(Field, "_unit_group_factorization", lambda self: 1 / 0)
+            assert [a.order() for a in f.nonzero_elements()] == first
+            with pytest.raises(ZeroDivisionError):
+                g.one().order()
+            monkeypatch.undo()
+            assert [a.order() for a in g.nonzero_elements()] == first
+
+
+class TestIdentity:
+    def test_equal_fields_built_apart(self):
+        # equality is by (p, m, modulus); the identity short cut changes none of it
+        for spec in ((31,), (3, 2, [1, 0, 1])):
+            f, g = Field(*spec), Field(*spec)
+            assert f is not g and f == g and f == f and hash(f) == hash(g)
+            a, b = f.from_index(5), g.from_index(5)
+            assert a == b and a == a and hash(a) == hash(b)
+            assert a != g.from_index(6) and a != Field(37).from_index(5)
+            assert f.element(b) is b and f.element(a) is a
+        with pytest.raises(ValidationError, match="different field"):
+            Field(31).element(Field(37).one())
+
 
 class TestRoots:
     def test_ninth_roots_in_gf37(self, gf37):
@@ -430,6 +457,21 @@ class TestEnumerationAndJson:
 
 
 class TestDot:
+    @pytest.mark.parametrize("spec", [(31,), (2, 3, [1, 1, 0, 1]), (3, 2, [1, 0, 1]),
+                                      (2, 4, [1, 1, 0, 0, 1])], ids=["gf31", "gf8", "gf9", "gf16"])
+    def test_vector_pass_matches_dot_at_each_position(self, spec):
+        # _dots over columns is _dot with the entries at each position, for
+        # coefficient lists shorter or longer than the columns, empty included
+        f = get_field(*spec)
+        rng = random.Random(40)
+        for _ in range(60):
+            width, length = rng.randint(1, 4), rng.randint(0, 7)
+            columns = [[rng.randrange(f.q) for _ in range(length)] for _ in range(width)]
+            xs = tuple(rng.randrange(f.q) for _ in range(rng.randint(0, width + 1)))
+            want = [f._dot(xs, ys) for ys in zip(*columns)]
+            assert list(f._dots(xs, columns)) == want, (xs, columns)
+            assert list(f._dots((), columns)) == [0] * length
+
     @pytest.mark.parametrize("spec", [(31,), (3, 2, [1, 0, 1]), (2, 4, [1, 1, 0, 0, 1])])
     def test_matches_element_arithmetic(self, spec):
         f = get_field(*spec)

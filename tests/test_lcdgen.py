@@ -4,13 +4,14 @@ import functools
 import itertools
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from tgrs import (Class1Params, Class2Params, PhiWorkspace, ResourceLimitError, SymContext,
-                  ValidationError, VerificationError, build_class1, build_class2, classify,
-                  generator_matrix, hull_dimension, is_mds_minors,
+from tgrs import (Class1Params, Class2Params, Field, PhiWorkspace, ResourceLimitError,
+                  SymContext, ValidationError, VerificationError, build_class1, build_class2,
+                  classify, generator_matrix, hull_dimension, is_mds_minors,
                   parity_check_matrix, quadratic_twist_sum, r_coefficient,
                   report_to_json, search_eta)
 from tgrs.gf import element_to_json
@@ -115,6 +116,8 @@ TEMPLATES = {
     "gf8_gap1": lambda: gap_template(GF8, n=7, l=2, m_gap=1, head=[[0, 1, 0]]),
     # [5,2] GF(16), m = 0 < l = 1
     "gf16_gap0": lambda: gap_template(GF16, n=5, l=1, m_gap=0, head=[[0, 1]]),
+    # [5,2] GF(31), l = 0: the prefix is empty
+    "gf31_empty": lambda: fifth_roots_template(get_field(31)),
     # m = l pins eta_l = 0, and the gates are solved for eta_(l-1).  No
     # characteristic-2 field has m = l: n - 2l must be even, so n is, but n
     # divides the odd q - 1.
@@ -625,13 +628,27 @@ class TestSearch:
                 assert report_to_json(h.report) == report_to_json(classify(spec))
 
 
+def counted_search(monkeypatch, template, budget, hits):
+    """Search ``template``, checking its LCD MDS hits; returns the criterion
+    tables it built and a Counter of its bulk passes by coefficient count."""
+    tables, passes = [], Counter()
+    init, dots = PhiWorkspace.__init__, Field._dots
+    monkeypatch.setattr(PhiWorkspace, "__init__",
+                        lambda self, *args: tables.append(self) or init(self, *args))
+    monkeypatch.setattr(Field, "_dots", lambda self, xs, columns:
+                        passes.update([len(xs)]) or dots(self, xs, columns))
+    found = search_eta(template, budget=budget)
+    assert len(found) == hits and all(h.report.is_mds and h.report.is_lcd for h in found)
+    return tables, passes
+
+
 class TestSearchOracle:
     """search_eta against the per-candidate element loop it replaced."""
 
     @pytest.mark.parametrize("name,expected", [("demo", 117), ("demo_h2", 97), ("gf9", 4),
                                                ("gf16", 4), ("gf9_gap0", 4), ("gf8_gap1", 28),
                                                ("gf16_gap0", 115), ("gf9_pinned", 4),
-                                               ("gf25_pinned", 4)])
+                                               ("gf25_pinned", 4), ("gf31_empty", 19)])
     def test_exhaustive_matches_oracle(self, name, expected):
         template = TEMPLATES[name]()
         space = template.field.q ** (template.l + 1)
@@ -647,6 +664,16 @@ class TestSearchOracle:
                                                ("gf25_pinned", 0)])
     def test_seeded_gap_templates_match_oracle(self, name, expected):
         self.check_seeded(name, 100, 3, expected)
+
+    @pytest.mark.parametrize("name,budget,seed,expected", [
+        ("gf31_empty", 12, 1, 7), ("recipe2", 500, 2, 0), ("recipe2", 3000, 7, 5),
+        ("gf16", 8, 1, 3), ("gf8_gap1", 40, 2, 3), ("gf9", 30, 2, 2),
+        ("gf9_pinned", 200, 1, 1), ("gf25_pinned", 300, 2, 4)])
+    def test_seeded_searches_on_partial_tables_match_oracle(self, name, budget, seed,
+                                                            expected):
+        # between the prefixes of a sparse draw the table is partial, so each
+        # bulk pass reads the rows the walks so far have held, then walks on
+        self.check_seeded(name, budget, seed, expected)
 
     @staticmethod
     def check_seeded(name, budget, seed, expected):
@@ -670,22 +697,20 @@ class TestSearchOracle:
 
     def test_hits_reuse_the_gate_walk(self, monkeypatch):
         # m = l = 2 pins eta_2 = 0, so the gates are solved for eta_1 on the 31
-        # prefixes eta_0, each holding several eta_1: a gate walk solves its
-        # rows and checks 143 in all by the direct test once one value is left,
-        # and each hit's classification re-walks all C(10,3) = 120 subsets by
-        # that test, 40 * 120 = 4,800 (one walk per eta_0, eta_1 made 33,843)
-        checks = []
-        singular = PhiWorkspace._singular
-        monkeypatch.setattr(PhiWorkspace, "_singular", lambda self, eta, subset:
-                            checks.append(1) or singular(self, eta, subset))
-        hits = search_eta(recipe2_template(), budget=31**3)
-        assert len(hits) == 40 and all(h.report.is_mds for h in hits)
-        assert len(checks) == 4_943
+        # prefixes eta_0, and the search computes each of the C(10,3) = 120
+        # rows once.  Each prefix runs one bulk pass over the held rows with
+        # d_1 = 0, which for 5 prefixes (eta_0 = 1/d_0) finds one dependent
+        # for every eta_1, and the other 26 one pass over the held rows solved
+        # for eta_1; each hit's classification re-walks the held rows by one
+        # bulk pass of the direct test (a walk per hit made 4,943 checks)
+        tables, passes = counted_search(monkeypatch, recipe2_template(), 31**3, 40)
+        assert len(tables) == 1 and len(tables[0]._rows) == 120
+        assert passes == {1: 31, 2: 26, 3: 40}
 
     def test_one_table_per_search(self, monkeypatch):
         # every hit is classified through the search's one criterion table, whose
-        # one point-set context every parity check reads; each hit builds one
-        # more context for its recipe's tail-sum cross-check
+        # one point-set context every generator and parity check reads; each hit
+        # builds one more context for its recipe's tail-sum cross-check
         template = recipe2_template()
         built = {"table": 0, "context": 0}
         table_init, context_init = PhiWorkspace.__init__, SymContext.__init__
@@ -707,27 +732,14 @@ class TestSearchWork:
     """What the prefix pass reads, and where a lowered row budget stops it."""
 
     def test_gates_read_each_row_once_per_prefix(self, monkeypatch):
-        # [9,3] GF(37): every prefix keeps several eta_1, so its gate reads the
-        # C(9,3) = 84 rows once, 37 x 84 = 3,108, and each of the 117 hits'
-        # classifications re-walks them by the direct test, 117 x 84 = 9,828
-        # (one walk per candidate read 42,816)
-        reads = {"rows": 0, "gates": 0}
-        rep_row, survivors = PhiWorkspace._rep_row, PhiWorkspace._survivors
-
-        def counted_row(self, subset):
-            reads["rows"] += 1
-            return rep_row(self, subset)
-
-        def counted_gate(self, prefix, live):
-            before = reads["rows"]
-            out = survivors(self, prefix, live)
-            reads["gates"] += reads["rows"] - before
-            return out
-
-        monkeypatch.setattr(PhiWorkspace, "_rep_row", counted_row)
-        monkeypatch.setattr(PhiWorkspace, "_survivors", counted_gate)
-        assert len(search_eta(demo_template(), budget=37**2)) == 117
-        assert reads == {"rows": 12_936, "gates": 3_108}
+        # [9,3] GF(37): the search computes each of the C(9,3) = 84 rows once.
+        # Every prefix eta_0 keeps several eta_1, so its gate runs one bulk
+        # pass over the held rows with d_1 = 0 and one over the rest solved
+        # for eta_1, 37 of each, and each of the 117 hits' classifications
+        # one pass of the direct test (one walk per prefix read 12,936 rows)
+        tables, passes = counted_search(monkeypatch, demo_template(), 37**2, 117)
+        assert len(tables) == 1 and len(tables[0]._rows) == 84
+        assert passes == {1: 37, 2: 37 + 117}
 
     def test_refusal_inside_a_prefix_walk_names_no_set(self, monkeypatch):
         # 60 draws with seed 1: the first two prefixes hold several eta_1 and read

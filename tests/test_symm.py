@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from tgrs import FieldElement, MatGF, SymContext, ValidationError
+from tgrs import FieldElement, MatGF, Poly, SymContext, ValidationError, VerificationError
 from tgrs.symm import complete_series
 
-from conftest import GF8, GF9, GF16, column, get_field
+from conftest import GF8, GF9, GF16, column, get_field, vandermonde
 
 # The oracle tests below also run over these extension fields: GF(9) keeps
 # the signs of the closed forms, characteristic 2 collapses them to +1.
@@ -72,7 +72,7 @@ def assert_unit_vector(ctx, h):
     this pins the hook weights w."""
     f, n = ctx.field, ctx.n
     w, wt = ctx.hook_weights(h)
-    V = MatGF.vandermonde(ctx.points, n)
+    V = vandermonde(ctx.points, n)
     assert V @ column(f, w) == column(f, [int(j == h) for j in range(n)]), (ctx.points, h)
     assert all(wi == u * t for wi, u, t in zip(w, ctx.dual_coeffs(), wt))
 
@@ -268,6 +268,50 @@ class TestPowerSumIdentity:
     @EXTENSIONS
     def test_dual_weighted_power_sums_extension(self, q):
         check_power_sum_identity(get_field(*q), random.Random(15))
+
+
+class TestPowerRows:
+    @pytest.mark.parametrize("q", (31, GF8, GF9, GF16), ids=("GF31", "GF8", "GF9", "GF16"))
+    def test_match_vandermonde_rows(self, q):
+        # the held power rows alpha_i^j, asked in an order that grows and
+        # re-reads them, are the Vandermonde rows of element powers
+        f = get_field(q) if isinstance(q, int) else get_field(*q)
+        rng = random.Random(41)
+        for _ in range(8):
+            ctx = SymContext(random_points(f, rng, rng.randint(1, 9)))
+            for nrows in (rng.randint(0, 4), rng.randint(5, 12), rng.randint(0, 12)):
+                assert ctx._power_rows(nrows) == list(vandermonde(ctx.points, nrows)._data)
+
+    def test_rows_start_at_the_zeroth_power(self, gf7):
+        ctx = SymContext([gf7.element(a) for a in (2, 3)])
+        assert ctx._power_rows(3) == [(1, 1), (2, 3), (4, 2)]
+
+
+class TestLazyQuotients:
+    def test_product_taken_only_for_the_quotients(self, gf31, monkeypatch):
+        # the series and the power rows need no product of the points; the
+        # quotients and dual coefficients take one Poly.from_roots, once
+        calls = []
+        from_roots = Poly.from_roots
+        monkeypatch.setattr(Poly, "from_roots", classmethod(
+            lambda cls, field, roots: calls.append(len(roots)) or from_roots(field, roots)))
+        ctx, _ = roots_context(gf31, 10)
+        ctx.psi_values([gf31.element(e) for e in (1, 2, 3)])
+        ctx._power_rows(6)
+        assert calls == []
+        u = ctx.dual_coeffs()
+        assert ctx.hook_weights(2)[0] == tuple(x * y for x, y in zip(u, ctx.hook_weights(2)[1]))
+        ctx.sigma_excluding(3, 4)
+        assert calls == [10]
+
+    def test_quotients_check_every_point_is_a_root(self, gf31, monkeypatch):
+        # a product that misses a point leaves a remainder at that point
+        from_roots = Poly.from_roots
+        monkeypatch.setattr(Poly, "from_roots", classmethod(
+            lambda cls, field, roots: from_roots(field, [*roots[:-1], field.element(30)])))
+        ctx = SymContext([gf31.element(a) for a in (1, 2, 3)])
+        with pytest.raises(VerificationError, match="^point 2 is not a root of the full product$"):
+            ctx.dual_coeffs()
 
 
 class TestConstruction:

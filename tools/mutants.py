@@ -60,8 +60,8 @@ CATALOGUE = (
            "            if roots is None:\n                continue",
            "d_l = 0 and 1 - prefix.d[:l] = 0 make the subset dependent for every eta_l"),
     Mutant("last value skips the rows left",
-           "return [] if any(self._singular(eta, J) for J in subsets) else [eta[s]]",
-           "return [eta[s]]",
+           "return [eta[s]] if live and all(f._dot(eta, row) != 1 for _, row in rows) else []",
+           "return [eta[s]] if live else []",
            "the one value left must still pass every row after the one that left it alone"),
     Mutant("r root kept",
            "        live.difference_update(roots)\n        for x in table._survivors(",
@@ -71,16 +71,43 @@ CATALOGUE = (
            "        self._last = None\n        f, s = self.field, len(prefix)",
            "        f, s = self.field, len(prefix)",
            "a refusal inside a prefix walk must not name an earlier twist vector's set"),
+    # -- the bulk passes over the held columns
+    Mutant("bulk pass drops its last column term",
+           "terms = [map(x.__mul__, col) for x, col in zip(xs, columns)]",
+           "terms = [map(x.__mul__, col) for x, col in zip(xs[:-1], columns)]",
+           "every coefficient meets its column, the last one too"),
+    Mutant("bulk direct test compares with 0",
+           "operator.indexOf(f._dots(eta, self._cols), 1)",
+           "operator.indexOf(f._dots(eta, self._cols), 0)",
+           "a subset is dependent exactly when 1 - dot(eta, d) = 0, i.e. dot(eta, d) = 1"),
+    Mutant("solved row root sign",
+           "row, target = (c, *(f._neg(f._mul(d, c)) for d in row[:s])), solved",
+           "row, target = (c, *(f._mul(d, c) for d in row[:s])), solved",
+           "a held row's root is 1/d_s - prefix.d[:s]/d_s, read as a dot with (1,) + prefix"),
+    Mutant("held row vanishing on the prefix crosses out none",
+           "        if s and 1 in f._dots(prefix, flat):\n            return []\n",
+           "",
+           "a held row with d_s = 0 and prefix.d[:s] = 1 is dependent for every eta_s"),
     Mutant("pinned path taken when m < l",
            "pinned = second and m == l >= 1",
            "pinned = second and m <= l >= 1",
            "only m = l makes the quadratic gate eta_l^2 = 0; for m < l it admits eta_l != 0"),
     # -- one point-set context per table, one rank per LCD pair
-    Mutant("parity check skips its points check",
+    Mutant("context skips its points check",
            "    elif context.points != spec.alpha:\n"
            "        raise ValidationError(\"point-set context was built for other points\")\n",
            "",
-           "a context of other points, or of the same points in another order, gives a wrong H"),
+           "a context of other points, or of the same points in another order, gives a wrong "
+           "G or H"),
+    Mutant("lazy quotients skip their root check",
+           "            if add(product[0], mul(a, q[-1])) != 0:\n"
+           "                raise VerificationError(f\"point {i} is not a root of the full product\")\n",
+           "",
+           "a product that misses a point leaves a remainder there, and wrong u and w_tilde"),
+    Mutant("context powers start at alpha^1",
+           "self._powers: list[tuple[int, ...]] = [(1,) * self.n]",
+           "self._powers: list[tuple[int, ...]] = [tuple(p.rep for p in pts)]",
+           "row j of G, H and the GRS certificate is alpha_i^j from j = 0"),
     Mutant("hull fallback ranks dropped",
            "        if rank(G) != G.rows:\n"
            "            raise ValidationError(\"generator matrix must have full row rank k\")\n"

@@ -9,21 +9,22 @@ point set and (k, h, l), which the MDS and AMDS verdicts and the twist
 search share; the search reads each row once per prefix of its twist
 vectors and crosses out the coordinate it solves for that makes the row
 singular.
-It holds at most CRITERION_ROW_BUDGET rows, each the
-``symm.criterion_row`` of its subset, and carries the product and the
-complete symmetric series of every prefix of the last subset asked for,
-each one ``poly.linear_step`` and one ``symm.series_step`` from its parent,
-so a row read in lexicographic order costs a few steps from its
-neighbour's prefix.  The rows of the first subsets in lexicographic order
-are also kept as l + 1 columns, so a walk first runs one bulk pass over
-them (``Field._dots``) and reads only the later rows one by one.  The table
-also builds the SymContext of its points on first use, and the generator,
-parity check and floor certificate of every code classified through it
-read that one context.
+It holds the rows of the first subsets in lexicographic order, each the
+``symm.criterion_row`` of its subset, as l + 1 columns and nowhere else,
+so CRITERION_ROW_BUDGET bounds its memory as well as its work; a walk
+first runs one bulk pass over them (``Field._dots``) and reads only the
+later rows one by one.  It carries the product and the complete symmetric
+series of every prefix of the last subset asked for, each one
+``poly.linear_step`` and one ``symm.series_step`` from its parent, so a
+row read in lexicographic order costs a few steps from its neighbour's
+prefix.  The table also builds the SymContext of its points on first use,
+and the generator, parity check and floor certificate of every code
+classified through it read that one context.
 For a singular k-subset I, the (k+1)-superset I + (j,) is deficient
 exactly when alpha_j is a root of P_I, a polynomial of degree at most l
 read off the series of I, so the AMDS scan reads P_I alone; it needs no
-scan at all when eta_1..eta_l are zero.
+scan at all when eta_1..eta_l are zero; past the held rows it reads its
+rows without holding them.
 
 Minimum distance takes one of two depth-first walks, by the shape of H
 alone, k = n - rows: a low-rate code, 2k < n, walks the hyperplanes spanned
@@ -76,7 +77,8 @@ DISTANCE_NODE_BUDGET = 2_000_000
 
 # Rows one criterion table may hold, ~11-13 us each at k = 6-8 read in
 # lexicographic order on a 2-vCPU Xeon VM, so ~3 s; a [30,5] code needs at
-# most C(30,5) = 142,506.  A search's one table counts them all.
+# most C(30,5) = 142,506, held in 3.4 MB at l = 2 over GF(101).  A search's
+# one table counts them all, and the AMDS scan the rows it reads past them.
 CRITERION_ROW_BUDGET = 250_000
 
 
@@ -91,20 +93,20 @@ class PhiWorkspace:
 
     Rows depend on the points, k, h and l only, never on eta or v, so one
     table serves every twist vector and column scaling on the point set.
-    A row is computed the first time its subset is asked for and kept as
-    canonical reps, so the rows held are exactly the subsets asked for;
-    the verdicts ``is_mds_phi`` and ``is_amds`` stop at their first
-    witness, so tables stay partial.  A row past CRITERION_ROW_BUDGET
-    raises ResourceLimitError.  Rows and the superset scan's P_I read the
-    product c(I) and series h(I) off one carried prefix (``_carry``), which
-    a lexicographic walk mostly leaves in place.
+    It holds the rows of the first subsets in lexicographic order, and only
+    those, as l + 1 columns of canonical reps that the walks grow as they
+    read on (``_later_rows``): every walk (``_first_singular``,
+    ``_survivors``) runs one bulk pass over the held columns and then reads
+    the later rows one by one, computing the same rows, and refusing at the
+    same row, as a walk that reads each row in turn.  The verdicts stop at
+    their first witness, so tables stay partial.  Every row is computed by
+    ``_row`` off the product c(I) and series h(I) of one carried prefix
+    (``_carry``), which a lexicographic walk mostly leaves in place.  A row
+    read when the held rows and those its walk read without holding them
+    (the AMDS scan's) number CRITERION_ROW_BUDGET raises ResourceLimitError,
+    so the budget bounds the table's memory too.
 
-    The rows of the first subsets in lexicographic order are also held as
-    l + 1 columns of reps, grown by the walks as they read on, so every walk
-    (``_first_singular``, ``_survivors``) runs one bulk pass over the held
-    columns and then reads the later rows one by one, computing the same
-    rows, and refusing at the same row, as a walk that reads each row in
-    turn.  The twist search walks the table once per prefix eta_0..eta_(s-1)
+    The twist search walks the table once per prefix eta_0..eta_(s-1)
     (``_survivors``), each row solved for eta_s, s = l or, with eta_l pinned
     to 0, s = l - 1, the held rows in their solved form (``_solved``); a
     prefix with one value left takes the walk of a single eta, whose eta and
@@ -121,9 +123,8 @@ class PhiWorkspace:
         check_shape(n, k, l, h)
         self.field = pts[0].field
         self.alpha, self.n, self.k, self.h, self.l = pts, n, k, h, l
-        self._rows: dict[tuple[int, ...], tuple] = {}
-        # the rows of the first subsets in lexicographic order, as l + 1
-        # columns of reps, and per solved index s their solved form
+        # the rows held: those of the first subsets in lexicographic order, as
+        # l + 1 columns of reps, and per solved index s their solved form
         self._cols: list[list[int]] = [[] for _ in range(l + 1)]
         self._solutions: dict[int, list] = {}
         self._last: Optional[tuple] = None  # (eta, first dependent subset) of the last walk
@@ -141,30 +142,20 @@ class PhiWorkspace:
         the table read it."""
         return SymContext(self.alpha)
 
-    def row(self, subset: tuple[int, ...]) -> tuple[FieldElement, ...]:
-        """d_0(I)..d_l(I) for an ascending tuple I of k positions."""
-        if (type(subset) is not tuple or len(subset) != self.k
-                or not all(map(_is_int, subset))
-                or list(subset) != sorted(set(subset))
-                or subset[0] < 0 or subset[-1] >= self.n):
-            raise ValidationError(
-                f"need an ascending subset of {self.k} positions in 0..{self.n - 1}")
-        return tuple(FieldElement(self.field, d) for d in self._rep_row(subset))
-
-    def _rep_row(self, subset: tuple[int, ...]) -> tuple:
-        row = self._rows.get(subset)
-        if row is None:
-            if len(self._rows) >= CRITERION_ROW_BUDGET:
-                known = self._last and self._last[1]  # the current walk's, once found
-                raise ResourceLimitError(
-                    f"twist criterion stopped at its budget of {len(self._rows)} rows "
-                    f"(n={self.n}, k={self.k}); dependent columns (1-based): "
-                    f"{[i + 1 for i in known] if known else 'none found yet'}")
-            window, series = self._carry(subset)
-            dot = self.field._dot  # the criterion_row formula, on the window
-            row = self._rows[subset] = tuple(dot(series[t::-1], window)
-                                             for t in range(self.l + 1))
-        return row
+    def _row(self, subset: tuple[int, ...], spent: int = 0) -> tuple:
+        """The row of an ascending subset as reps, off the carried prefix and not
+        held; ResourceLimitError once the held rows and ``spent`` more number
+        CRITERION_ROW_BUDGET."""
+        read = len(self._cols[0]) + spent
+        if read >= CRITERION_ROW_BUDGET:
+            known = self._last and self._last[1]  # the current walk's, once found
+            raise ResourceLimitError(
+                f"twist criterion stopped at its budget of {read} rows "
+                f"(n={self.n}, k={self.k}); dependent columns (1-based): "
+                f"{[i + 1 for i in known] if known else 'none found yet'}")
+        window, series = self._carry(subset)
+        dot = self.field._dot  # the criterion_row formula, on the window
+        return tuple(dot(series[t::-1], window) for t in range(self.l + 1))
 
     def _carry(self, subset: tuple[int, ...]) -> tuple[list[int], list[int]]:
         """The window c_(k-h)..c_(k-h+min(h,l)) of g_I, and h_0..h_l(I).
@@ -193,10 +184,6 @@ class PhiWorkspace:
         window = [add(c[j], mul(m, c[j - 1])) for j in range(lo, lo + min(self.h, self.l) + 1)]
         return window, series_step(f, series[-1], a)
 
-    def _singular(self, eta: tuple, subset: tuple[int, ...]) -> bool:
-        """Whether the subset's columns are dependent, for eta given as reps."""
-        return self.field._dot(eta, self._rep_row(subset)) == 1
-
     def _superset_root(self, eta: tuple, subset: tuple[int, ...]) -> Optional[int]:
         """The first j > subset[-1] with P_I(alpha_j) = 0, or None; eta given as reps.
 
@@ -222,7 +209,7 @@ class PhiWorkspace:
         cols = self._cols
         subsets = itertools.combinations(range(self.n), self.k)
         for I in itertools.islice(subsets, len(cols[0]), None):
-            row = self._rep_row(I)
+            row = self._row(I)
             for col, d in zip(cols, row):
                 col.append(d)
             yield I, row
@@ -401,8 +388,17 @@ def is_amds(spec: TgrsSpec, workspace: Optional[PhiWorkspace] = None
         return False, None, None
     eta, n, k = tuple(e.rep for e in spec.eta), table.n, table.k
     if any(eta[1:]):
-        for I in itertools.combinations(range(n - 1), k):
-            j = table._superset_root(eta, I) if table._singular(eta, I) else None
+        # the k-subsets of range(n - 1) in lexicographic order: the held rows by
+        # one bulk pass of the direct test, then the later rows one by one, not
+        # held but counted with the held ones against the budget
+        f, cols = table.field, table._cols
+        subsets = itertools.combinations(range(n), k)
+        held = (I for d, I in zip(f._dots(eta, cols), subsets) if d == 1 and I[-1] < n - 1)
+        later = itertools.islice(itertools.combinations(range(n), k), len(cols[0]), None)
+        later = enumerate(I for I in later if I[-1] < n - 1)
+        for I in itertools.chain(held, (I for spent, I in later
+                                        if f._dot(eta, table._row(I, spent)) == 1)):
+            j = table._superset_root(eta, I)
             if j is not None:
                 return False, dependent, I + (j,)
     return True, dependent, None

@@ -37,15 +37,17 @@ class TestSpecValidation:
         self.make(gf7)
 
     def test_twist_bound_rejected_and_cited(self, gf7):
-        with pytest.raises(ValidationError, match="n-k-1"):
+        with pytest.raises(ValidationError, match=r"n-k-1 = 2, got l=3$"):
             self.make(gf7, l=3, eta=(gf7.one(),) * 4)  # l = n-k
 
     def test_hook_zero_rejected(self, gf7):
-        with pytest.raises(ValidationError, match="hook"):
+        with pytest.raises(ValidationError,
+                           match=r"^hook must satisfy 1 <= h <= k-1 = 2, got h=0$"):
             self.make(gf7, h=0)
 
     def test_hook_at_k_rejected(self, gf7):
-        with pytest.raises(ValidationError, match="hook"):
+        with pytest.raises(ValidationError,
+                           match=r"^hook must satisfy 1 <= h <= k-1 = 2, got h=3$"):
             self.make(gf7, h=3)
 
     def test_duplicate_alpha_names_positions(self, gf7):
@@ -65,7 +67,7 @@ class TestSpecValidation:
             self.make(gf7, k=7, h=2)
 
     def test_eta_length_checked(self, gf7):
-        with pytest.raises(ValidationError, match="eta"):
+        with pytest.raises(ValidationError, match=r"^eta must have length l\+1 = 2$"):
             self.make(gf7, eta=(gf7.one(),))
 
     def test_more_points_than_field_elements_rejected(self, gf7):

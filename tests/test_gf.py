@@ -374,7 +374,8 @@ class TestRoots:
     def test_order_precondition_named(self, gf31):
         lam = gf31.element(3)  # a primitive root: ord 30 does not divide 30/5
         assert lam.order() == 30
-        with pytest.raises(ValidationError, match="ord"):
+        with pytest.raises(ValidationError,
+                           match=r"^ord\(lambda\) = 30 does not divide \(q-1\)/n = 6$"):
             gf31.roots_of_xn_minus_lambda(5, lam)
 
     def test_zero_lambda_rejected(self, gf31):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -16,6 +17,7 @@ from tgrs import (Class1Params, Class2Params, Field, PhiWorkspace, ResourceLimit
                   report_to_json, search_eta)
 from tgrs.gf import element_to_json
 from tgrs.golden import GOLDEN_CODES
+from tgrs.symm import criterion_row
 
 from conftest import GF8, GF9, GF16, GF25, get_field, linear_product, poly_mod
 
@@ -142,8 +144,9 @@ def oracle_hits(name):
     base = r_coefficient(k, h, (f.zero(),) * (l + 1), head)
     lin = [r_coefficient(k, h, tuple(f.one() if i == t else f.zero() for i in range(l + 1)),
                          head) - base for t in range(l + 1)]
-    table = PhiWorkspace(template.alpha, k, h, l)
-    rows = [table.row(I) for I in itertools.combinations(range(template.n), k)]
+    rows = [[f.from_index(d) for d in criterion_row(f, [template.alpha[i].rep for i in I],
+                                                    h, l + 1)]
+            for I in itertools.combinations(range(template.n), k)]
     hits = {}
     for idx, digits in enumerate(itertools.product(range(f.q), repeat=l + 1)):
         eta = tuple(f.from_index(d) for d in digits)
@@ -302,6 +305,7 @@ class TestClass1Builder:
         (dict(lam_rep=3, n=5, tail=11), "ord"),
         (dict(k=5, head=4, tail=11 - 3), "(n-2l-1)/2"),
         (dict(n=0), "n >= 1"),  # before the clause n | q-1 divides by n
+        (dict(tail=11), "need n-k+1 = 12 tail multipliers, got 11"),
     ])
     def test_rejections_name_the_clause(self, kwargs, clause):
         f = get_field(31)
@@ -309,7 +313,7 @@ class TestClass1Builder:
         k = kwargs.get("k", 4)
         head_len = kwargs.get("head", k - 1)
         tail_len = kwargs.get("tail", n - k + 1)
-        with pytest.raises(ValidationError, match=clause.replace("|", r"\|").replace("(", r"\(").replace(")", r"\)")):
+        with pytest.raises(ValidationError, match=re.escape(clause)):
             Class1Params(field=f, n=n, k=k, h=1, l=3,
                          lam=f.element(kwargs.get("lam_rep", 1)),
                          eta=(f.one(),) * 4,
@@ -704,7 +708,7 @@ class TestSearchOracle:
         # for eta_1; each hit's classification re-walks the held rows by one
         # bulk pass of the direct test (a walk per hit made 4,943 checks)
         tables, passes = counted_search(monkeypatch, recipe2_template(), 31**3, 40)
-        assert len(tables) == 1 and len(tables[0]._rows) == 120
+        assert len(tables) == 1 and len(tables[0]._cols[0]) == 120
         assert passes == {1: 31, 2: 26, 3: 40}
 
     def test_one_table_per_search(self, monkeypatch):
@@ -738,7 +742,7 @@ class TestSearchWork:
         # for eta_1, 37 of each, and each of the 117 hits' classifications
         # one pass of the direct test (one walk per prefix read 12,936 rows)
         tables, passes = counted_search(monkeypatch, demo_template(), 37**2, 117)
-        assert len(tables) == 1 and len(tables[0]._rows) == 84
+        assert len(tables) == 1 and len(tables[0]._cols[0]) == 84
         assert passes == {1: 37, 2: 37 + 117}
 
     def test_refusal_inside_a_prefix_walk_names_no_set(self, monkeypatch):

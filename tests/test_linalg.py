@@ -131,6 +131,10 @@ class TestMatrixBasics:
         assert M.submatrix([1], [0, 2]).to_lists() == [[3, 5]]
         assert M.stack(M).rows == 4
 
+    def test_stack_refuses_another_field_of_the_same_width(self, gf7):
+        with pytest.raises(ValidationError, match="^stack requires equal field and column count$"):
+            MatGF(gf7, [[1, 2]]).stack(MatGF(get_field(11), [[3, 4]]))
+
     def test_lists_round_trip(self, gf31):
         M = MatGF(gf31, [[1, 30], [2, 29]])
         assert MatGF(gf31, M.to_lists()) == M

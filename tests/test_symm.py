@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import tgrs.symm
 from tgrs import FieldElement, MatGF, Poly, SymContext, ValidationError, VerificationError
 from tgrs.symm import complete_series
 
@@ -134,6 +135,16 @@ class TestCompleteSymmetric:
         assert ctx.complete_symmetric(1) == brute_complete_symmetric(ctx.points, 1)
         assert ctx.complete_symmetric(6) == brute_complete_symmetric(ctx.points, 6)
 
+    def test_series_taken_once_per_length(self, gf7, monkeypatch):
+        # a series as long as the one held, or shorter, is read off it
+        calls = []
+        monkeypatch.setattr(tgrs.symm, "complete_series", lambda field, roots, length:
+                            calls.append(length) or complete_series(field, roots, length))
+        ctx = SymContext([gf7.element(1), gf7.element(2)])
+        for t in (3, 3, 1, 5):
+            assert ctx.complete_symmetric(t) == brute_complete_symmetric(ctx.points, t)
+        assert calls == [4, 6]
+
 
 class TestDualCoeffs:
     def test_three_points_direct_product(self, gf7):
@@ -233,7 +244,7 @@ class TestHookWeights:
 
     def test_range_error(self, gf7):
         ctx = SymContext([gf7.element(1), gf7.element(2)])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^unit index 2 out of range 0\.\.1$"):
             ctx.hook_weights(2)
 
 

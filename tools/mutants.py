@@ -92,6 +92,29 @@ CATALOGUE = (
            "pinned = second and m == l >= 1",
            "pinned = second and m <= l >= 1",
            "only m = l makes the quadratic gate eta_l^2 = 0; for m < l it admits eta_l != 0"),
+    # -- the AMDS scan: the held rows in one bulk pass, the later ones not held
+    Mutant("scan's bulk pass compares with 0",
+           "if d == 1 and I[-1] < n - 1)",
+           "if d == 0 and I[-1] < n - 1)",
+           "a held subset is singular exactly when dot(eta, d) = 1"),
+    Mutant("scan's computed rows not counted",
+           "table._row(I, spent)",
+           "table._row(I, 0)",
+           "the rows the scan reads and does not hold count against the budget too"),
+    Mutant("scan resumes one subset late",
+           "itertools.combinations(range(n), k), len(cols[0]), None)",
+           "itertools.combinations(range(n), k), len(cols[0]) + 1, None)",
+           "the first subset after the held rows may be the first with a deficient superset"),
+    # -- work kept once: a repeated walk and a held series
+    Mutant("repeated walk not reused",
+           "self._last[0] != eta",
+           "self._last[1] != eta",
+           "a second walk of one eta, as a hit's classification after its prefix's walk, "
+           "reads no row"),
+    Mutant("series retaken at its own length",
+           "if len(self._s) < length:",
+           "if len(self._s) <= length:",
+           "a series as long as the one held is read off it"),
     # -- one point-set context per table, one rank per LCD pair
     Mutant("context skips its points check",
            "    elif context.points != spec.alpha:\n"
@@ -115,6 +138,11 @@ CATALOGUE = (
            "            raise ValidationError(\"parity-check matrix must have full row rank n-k\")\n",
            "",
            "a stacked rank below n leaves G and H to be checked by their own ranks"),
+    # -- matrix plumbing
+    Mutant("stack of another field",
+           "if self.field != other.field or self.cols != other.cols:",
+           "if self.field != other.field and self.cols != other.cols:",
+           "a matrix over another field of the same width must not be stacked"),
     # -- the complete symmetric series and the GRS floor certificate
     Mutant("series step reads h_t",
            "out.append(add(s, mul(a, out[-1])))",
